@@ -1,12 +1,12 @@
 """Blind and verified delegated computation over measurement patterns.
 
-A classical client (Alice) drives a physical server (Bob) through a
-message channel.  Alice only does arithmetic on quarter-turn angles and
-single bits; Bob holds the simulated systems.  Blinding pads every
-prepared system with a random quarter rotation and every instruction
-with a random outcome key; verification inserts an isolated trap vertex
-surrounded by fixed-basis dummies and accepts when the trap outcome
-decodes to zero.
+A classical client (Alice) drives a physical server (Bob) by sending
+measurement instructions.  Alice only does arithmetic on quarter-turn
+angles and single bits; Bob holds the simulated systems.  Blinding pads
+every prepared system with a random quarter rotation and every
+instruction with a random outcome key; verification inserts an isolated
+trap vertex surrounded by fixed-basis dummies and accepts when the trap
+outcome decodes to zero.
 
 Angle encodings: the *quarter* encoding indexes the equator family
 (0: X, 1: Y, 2: -X, 3: -Y); the *formula* encoding used on the wire
@@ -17,14 +17,15 @@ are related by swapping bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .algebra import Element, Group
 from .dynamics import Permutation, erase, measure_element
-from .mbtc import OpenGraph, Pattern, angle_element, find_gflow
+from .mbtc import (OpenGraph, Pattern, angle_element, find_gflow,
+                   live_outcomes, walk)
 
 
 def formula_from_quarter(q: int) -> int:
@@ -56,6 +57,11 @@ class Deviation:
     the decoded output left the honest support" to simply "accepted":
     the adversary is credited with having corrupted the computation
     whenever the trap misses it.
+
+    Sampled rounds call each hook once per event.  Exact analysis calls
+    ``after_entangle`` once per pad configuration and ``before_measure``
+    once per (prefix, r), sharing the result between branches, so it
+    assumes deterministic hooks.
     """
 
     after_entangle: Callable | None = None   # (state) -> state
@@ -65,73 +71,63 @@ class Deviation:
 
 
 class Bob:
-    """Honest physical server; a Deviation warps its behavior."""
+    """Honest physical server; a Deviation warps its behavior.
 
-    def __init__(self, *, rng=None, forced: Mapping | None = None,
-                 deviation: Deviation | None = None):
-        self.rng = rng
-        self.forced = dict(forced) if forced else {}
+    The server object keeps no state: each call takes the held state and
+    returns the next one, so the exact walker can branch on the replies.
+    """
+
+    def __init__(self, deviation: Deviation | None = None):
         self.deviation = deviation
-        self.state = None
-        self.n = 0
-        self.probability = Fraction(1)
 
-    def handle(self, msg: dict) -> dict:
-        op = msg["op"]
-        if op == "prepare":
-            return self._prepare(msg["states"])
-        if op == "entangle":
-            return self._entangle(msg["edges"])
-        if op == "measure":
-            return self._measure(msg["site"], msg["angle"])
-        raise ValueError(f"unknown op {op!r}")
-
-    def _prepare(self, states) -> dict:
-        self.n = len(states)
+    def prepare(self, states) -> Group:
+        n = len(states)
         gens = []
         for i, spec in enumerate(states):
             if "dummy" in spec:
-                e = Element.single(self.n, i, "Z", bool(spec["dummy"]))
+                e = Element.single(n, i, "Z", bool(spec["dummy"]))
             else:
-                e = angle_element(self.n, i, quarter_from_formula(spec["angle"]))
+                e = angle_element(n, i, quarter_from_formula(spec["angle"]))
             gens.append(e)
-        self.state = Group(self.n, gens).require_valid()
-        return {"ok": True}
+        return Group(n, gens).require_valid()
 
-    def _entangle(self, edges) -> dict:
-        perm = Permutation.identity(self.n)
+    def entangle(self, state: Group, edges) -> Group:
+        perm = Permutation.identity(state.n)
         for a, b in edges:
-            perm = perm.then(Permutation.controlled(self.n, "cz", a, b))
-        self.state = perm.conjugate(self.state)
+            perm = perm.then(Permutation.controlled(state.n, "cz", a, b))
+        state = perm.conjugate(state)
         dev = self.deviation
         if dev and dev.after_entangle:
-            self.state = dev.after_entangle(self.state)
-        return {"ok": True}
+            state = dev.after_entangle(state)
+        return state
 
-    def _measure(self, site: int, angle: int) -> dict:
-        if self.probability == 0:
-            return {"outcome": self.forced.get(site, 0)}
-        quarter = quarter_from_formula(angle)
+    def _observable(self, state: Group, site: int, quarter: int):
         dev = self.deviation
         if dev and dev.before_measure:
-            self.state = dev.before_measure(site, quarter, self.state)
-        e = angle_element(self.n, site, quarter)
-        out, self.state, p = measure_element(
-            self.state, e, rng=self.rng, force=self.forced.get(site))
-        self.probability *= p
+            state = dev.before_measure(site, quarter, state)
+        return state, angle_element(state.n, site, quarter)
+
+    def _report(self, site: int, quarter: int, out: int) -> int:
+        dev = self.deviation
         if dev and dev.flip_outcome:
-            out = dev.flip_outcome(site, quarter, out)
-        return {"outcome": out}
+            return dev.flip_outcome(site, quarter, out)
+        return out
 
+    def measure(self, state: Group, site: int, angle: int, *, rng=None,
+                force: int | None = None):
+        """(reported outcome, post state, probability) of one outcome."""
+        quarter = quarter_from_formula(angle)
+        state, e = self._observable(state, site, quarter)
+        out, post, p = measure_element(state, e, rng=rng, force=force)
+        return self._report(site, quarter, out), post, p
 
-class InProcessChannel:
-    """Default transport: deliver each message to a local Bob."""
-
-    def __init__(self, bob: Bob):
-        self.bob = bob
-
-    def send(self, msg: dict) -> dict:
-        return self.bob.handle(msg)
+    def outcomes(self, state: Group, site: int, angle: int) -> list:
+        """[(reported outcome, post state, probability)] of every outcome
+        that can occur."""
+        quarter = quarter_from_formula(angle)
+        state, e = self._observable(state, site, quarter)
+        return [(self._report(site, quarter, out), post, p)
+                for out, post, p in live_outcomes(state, e)]
 
 
 def extremal_deviation(site: int) -> Deviation:
@@ -175,7 +171,10 @@ def instruction_conditioned_deviation(rule: Callable) -> Deviation:
 
 
 def fuzzer_deviation(rng, rate: float = 0.5) -> Deviation:
-    """Random single-site permutation at the measured site, sometimes."""
+    """Random single-site permutation at the measured site, sometimes.
+
+    Its hook draws randomness, so it is for Monte Carlo estimates only.
+    """
     from .dynamics import PERMS
 
     def warp(site, quarter, state: Group) -> Group:
@@ -215,95 +214,127 @@ class RoundResult:
     decoded: dict          # vertex -> decoded outcome
     output: tuple          # decoded outcomes at output vertices, sorted
     accept: bool | None    # trap verdict, None when no trap
-    probability: Fraction  # branch weight (1 for sampled runs)
+    probability: Fraction  # Bob's branch probability
     alice_ops: int         # count of Alice's mod-4 / bit operations
 
 
+class _Transcript(NamedTuple):
+    """Alice's record of a round so far; pending corrections are bit
+    masks over vertex indices, so branches share their prefixes."""
+
+    sx: int = 0
+    sz: int = 0
+    ops: int = 0
+    deltas: tuple = ()
+    raw: tuple = ()
+    decoded: tuple = ()
+
+
+class _Plan:
+    """Alice's fixed schedule of a round: the measurement order, the
+    unadapted angles, and the corrections an outcome 1 triggers.
+
+    ``instruct`` and ``receive`` are Alice's per-vertex step, shared by
+    the sampled round and the exact walker.
+    """
+
+    def __init__(self, graph: OpenGraph, angles: Mapping, dummies, trap,
+                 blinded: bool = True):
+        if graph.inputs:
+            raise ValueError("delegated rounds take no quantum inputs")
+        nodes = list(graph.nodes)
+        self.site = idx = {v: i for i, v in enumerate(nodes)}
+        comp = [v for v in nodes if v not in dummies and v != trap]
+        sub = graph.induced(comp)
+        pattern = Pattern(sub, {v: angles[v] for v in comp})
+        g, layer = (find_gflow(sub, best_effort=True) if comp else ({}, {}))
+        order = pattern.measured_order(layer) if comp else []
+        self.order = order + [trap] if trap is not None else order
+        self.base = {v: 0 if v == trap else angles[v] for v in self.order}
+        self.graph, self.trap, self.blinded = graph, trap, blinded
+        self.edges = [(idx[a], idx[b]) for a, b in graph.edges]
+        # vertex -> (X mask, Z mask, Alice's op count) of its corrections
+        self.fixes = {}
+        for u, K in g.items():
+            flips_z = sub.odd_neighborhood(K) - {u}
+            self.fixes[u] = (sum(1 << idx[j] for j in K),
+                             sum(1 << idx[j] for j in flips_z),
+                             len(K) + len(flips_z))
+
+    def thetas(self, prep: Mapping) -> dict:
+        """Each measured vertex's pad angle (quarter encoding), turned by
+        half a turn for every neighboring dummy prepared as -Z."""
+        if not self.blinded:
+            return {}
+        zshift = {v: 0 for v in self.graph.nodes}
+        for d, spec in prep.items():
+            if spec.get("dummy"):
+                for w in self.graph.neighbors(d):
+                    zshift[w] ^= 1
+        return {u: (quarter_from_formula(prep[u]["angle"]) + 2 * zshift[u]) % 4
+                for u in self.order}
+
+    def instruct(self, u, rec: _Transcript, theta: Mapping, r: int):
+        """(wire angle, Alice's op count) of the instruction for ``u``."""
+        bit = 1 << self.site[u]
+        phi = _adapt_quarter(self.base[u], rec.sx & bit, rec.sz & bit)
+        if not self.blinded:
+            return formula_from_quarter(phi), 1
+        return formula_from_quarter(phi ^ theta[u] ^ (r << 1)), 3
+
+    def receive(self, u, rec: _Transcript, wire: int, ops: int, o: int,
+                r: int) -> _Transcript:
+        """Alice decodes Bob's reply ``o`` and books its corrections."""
+        dec = o ^ r if self.blinded else o
+        ops += 1
+        sx, sz = rec.sx, rec.sz
+        if dec and u in self.fixes:
+            x, z, n = self.fixes[u]
+            sx, sz, ops = sx ^ x, sz ^ z, ops + n
+        return _Transcript(sx, sz, rec.ops + ops, rec.deltas + ((u, wire),),
+                           rec.raw + (o,), rec.decoded + ((u, dec),))
+
+    def result(self, rec: _Transcript, prob: Fraction) -> RoundResult:
+        decoded = dict(rec.decoded)
+        accept = None if self.trap is None else decoded[self.trap] == 0
+        output = tuple(sorted((v, decoded[v]) for v in self.graph.outputs
+                              if v in decoded))
+        return RoundResult(rec.deltas, rec.raw, decoded, output, accept,
+                           prob, rec.ops)
+
+
 def _run_round(graph: OpenGraph, angles: Mapping, *, prep: Mapping,
-               rbits: Mapping, trap=None, channel=None, rng=None,
+               rbits: Mapping, trap=None, rng=None,
                forced: Mapping | None = None,
                deviation: Deviation | None = None,
                blinded: bool = True) -> RoundResult:
-    """One protocol round.
+    """One sampled protocol round.
 
     ``prep`` maps each vertex to {"angle": formula theta} or
     {"dummy": bit}; ``angles`` holds the computation's quarter angles
     for the non-dummy, non-trap vertices; the trap, when present, runs
-    at base angle zero with no adaptation.
+    at base angle zero with no adaptation.  ``forced`` pins Bob's
+    measurement outcomes, and the probability is then the branch weight.
     """
-    if graph.inputs:
-        raise ValueError("delegated rounds take no quantum inputs")
-    nodes = list(graph.nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    dummies = {v for v in nodes if "dummy" in prep[v]}
-    comp = [v for v in nodes if v not in dummies and v != trap]
-
-    sub = graph.induced(comp)
-    pattern = Pattern(sub, {v: angles[v] for v in comp})
-    g, layer = (find_gflow(sub, best_effort=True) if comp else ({}, {}))
-    order = pattern.measured_order(layer) if comp else []
-    if trap is not None:
-        order = order + [trap]
-
-    if channel is None:
-        bob_forced = ({idx[v]: b for v, b in forced.items()}
-                      if forced else None)
-        channel = InProcessChannel(Bob(rng=rng, forced=bob_forced,
-                                       deviation=deviation))
-
-    zshift = {v: 0 for v in nodes}
-    for d in dummies:
-        if prep[d]["dummy"]:
-            for w in graph.neighbors(d):
-                zshift[w] ^= 1
-
-    channel.send({"op": "prepare",
-                  "states": [prep[v] for v in nodes]})
-    channel.send({"op": "entangle",
-                  "edges": [(idx[a], idx[b]) for a, b in graph.edges]})
-
-    sx = {v: 0 for v in nodes}
-    sz = {v: 0 for v in nodes}
-    deltas = []
-    raw = []
-    decoded = {}
-    ops = 0
-    for u in order:
-        base = 0 if u == trap else angles[u]
-        phi = _adapt_quarter(base, sx[u], sz[u])
-        ops += 1
-        if blinded:
-            theta = quarter_from_formula(prep[u]["angle"])
-            theta_eff = (theta + 2 * zshift[u]) % 4
-            delta_q = phi ^ theta_eff ^ (rbits[u] << 1)
-            ops += 2
+    dummies = {v for v in graph.nodes if "dummy" in prep[v]}
+    plan = _Plan(graph, angles, dummies, trap, blinded)
+    bob = Bob(deviation)
+    state = bob.entangle(bob.prepare([prep[v] for v in graph.nodes]),
+                         plan.edges)
+    theta = plan.thetas(prep)
+    forced = forced or {}
+    rec, prob = _Transcript(), Fraction(1)
+    for u in plan.order:
+        r = rbits[u]
+        wire, ops = plan.instruct(u, rec, theta, r)
+        if prob:
+            o, state, p = bob.measure(state, plan.site[u], wire, rng=rng,
+                                      force=forced.get(u))
+            prob *= p
         else:
-            delta_q = phi
-        wire = formula_from_quarter(delta_q)
-        reply = channel.send({"op": "measure", "site": idx[u], "angle": wire})
-        o = reply["outcome"]
-        dec = o ^ rbits[u] if blinded else o
-        ops += 1
-        deltas.append((u, wire))
-        raw.append(o)
-        decoded[u] = dec
-        if dec and u != trap:
-            for j in g.get(u, ()):
-                sx[j] ^= 1
-                ops += 1
-            for j in sub.odd_neighborhood(g.get(u, ())) - {u}:
-                sz[j] ^= 1
-                ops += 1
-
-    accept = None
-    if trap is not None:
-        accept = decoded[trap] == 0
-    output = tuple(sorted((v, decoded[v]) for v in graph.outputs
-                          if v in decoded))
-    prob = channel.bob.probability if isinstance(channel, InProcessChannel) \
-        else Fraction(1)
-    return RoundResult(tuple(deltas), tuple(raw), decoded, output,
-                       accept, prob, ops)
+            o = forced.get(u, 0)
+        rec = plan.receive(u, rec, wire, ops, o, r)
+    return plan.result(rec, prob)
 
 
 def _sample_pads(graph: OpenGraph, rng, dummies=(), trap=None):
@@ -320,18 +351,18 @@ def _sample_pads(graph: OpenGraph, rng, dummies=(), trap=None):
 
 
 def run_delegated(pattern: Pattern, *, rng=None, forced=None,
-                  deviation=None, channel=None) -> RoundResult:
+                  deviation=None) -> RoundResult:
     """Unblinded delegation: Bob sees the true adapted angles."""
     graph = pattern.graph
     prep = {v: {"angle": 0} for v in graph.nodes}
     rbits = {v: 0 for v in graph.nodes}
     return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
                       rng=rng, forced=forced, deviation=deviation,
-                      channel=channel, blinded=False)
+                      blinded=False)
 
 
 def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
-              forced=None, deviation=None, channel=None) -> RoundResult:
+              forced=None, deviation=None) -> RoundResult:
     """Blind delegation: pads chosen by Alice unless pinned explicitly."""
     graph = pattern.graph
     if prep is None or rbits is None:
@@ -339,8 +370,7 @@ def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
         prep = prep if prep is not None else sampled[0]
         rbits = rbits if rbits is not None else sampled[1]
     return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
-                      rng=rng, forced=forced, deviation=deviation,
-                      channel=channel)
+                      rng=rng, forced=forced, deviation=deviation)
 
 
 def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
@@ -363,55 +393,81 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
 # exact analysis
 # --------------------------------------------------------------------------
 
-def _measured_vertices(graph: OpenGraph, trap, dummies) -> list:
-    comp = [v for v in graph.nodes if v != trap and v not in dummies]
-    return comp + ([trap] if trap is not None else [])
+def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
+    """Every live round with pads ``prep``, the blinding bit of each
+    measured vertex running over ``rvalues``.
+
+    The rounds are the leaves of one depth-first walk.  Bob prepares and
+    entangles once, calling the deviation's ``after_entangle`` once;
+    then at each measured vertex, in Alice's order, the walk branches on
+    the blinding bit r and on the outcomes Bob can get, calling
+    ``before_measure`` once per (prefix, r).  Branches share their prefix
+    states, and dead outcomes are never visited.  Exact analysis thus
+    assumes deterministic hooks: a hook that draws randomness, such as
+    ``fuzzer_deviation``, is for Monte Carlo estimates only.
+    """
+    bob = Bob(deviation)
+    state = bob.entangle(bob.prepare([prep[v] for v in plan.graph.nodes]),
+                         plan.edges)
+    theta = plan.thetas(prep)
+
+    def step(k, node):
+        state, prob, rec = node
+        u = plan.order[k]
+        children = []
+        for r in rvalues:
+            wire, ops = plan.instruct(u, rec, theta, r)
+            for o, post, p in bob.outcomes(state, plan.site[u], wire):
+                children.append(
+                    (post, prob * p, plan.receive(u, rec, wire, ops, o, r)))
+        return children
+
+    for _, prob, rec in walk((state, Fraction(1), _Transcript()),
+                             len(plan.order), step):
+        yield plan.result(rec, prob)
 
 
 def _enumerate_rounds(pattern: Pattern, *, trap=None, deviation=None):
-    """Yield (weight, RoundResult) over pads and outcome branches."""
+    """Yield (weight, RoundResult) over pads and live outcome branches.
+
+    The weight is the pads' probability times the branch's; the flow is
+    found once, and the walker runs once per pad configuration.
+    """
     graph = pattern.graph
     dummies = sorted(graph.neighbors(trap)) if trap is not None else []
-    measured = _measured_vertices(graph, trap, dummies)
     padded = [v for v in graph.nodes if v not in dummies]
+    plan = _Plan(graph, pattern.angles, dummies, trap)
     pad_weight = Fraction(1, 4 ** len(padded) * 2 ** len(dummies)
-                          * 2 ** len(measured))
+                          * 2 ** len(plan.order))
     for thetas in product(range(4), repeat=len(padded)):
         for dbits in product(range(2), repeat=len(dummies)):
             prep = {v: {"angle": t} for v, t in zip(padded, thetas)}
             prep.update({d: {"dummy": b} for d, b in zip(dummies, dbits)})
-            for rvals in product(range(2), repeat=len(measured)):
-                rbits = {v: 0 for v in graph.nodes}
-                rbits.update(dict(zip(measured, rvals)))
-                for bits in product(range(2), repeat=len(measured)):
-                    forced = dict(zip(measured, bits))
-                    res = _run_round(graph, pattern.angles, prep=prep,
-                                     rbits=rbits, trap=trap, forced=forced,
-                                     deviation=deviation)
-                    if res.probability:
-                        yield pad_weight * res.probability, res
+            for res in _walk_rounds(plan, prep, deviation, (0, 1)):
+                yield pad_weight * res.probability, res
 
 
 def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
-    """Decoded output tuples an honest round can produce for this trap."""
-    support = set()
+    """Decoded output tuples an honest round can produce for this trap.
+
+    Walks the outcome tree once, with zero pads and blinding bits.
+    """
     graph = pattern.graph
     dummies = graph.neighbors(trap) if trap is not None else set()
-    measured = _measured_vertices(graph, trap, dummies)
+    plan = _Plan(graph, pattern.angles, dummies, trap)
     prep = {v: ({"dummy": 0} if v in dummies else {"angle": 0})
             for v in graph.nodes}
-    rbits = {v: 0 for v in graph.nodes}
-    for bits in product(range(2), repeat=len(measured)):
-        forced = dict(zip(measured, bits))
-        res = _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
-                         trap=trap, forced=forced)
-        if res.probability:
-            support.add(res.output)
-    return frozenset(support)
+    return frozenset(res.output
+                     for res in _walk_rounds(plan, prep, None, (0,)))
 
 
 def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
-    """P(accept and the computation was corrupted), trap uniform."""
+    """P(accept and the computation was corrupted), trap uniform.
+
+    Exact: every trap, pad configuration and live branch is walked once
+    (see ``_walk_rounds``), so the deviation's hooks must be
+    deterministic.
+    """
     graph = pattern.graph
     total = Fraction(0)
     for trap in graph.nodes:
@@ -440,6 +496,8 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
 def estimate_pfail(pattern: Pattern, deviation: Deviation, *, rng,
                    trials: int) -> dict:
     """Monte Carlo failure estimate with a Wilson 95% interval."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     graph = pattern.graph
     honest = {} if deviation.assume_corrupted else \
         {t: honest_output_support(pattern, t) for t in graph.nodes}
@@ -460,7 +518,8 @@ def estimate_pfail(pattern: Pattern, deviation: Deviation, *, rng,
 # --------------------------------------------------------------------------
 
 def server_view_distribution(pattern: Pattern) -> dict:
-    """Exact distribution of Bob's transcript (instructions, outcomes)."""
+    """Exact distribution of Bob's transcript (instructions, outcomes),
+    over every pad configuration and live branch of a trap-free round."""
     dist: dict = {}
     for w, res in _enumerate_rounds(pattern):
         key = (res.deltas, res.raw)

@@ -280,6 +280,9 @@ def _parse_deviation(text: str) -> bvc.Deviation | None:
 
 
 def _cmd_bvc(args) -> dict:
+    if args.sample_rounds < 0:
+        raise ValueError(
+            f"--sample-rounds must be at least 0, got {args.sample_rounds}")
     pattern = (_load_pattern(args.pattern) if args.pattern
                else _line_pattern(args.line))
     deviation = _parse_deviation(args.deviation)

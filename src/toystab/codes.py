@@ -7,7 +7,7 @@ trusted from the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Element, Group, solve_gf2

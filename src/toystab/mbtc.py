@@ -9,7 +9,7 @@ two must agree branch by branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -48,7 +48,7 @@ class OpenGraph:
                 raise ValueError(f"unknown terminal {v}")
 
     @classmethod
-    def line(cls, n: int, classical: bool = False) -> "OpenGraph":
+    def line(cls, n: int) -> "OpenGraph":
         nodes = tuple(range(n))
         edges = tuple((i, i + 1) for i in range(n - 1))
         return cls(nodes, edges, inputs=(0,), outputs=(n - 1,))
@@ -201,6 +201,101 @@ def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
     return perm.conjugate(state)
 
 
+def live_outcomes(state: Group, e: Element) -> list:
+    """(outcome, post, probability) for each outcome of measuring ``e``
+    that can occur; a deterministic outcome leaves the state as it was."""
+    out, post, p = measure_element(state, e, force=0)
+    if p == 0:
+        return [(1, state, Fraction(1))]
+    if p == 1:
+        return [(out, post, p)]
+    return [(out, post, p), measure_element(state, e, force=1)]
+
+
+def walk(root, depth: int, step):
+    """Leaves of a depth-first branch tree, first branch first.
+
+    ``step(k, node)`` lists the children of a node at depth ``k``; the
+    nodes at ``depth`` are the leaves.  Children share their parent's
+    immutable state, so a prefix is computed once for all its branches.
+    """
+    stack = [(0, root)]
+    while stack:
+        k, node = stack.pop()
+        if k == depth:
+            yield node
+            continue
+        stack.extend((k + 1, child) for child in reversed(step(k, node)))
+
+
+class _PatternRun:
+    """The fixed part of running a pattern: flow, order, corrections.
+
+    Pending corrections are bit masks over vertex indices, so a branch
+    state (group, sx, sz, outcomes, probability) is immutable and
+    branches share their prefixes.
+    """
+
+    def __init__(self, pattern: Pattern, input_group: Group | None,
+                 physical: bool):
+        graph = pattern.graph
+        self.idx = idx = {v: i for i, v in enumerate(graph.nodes)}
+        self.n = len(graph.nodes)
+        g, layer = pattern.resolved_flow()
+        self.order = pattern.measured_order(layer)
+        self.state = graph_state(graph, input_group)
+        self.pattern = pattern
+        self.physical = physical
+        # vertex -> (X mask, Z mask) of the corrections of its outcome 1
+        self.fixes = {}
+        for u in self.order:
+            K = g.get(u, ())
+            flips_z = graph.odd_neighborhood(K) - {u}
+            self.fixes[u] = (sum(1 << idx[j] for j in K),
+                             sum(1 << idx[j] for j in flips_z))
+        self.quantum_outputs = [v for v in graph.outputs
+                                if v not in pattern.angles]
+
+    def element(self, u, sx: int, sz: int) -> Element:
+        """The measured element of ``u``, adapted to pending corrections."""
+        i = self.idx[u]
+        base = angle_element(self.n, i, self.pattern.angles[u])
+        x, z = (sx >> i) & 1, (sz >> i) & 1
+        if self.physical or not (x or z):
+            return base
+        return Permutation.pauli(self.n, x << i, z << i).conj_element(base)
+
+    def correct(self, u, out: int, state: Group, sx: int, sz: int):
+        """(state, sx, sz) after outcome ``out`` of ``u``."""
+        if not out:
+            return state, sx, sz
+        x, z = self.fixes[u]
+        if not self.physical:
+            return state, sx ^ x, sz ^ z
+        if x or z:
+            state = Permutation.pauli(self.n, x, z).conjugate(state)
+        return state, sx, sz
+
+    def result(self, state: Group, sx: int, sz: int, outcomes: dict,
+               prob: Fraction) -> dict:
+        idx = self.idx
+        quantum_outputs = self.quantum_outputs
+        if not self.physical and quantum_outputs:
+            mask = sum(1 << idx[v] for v in quantum_outputs)
+            if (sx | sz) & mask:
+                state = Permutation.pauli(self.n, sx & mask,
+                                          sz & mask).conjugate(state)
+        output_state = (partial_trace(state, [idx[v] for v in quantum_outputs])
+                        if quantum_outputs else None)
+        return {
+            "outcomes": outcomes,
+            "probability": prob,
+            "output": {v: outcomes[v] for v in self.pattern.graph.outputs
+                       if v in outcomes},
+            "output_state": output_state,
+        }
+
+
 def run_pattern(pattern: Pattern, input_group: Group | None = None, *,
                 rng=None, forced: Mapping | None = None,
                 physical: bool = False) -> dict:
@@ -210,74 +305,48 @@ def run_pattern(pattern: Pattern, input_group: Group | None = None, *,
     branch weight); ``physical`` applies corrections as permutations
     instead of folding them into later angles.
     """
-    graph = pattern.graph
-    nodes = list(graph.nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    g, layer = pattern.resolved_flow()
-    order = pattern.measured_order(layer)
-    state = graph_state(graph, input_group)
-    sx = {v: 0 for v in nodes}
-    sz = {v: 0 for v in nodes}
+    run = _PatternRun(pattern, input_group, physical)
+    state, sx, sz = run.state, 0, 0
     outcomes = {}
     prob = Fraction(1)
-    for u in order:
-        base = angle_element(n, idx[u], pattern.angles[u])
-        if physical or not (sx[u] or sz[u]):
-            e = base
-        else:
-            pauli = Permutation.pauli(
-                n, sx[u] << idx[u], sz[u] << idx[u])
-            e = pauli.conj_element(base)
+    for u in run.order:
         force = forced.get(u) if forced is not None else None
-        out, state, p = measure_element(state, e, rng=rng, force=force)
+        out, state, p = measure_element(state, run.element(u, sx, sz),
+                                        rng=rng, force=force)
         prob *= p
         if prob == 0:
             return {"outcomes": None, "probability": Fraction(0),
                     "output": None, "output_state": None}
         outcomes[u] = out
-        if out:
-            flips_x = set(g.get(u, ()))
-            flips_z = graph.odd_neighborhood(g.get(u, ())) - {u}
-            if physical:
-                x = sum(1 << idx[j] for j in flips_x)
-                z = sum(1 << idx[j] for j in flips_z)
-                if x or z:
-                    state = Permutation.pauli(n, x, z).conjugate(state)
-            else:
-                for j in flips_x:
-                    sx[j] ^= 1
-                for j in flips_z:
-                    sz[j] ^= 1
-    quantum_outputs = [v for v in graph.outputs if v not in pattern.angles]
-    if not physical and quantum_outputs:
-        x = sum(sx[v] << idx[v] for v in quantum_outputs)
-        z = sum(sz[v] << idx[v] for v in quantum_outputs)
-        if x or z:
-            state = Permutation.pauli(n, x, z).conjugate(state)
-    output_state = (partial_trace(state, [idx[v] for v in quantum_outputs])
-                    if quantum_outputs else None)
-    return {
-        "outcomes": outcomes,
-        "probability": prob,
-        "output": {v: outcomes[v] for v in graph.outputs if v in outcomes},
-        "output_state": output_state,
-    }
+        state, sx, sz = run.correct(u, out, state, sx, sz)
+    return run.result(state, sx, sz, outcomes, prob)
 
 
 def enumerate_branches(pattern: Pattern, input_group: Group | None = None,
                        physical: bool = False) -> list[dict]:
-    """All outcome branches with nonzero probability."""
-    graph = pattern.graph
-    g, layer = pattern.resolved_flow()
-    order = pattern.measured_order(layer)
-    results = []
-    for bits in range(1 << len(order)):
-        forced = {v: (bits >> i) & 1 for i, v in enumerate(order)}
-        res = run_pattern(pattern, input_group, forced=forced,
-                          physical=physical)
-        if res["probability"]:
-            results.append(res)
+    """All outcome branches with nonzero probability.
+
+    The branch tree is walked depth first, branching only where an
+    outcome is random.  Branches are listed by their outcome bits read
+    as an integer, the first measured vertex being bit 0.
+    """
+    run = _PatternRun(pattern, input_group, physical)
+    order = run.order
+
+    def step(k, node):
+        state, sx, sz, outcomes, prob = node
+        u = order[k]
+        children = []
+        for out, post, p in live_outcomes(state, run.element(u, sx, sz)):
+            post, csx, csz = run.correct(u, out, post, sx, sz)
+            children.append((post, csx, csz, {**outcomes, u: out}, prob * p))
+        return children
+
+    leaves = walk((run.state, 0, 0, {}, Fraction(1)), len(order), step)
+    results = sorted(
+        (run.result(*leaf) for leaf in leaves),
+        key=lambda res: sum(res["outcomes"][v] << i
+                            for i, v in enumerate(order)))
     total = sum(r["probability"] for r in results)
     assert total == 1, f"branches sum to {total}"
     return results

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -119,9 +120,8 @@ def test_flip_all_always_detected():
             assert not res.accept
 
 
-def test_deviation_family_respects_bound():
-    bound = 1 - Fraction(1, 6)
-    family = [
+def deviation_family():
+    return [
         bvc.Deviation(),
         bvc.flip_all_deviation(),
         bvc.pauli_deviation({1: "Z"}),
@@ -130,8 +130,23 @@ def test_deviation_family_respects_bound():
             lambda site, q: "Z" if q == 1 else None),
         bvc.deviation_from_factors([{"site": 2, "perm": "H"}]),
     ]
-    for dev in family:
+
+
+def test_deviation_family_respects_bound():
+    bound = 1 - Fraction(1, 6)
+    for dev in deviation_family():
         assert bvc.exact_pfail(PAT3, dev) <= bound
+
+
+PAT4 = line_pattern(4, (0, 1, 0, 2))
+
+
+def test_trap_bound_exact_four_nodes():
+    # the extremal adversary reaches 1 - 1/(2n) exactly, here at n = 4
+    assert bvc.exact_pfail(PAT4, bvc.Deviation()) == 0
+    for site in range(4):
+        assert bvc.exact_pfail(PAT4, bvc.extremal_deviation(site)) \
+            == Fraction(7, 8)
 
 
 def test_monte_carlo_agrees_with_exact():
@@ -173,3 +188,86 @@ def test_alice_footprint_is_small():
     res = bvc.run_blind(PAT3, rng=random.Random(0))
     # a handful of mod-4 / bit operations per measured vertex
     assert 0 < res.alice_ops <= 8 * len(PAT3.graph.nodes)
+
+
+# -- the exact walker against brute force -------------------------------------
+
+def _reference_measured(graph, trap, dummies):
+    comp = [v for v in graph.nodes if v != trap and v not in dummies]
+    return comp + ([trap] if trap is not None else [])
+
+
+def reference_rounds(pattern, *, trap=None, deviation=None):
+    """Brute force: one whole round per pad, blinding and forced-outcome
+    vector, keeping the rounds of nonzero probability."""
+    graph = pattern.graph
+    dummies = sorted(graph.neighbors(trap)) if trap is not None else []
+    measured = _reference_measured(graph, trap, dummies)
+    padded = [v for v in graph.nodes if v not in dummies]
+    pad_weight = Fraction(1, 4 ** len(padded) * 2 ** len(dummies)
+                          * 2 ** len(measured))
+    for thetas in product(range(4), repeat=len(padded)):
+        for dbits in product(range(2), repeat=len(dummies)):
+            prep = {v: {"angle": t} for v, t in zip(padded, thetas)}
+            prep.update({d: {"dummy": b} for d, b in zip(dummies, dbits)})
+            for rvals in product(range(2), repeat=len(measured)):
+                rbits = {v: 0 for v in graph.nodes}
+                rbits.update(zip(measured, rvals))
+                for bits in product(range(2), repeat=len(measured)):
+                    res = bvc._run_round(graph, pattern.angles, prep=prep,
+                                         rbits=rbits, trap=trap,
+                                         forced=dict(zip(measured, bits)),
+                                         deviation=deviation)
+                    if res.probability:
+                        yield pad_weight * res.probability, res
+
+
+def reference_support(pattern, trap=None):
+    graph = pattern.graph
+    dummies = graph.neighbors(trap) if trap is not None else set()
+    measured = _reference_measured(graph, trap, dummies)
+    prep = {v: ({"dummy": 0} if v in dummies else {"angle": 0})
+            for v in graph.nodes}
+    rbits = {v: 0 for v in graph.nodes}
+    support = set()
+    for bits in product(range(2), repeat=len(measured)):
+        res = bvc._run_round(graph, pattern.angles, prep=prep, rbits=rbits,
+                             trap=trap, forced=dict(zip(measured, bits)))
+        if res.probability:
+            support.add(res.output)
+    return frozenset(support)
+
+
+def _round_multiset(rounds):
+    return Counter((w, r.deltas, r.raw, tuple(sorted(r.decoded.items())),
+                    r.output, r.accept, r.probability, r.alice_ops)
+                   for w, r in rounds)
+
+
+WALKER_FIXTURES = (PAT3, line_pattern(3, (2, 3, 1)))
+TRAPS = (None, 0, 1, 2)
+
+
+@pytest.mark.parametrize("dev_index", range(len(deviation_family())))
+def test_walker_matches_brute_force(dev_index):
+    dev = deviation_family()[dev_index]
+    for pattern in WALKER_FIXTURES:
+        for trap in TRAPS:
+            got = _round_multiset(
+                bvc._enumerate_rounds(pattern, trap=trap, deviation=dev))
+            want = _round_multiset(
+                reference_rounds(pattern, trap=trap, deviation=dev))
+            assert got == want, (pattern.angles, trap)
+
+
+def test_honest_support_matches_brute_force():
+    for pattern in WALKER_FIXTURES:
+        for trap in TRAPS:
+            assert bvc.honest_output_support(pattern, trap) \
+                == reference_support(pattern, trap)
+
+
+def test_bad_counts_rejected():
+    with pytest.raises(ValueError, match="trials"):
+        bvc.estimate_pfail(PAT3, bvc.Deviation(), rng=random.Random(0),
+                           trials=0)

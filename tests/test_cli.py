@@ -139,6 +139,13 @@ def test_bvc_monte_carlo_is_tagged(run):
     assert rep["p_fail"]["estimate"] == 0.0
 
 
+def test_bvc_rejects_bad_counts(run):
+    err = run("bvc", "simulate", "--trials", "0", expect=2)
+    assert "trials" in err
+    err = run("bvc", "simulate", "--sample-rounds", "-1", expect=2)
+    assert "sample-rounds" in err
+
+
 def test_selftest(run):
     rep = run("selftest")
     assert rep["ok"]

@@ -196,3 +196,40 @@ def test_adapted_equals_physical_everywhere():
         p = {b["output_state"].canonical
              for b in enumerate_branches(pattern, g, physical=True)}
         assert a == p
+
+
+# -- the branch walker against brute force ------------------------------------
+
+def reference_branches(pattern, input_group=None, physical=False):
+    """Brute force: one forced run per outcome vector, first measured
+    vertex as bit 0, keeping the branches of nonzero probability."""
+    g, layer = pattern.resolved_flow()
+    order = pattern.measured_order(layer)
+    results = []
+    for bits in range(1 << len(order)):
+        forced = {v: (bits >> i) & 1 for i, v in enumerate(order)}
+        res = run_pattern(pattern, input_group, forced=forced,
+                          physical=physical)
+        if res["probability"]:
+            results.append(res)
+    return results
+
+
+def _branch_rows(branches):
+    return [(list(b["outcomes"].items()), b["probability"],
+             list(b["output"].items()),
+             b["output_state"].canonical if b["output_state"] else None)
+            for b in branches]
+
+
+def test_enumerate_branches_matches_brute_force():
+    cx_inputs = [a.tensor(b) for a, b in itertools.product(SINGLES, repeat=2)]
+    cx_inputs.append(_state("+XX\n+ZZ"))
+    for name, gp in gate_patterns().items():
+        probes = cx_inputs if name == "CX" else SINGLES
+        for g in probes:
+            for physical in (False, True):
+                got = enumerate_branches(gp.pattern, g, physical=physical)
+                want = reference_branches(gp.pattern, g, physical=physical)
+                assert _branch_rows(got) == _branch_rows(want), \
+                    (name, str(g), physical)
