@@ -280,11 +280,9 @@ class Group:
                     out.append(f"incompatible pair: {gens[i]} and {gens[j]}")
         if self._neg_identity:
             out.append("negative identity is in the group")
-        else:
-            rows = [(g.interleaved(), g.neg) for g in gens]
-            reduced, _ = _echelon(rows)
-            if len(reduced) < len(gens):
-                out.append("generators are linearly dependent")
+        elif len(self.canonical) < len(gens):
+            # canonical is the echelon form of exactly these generators
+            out.append("generators are linearly dependent")
         if len(self.canonical) > self.n:
             out.append("more independent generators than systems")
         return out

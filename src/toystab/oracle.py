@@ -104,13 +104,13 @@ class Distribution:
         check_cap(group.n, cap)
         n = group.n
         gens = group.canonical
-        # solve the linear system eval_bit(a, b) = 0 over v = a | (b << n)
+        # solve the linear system eval_bit = 0 over the interleaved ontic
+        # index, where eval_bit is neg ^ parity(interleaved & index),
         # instead of scanning all 4^n points against every generator
-        rows = [g.x | (g.z << n) for g in gens]
+        rows = [g.interleaved() for g in gens]
         rhs = [1 if g.neg else 0 for g in gens]
         base, null = _solve_parity(rows, rhs, 2 * n)
         assert base is not None, "valid group has empty support"
-        mask = (1 << n) - 1
         support = []
         for pick in range(1 << len(null)):
             v = base
@@ -121,7 +121,7 @@ class Distribution:
                     v ^= null[i]
                 t >>= 1
                 i += 1
-            support.append(bits_index(n, v & mask, v >> n))
+            support.append(v)
         expect = 4 ** n >> len(gens)
         assert len(support) == expect, "support size violates the rank law"
         p = Fraction(1, len(support))
@@ -315,17 +315,17 @@ def group_from_distribution(dist: Distribution) -> Group:
     p = dist.probs[support[0]]
     if any(dist.probs[i] != p for i in support):
         raise ValueError("support is not uniform")
+    # an element reads neg ^ parity(interleaved & index) at an ontic
+    # index, so it is constant on the support exactly when its symbol
+    # bits have even overlap with every offset from the first point
+    first = support[0]
+    offsets = [idx ^ first for idx in support[1:]]
     gens = []
     for bits in range(1, 4 ** n):
-        e = Element.from_interleaved(n, bits)
-        vals = set()
-        for idx in support:
-            a, b = state_bits(n, idx)
-            vals.add(e.eval_bit(a, b))
-            if len(vals) > 1:
-                break
-        if len(vals) == 1:
-            gens.append(e if vals == {0} else e.negated())
+        if any(bin(bits & d).count("1") & 1 for d in offsets):
+            continue
+        gens.append(Element.from_interleaved(
+            n, bits, neg=bool(bin(bits & first).count("1") & 1)))
     # the sweep collects the whole subgroup; reduce to a basis
     group = Group(n, Group(n, gens).canonical)
     if group.violations() or Distribution.from_group(group, cap=n) != dist:
