@@ -23,6 +23,23 @@ def _parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
+def _byte_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(spread, gather): spread[b] holds the 8 bits of b at the even
+    positions of 16 bits; gather[b] reads b as 4 interleaved sites and
+    holds their x bits | z bits << 4."""
+    spread = [0] * 256
+    for b in range(1, 256):
+        spread[b] = spread[b >> 1] << 2 | b & 1
+    gather = [0] * 256
+    for x in range(16):
+        for z in range(16):
+            gather[spread[x] | spread[z] << 1] = x | z << 4
+    return tuple(spread), tuple(gather)
+
+
+_SPREAD, _GATHER = _byte_tables()
+
+
 @dataclass(frozen=True)
 class Element:
     """One signed element on ``n`` systems.
@@ -124,18 +141,27 @@ class Element:
 
     def interleaved(self) -> int:
         """Symbol bits packed with column 2i = x_i, column 2i+1 = z_i."""
-        out = 0
-        for i in range(self.n):
-            out |= ((self.x >> i) & 1) << (2 * i)
-            out |= ((self.z >> i) & 1) << (2 * i + 1)
+        x, z = self.x, self.z
+        out = shift = 0
+        while x or z:
+            out |= (_SPREAD[x & 255] | _SPREAD[z & 255] << 1) << shift
+            x >>= 8
+            z >>= 8
+            shift += 16
         return out
 
     @classmethod
     def from_interleaved(cls, n: int, bits: int, neg: bool = False) -> "Element":
-        x = z = 0
-        for i in range(n):
-            x |= ((bits >> (2 * i)) & 1) << i
-            z |= ((bits >> (2 * i + 1)) & 1) << i
+        """Inverse of :meth:`interleaved`; bits above column 2n are ignored."""
+        bits &= (1 << 2 * n) - 1
+        x = z = shift = 0
+        while bits:
+            lo = _GATHER[bits & 255]
+            hi = _GATHER[(bits >> 8) & 255]
+            x |= ((lo & 15) | (hi & 15) << 4) << shift
+            z |= ((lo >> 4) | (hi & 240)) << shift
+            bits >>= 16
+            shift += 8
         return cls(n, x, z, neg)
 
     def embed(self, n: int, sites: Iterable[int]) -> "Element":

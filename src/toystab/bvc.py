@@ -269,7 +269,7 @@ class _Plan:
         zshift = {v: 0 for v in self.graph.nodes}
         for d, spec in prep.items():
             if spec.get("dummy"):
-                for w in self.graph.neighbors(d):
+                for w in self.graph.adjacency[d]:
                     zshift[w] ^= 1
         return {u: (quarter_from_formula(prep[u]["angle"]) + 2 * zshift[u]) % 4
                 for u in self.order}

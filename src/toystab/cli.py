@@ -57,13 +57,15 @@ def _group_json(g: Group) -> dict:
     return {"n": g.n, "generators": [str(e) for e in g.canonical]}
 
 
-def _sites(text: str) -> list[int]:
+def _sites(text: str, n: int) -> list[int]:
     """Comma-separated 1-based site list -> 0-based indices."""
     out = []
     for part in text.split(","):
         s = int(part)
-        if s < 1:
-            raise ValueError(f"sites are 1-based, got {s}")
+        if not 1 <= s <= n:
+            raise ValueError(f"site {s} out of range 1..{n}")
+        if s - 1 in out:
+            raise ValueError(f"site {s} listed twice")
         out.append(s - 1)
     return out
 
@@ -121,7 +123,7 @@ def _cmd_perm(args) -> dict:
 
 def _cmd_trace(args) -> dict:
     g = _parse_state(args.state).require_valid()
-    keep = _sites(args.keep)
+    keep = sorted(_sites(args.keep, g.n))  # the order of the marginal
     out = partial_trace(g, keep)
     return {"kept_sites": [s + 1 for s in keep], "output": _group_json(out)}
 
@@ -141,7 +143,7 @@ def _cmd_bc(args) -> dict:
         raise ValueError("encoding file needs two generator blocks")
     s0 = Group.parse(blocks[0]).require_valid()
     s1 = Group.parse(blocks[1]).require_valid()
-    a_sites = _sites(args.partition)
+    a_sites = _sites(args.partition, s0.n)
     if args.mode == "perfect":
         res = crypto.bc_cheat_perfect(s0, s1, a_sites)
         return {"mode": "perfect", "epsilon": _rat(0),
@@ -177,7 +179,7 @@ def _cmd_ec(args) -> dict:
     report = {"code": code.name, "seed": args.seed,
               "secret": _group_json(secret), "encoded": _group_json(encoded)}
     if args.erase:
-        sites = _sites(args.erase)
+        sites = _sites(args.erase, code.n)
         damaged = code.apply_erasure(encoded, sites)
         syndrome, fixed = code.correct(damaged, rng=rng, erasure=sites)
         report["erased_sites"] = [s + 1 for s in sites]
@@ -201,7 +203,7 @@ def _cmd_share(args) -> dict:
               "privacy": scheme.privacy, "seed": args.seed,
               "secret": _group_json(secret), "dealt": _group_json(dealt)}
     if args.action == "reconstruct":
-        holders = _sites(args.players)
+        holders = _sites(args.players, scheme.n)
         rng = random.Random(args.seed)
         recovered = scheme.reconstruct(dealt, holders, rng=rng)
         report["holders"] = [h + 1 for h in holders]

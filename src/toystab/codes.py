@@ -185,10 +185,6 @@ class Code:
         syndrome = []
         for g in self.stabilizers.canonical:
             out, state, _ = measure_element(state, g, rng=rng)
-            if out == 1:
-                # fold the observed -g into +g by renaming the outcome;
-                # the recovery below flips it physically
-                pass
             syndrome.append(out)
         syndrome = tuple(syndrome)
         if erasure is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .algebra import Element, Group, solve_gf2
@@ -94,10 +95,16 @@ class Permutation:
 
     @classmethod
     def local(cls, n: int, site: int, perm) -> "Permutation":
-        if isinstance(perm, str):
-            perm = NAMED_PERMS[perm]
-        if not isinstance(perm, int):
-            perm = PERM_ID[tuple(perm)]
+        """``perm`` is a name in NAMED_PERMS, an index into PERMS, or the
+        images of the four states."""
+        try:
+            if not isinstance(perm, int):
+                perm = PERM_ID[NAMED_PERMS[perm] if isinstance(perm, str)
+                               else tuple(perm)]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown permutation {perm!r}") from None
+        if not 0 <= perm < len(PERMS):
+            raise ValueError(f"unknown permutation {perm!r}")
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range")
         return cls(n, (("local", site, perm),))
@@ -232,13 +239,30 @@ class Permutation:
 
     @classmethod
     def from_json(cls, n: int, data: list) -> "Permutation":
+        if not isinstance(data, list):
+            raise ValueError("a permutation is a JSON list of factors")
         perm = cls.identity(n)
         for item in data:
+            if not isinstance(item, dict):
+                raise ValueError(f"factor {item!r} is not an object")
             if "site" in item:
-                perm = perm.then(cls.local(n, item["site"] - 1, item["perm"]))
+                if "perm" not in item:
+                    raise ValueError(f"local factor {item} has no 'perm' key")
+                kind, sites = "local", [item["site"]]
+            elif len(item) == 1:
+                (kind, sites), = item.items()
             else:
-                (kind, pair), = item.items()
-                perm = perm.then(cls.controlled(n, kind, pair[0] - 1, pair[1] - 1))
+                raise ValueError(f"factor {item} needs a 'site' key or one "
+                                 "controlled kind")
+            if not (isinstance(sites, list)
+                    and len(sites) == (1 if kind == "local" else 2)
+                    and all(type(s) is int for s in sites)):
+                raise ValueError(f"factor {item} has malformed sites")
+            if kind == "local":
+                factor = cls.local(n, sites[0] - 1, item["perm"])
+            else:
+                factor = cls.controlled(n, kind, sites[0] - 1, sites[1] - 1)
+            perm = perm.then(factor)
         return perm
 
 
@@ -341,9 +365,7 @@ def measure(group: Group, m: Measurement, rng):
     total = sum(p for _, _, p in outcomes)
     if total != 1:
         raise ValueError("branches do not exhaust the state (not a partition)")
-    den = 1
-    for _, _, p in outcomes:
-        den = den * p.denominator // _gcd(den, p.denominator)
+    den = lcm(*{p.denominator for _, _, p in outcomes})
     r = rng.randrange(den)
     acc = 0
     for label, post, p in outcomes:
@@ -353,20 +375,31 @@ def measure(group: Group, m: Measurement, rng):
     raise AssertionError("unreachable")
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # --------------------------------------------------------------------------
 # partial trace / purification
 # --------------------------------------------------------------------------
 
+def _check_sites(n: int, sites: Iterable[int]) -> list[int]:
+    """The sites as a list; raises on a site out of range or repeated."""
+    sites = list(sites)
+    seen = set()
+    for s in sites:
+        if not 0 <= s < n:
+            raise ValueError(f"site {s} out of range for n={n}")
+        if s in seen:
+            raise ValueError(f"site {s} listed twice")
+        seen.add(s)
+    return sites
+
+
 def partial_trace(group: Group, keep: Iterable[int]) -> Group:
-    """Marginal state on the kept sites: the subgroup trivial elsewhere."""
+    """Marginal state on the kept sites: the subgroup trivial elsewhere.
+
+    The marginal's sites are the kept sites in ascending order, whatever
+    order ``keep`` lists them in.
+    """
     group.require_valid()
-    keep = sorted(keep)
+    keep = sorted(_check_sites(group.n, keep))
     drop = [s for s in range(group.n) if s not in keep]
     # echelonize with dropped columns leading so that rows clear of them
     # are exposed
@@ -414,7 +447,7 @@ def partial_trace(group: Group, keep: Iterable[int]) -> Group:
 
 def erase(group: Group, sites: Iterable[int]) -> Group:
     """Trace out the listed sites and re-init them to the trivial state."""
-    sites = set(sites)
+    sites = set(_check_sites(group.n, sites))
     keep = [s for s in range(group.n) if s not in sites]
     traced = partial_trace(group, keep)
     return traced.embed(group.n, keep)

@@ -9,13 +9,12 @@ two must agree branch by branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import Element, Group
-from .dynamics import (Permutation, _solve_affine, measure_element,
-                       partial_trace)
+from .dynamics import Permutation, measure_element, partial_trace
 
 QUARTER_SYMBOL = {0: ("X", False), 1: ("Y", False), 2: ("X", True), 3: ("Y", True)}
 
@@ -29,23 +28,33 @@ def angle_element(n: int, site: int, quarter: int) -> Element:
 # open graphs and gflow
 # --------------------------------------------------------------------------
 
+_NO_NEIGHBORS = frozenset()
+
+
 @dataclass(frozen=True)
 class OpenGraph:
     nodes: tuple
     edges: tuple
     inputs: tuple = ()
     outputs: tuple = ()
+    # vertex -> frozenset of its neighbors, derived from the edges
+    adjacency: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.nodes)
         if len(seen) != len(self.nodes):
             raise ValueError("duplicate nodes")
+        adjacency = {v: set() for v in self.nodes}
         for u, v in self.edges:
             if u == v or u not in seen or v not in seen:
                 raise ValueError(f"bad edge ({u}, {v})")
+            adjacency[u].add(v)
+            adjacency[v].add(u)
         for v in self.inputs + self.outputs:
             if v not in seen:
                 raise ValueError(f"unknown terminal {v}")
+        object.__setattr__(self, "adjacency",
+                           {v: frozenset(ns) for v, ns in adjacency.items()})
 
     @classmethod
     def line(cls, n: int) -> "OpenGraph":
@@ -53,19 +62,13 @@ class OpenGraph:
         edges = tuple((i, i + 1) for i in range(n - 1))
         return cls(nodes, edges, inputs=(0,), outputs=(n - 1,))
 
-    def neighbors(self, v) -> set:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+    def neighbors(self, v) -> frozenset:
+        return self.adjacency.get(v, _NO_NEIGHBORS)
 
     def odd_neighborhood(self, vs: Iterable) -> set:
         out = set()
         for v in vs:
-            out ^= self.neighbors(v)
+            out ^= self.adjacency.get(v, _NO_NEIGHBORS)
         return out
 
     def induced(self, keep: Iterable) -> "OpenGraph":
@@ -103,14 +106,26 @@ def verify_gflow(graph: OpenGraph, g: Mapping, layer: Mapping) -> None:
 
 
 def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
-    """Maximally delayed gflow by layer peeling with GF(2) solves.
+    """Maximally delayed gflow by layer peeling, one GF(2) elimination
+    per layer.
+
+    Each layer assigns every unprocessed vertex u for which some set K of
+    processed non-inputs has u as the only unprocessed vertex in its odd
+    neighborhood.  The layer's matrix (a row per unprocessed vertex w:
+    the candidates adjacent to w) is reduced once, tracking which rows
+    each reduced row combines.  The right-hand side of u is the unit
+    vector at u, so on a reduced row it is bit u of that row's
+    combination: u is solvable when no dependent row combines u, and one
+    back-substitution gives K.  This is the elimination and particular
+    solution of solving each u's system alone, so the flow is the same.
 
     Returns (g, layer) with layer 0 holding the outputs.  Raises
     ValueError when no gflow exists, unless ``best_effort`` is set, in
     which case stuck vertices get empty correction sets (their outcomes
     are simply not corrected).
     """
-    nodes = list(graph.nodes)
+    nodes = graph.nodes
+    adjacency = graph.adjacency
     inputs = set(graph.inputs)
     g: dict = {}
     layer = {v: 0 for v in graph.outputs}
@@ -120,18 +135,30 @@ def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
         depth += 1
         corr = [v for v in nodes if v in processed and v not in inputs]
         unproc = [v for v in nodes if v not in processed]
+        column = {c: 1 << i for i, c in enumerate(corr)}
+        pivots = []     # (reduced row, its row combination, pivot bit)
+        dependent = 0   # rows combined into some zero row
+        for j, w in enumerate(unproc):
+            row = sum(column[c] for c in adjacency[w] if c in column)
+            comb = 1 << j
+            for rb, cb, pb in pivots:
+                if row & pb:
+                    row ^= rb
+                    comb ^= cb
+            if row:
+                pivots.append((row, comb, row & -row))
+            else:
+                dependent |= comb
+        pivots.sort(key=lambda t: -t[2])
         found = {}
-        for u in unproc:
-            rows = []
-            rhs = []
-            for w in unproc:
-                nbrs = graph.neighbors(w)
-                rows.append(sum(1 << i for i, c in enumerate(corr) if c in nbrs))
-                rhs.append(1 if w == u else 0)
-            x, _ = _solve_affine(rows, rhs, len(corr))
-            if x is not None:
-                found[u] = frozenset(corr[i] for i in range(len(corr))
-                                     if (x >> i) & 1)
+        for j, u in enumerate(unproc):
+            if (dependent >> j) & 1:
+                continue
+            x = 0
+            for rb, cb, pb in pivots:
+                if ((rb & x).bit_count() & 1) != ((cb >> j) & 1):
+                    x ^= pb
+            found[u] = frozenset(c for c in corr if x & column[c])
         if not found:
             if not best_effort:
                 raise ValueError("graph admits no gflow")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .algebra import Element, Group
@@ -134,12 +135,6 @@ class Distribution:
         inst.probs = tuple(probs)
         return inst
 
-    @classmethod
-    def point(cls, n: int, index: int) -> "Distribution":
-        probs = [Fraction(0)] * (4 ** n)
-        probs[index] = Fraction(1)
-        return cls(n, probs)
-
     # -- queries -----------------------------------------------------
 
     def projector_probability(self, group: Group) -> Fraction:
@@ -152,17 +147,6 @@ class Distribution:
                 continue
             a, b = state_bits(self.n, idx)
             if all(g.eval_bit(a, b) == 0 for g in group.canonical):
-                total += p
-        return total
-
-    def expectation_bit(self, e: Element) -> Fraction:
-        """Probability of outcome -1 when reading off element ``e``."""
-        total = Fraction(0)
-        for idx, p in enumerate(self.probs):
-            if p == 0:
-                continue
-            a, b = state_bits(self.n, idx)
-            if e.eval_bit(a, b):
                 total += p
         return total
 
@@ -199,28 +183,9 @@ class Distribution:
             probs[bits_index(self.n, *perm.apply_bits(a, b))] += p
         return Distribution(self.n, probs)
 
-    def condition_on(self, group: Group) -> "Distribution":
-        """Restrict to the states satisfying ``group`` and renormalize."""
-        keepers = {}
-        for idx, p in enumerate(self.probs):
-            if p == 0:
-                continue
-            a, b = state_bits(self.n, idx)
-            if all(g.eval_bit(a, b) == 0 for g in group.canonical):
-                keepers[idx] = p
-        total = sum(keepers.values())
-        if total == 0:
-            raise ValueError("conditioning on a zero-probability event")
-        probs = [Fraction(0)] * (4 ** self.n)
-        for idx, p in keepers.items():
-            probs[idx] = p / total
-        return Distribution(self.n, probs)
-
     def sample(self, rng) -> int:
         """Draw one ontic state index, exactly, from the distribution."""
-        den = 1
-        for p in self.probs:
-            den = den * p.denominator // _gcd(den, p.denominator)
+        den = lcm(*{p.denominator for p in self.probs})
         r = rng.randrange(den)
         acc = 0
         for idx, p in enumerate(self.probs):
@@ -259,12 +224,6 @@ class Distribution:
 
     def __hash__(self):
         return hash((self.n, self.probs))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def measure_observable(dist: Distribution, e: Element):

@@ -138,3 +138,38 @@ def test_restrict_and_support():
     e = Element.parse("+XIZ")
     assert e.support == (0, 2)
     assert e.restrict([0, 2]) == Element.parse("+XZ")
+
+
+def _reference_interleaved(e):
+    out = 0
+    for i in range(e.n):
+        out |= ((e.x >> i) & 1) << (2 * i)
+        out |= ((e.z >> i) & 1) << (2 * i + 1)
+    return out
+
+
+def _reference_from_interleaved(n, bits, neg):
+    x = z = 0
+    for i in range(n):
+        x |= ((bits >> (2 * i)) & 1) << i
+        z |= ((bits >> (2 * i + 1)) & 1) << i
+    return Element(n, x, z, neg)
+
+
+@st.composite
+def _interleave_cases(draw):
+    n = draw(st.integers(1, 140))
+    x = draw(st.integers(0, (1 << n) - 1))
+    z = draw(st.integers(0, (1 << n) - 1))
+    stray = draw(st.integers(0, (1 << 70) - 1))
+    return Element(n, x, z, draw(st.booleans())), stray
+
+
+@given(_interleave_cases())
+def test_interleave_kernel_matches_site_loop(case):
+    e, stray = case
+    bits = e.interleaved()
+    assert bits == _reference_interleaved(e)
+    noisy = bits | stray << (2 * e.n)
+    assert (Element.from_interleaved(e.n, noisy, e.neg)
+            == _reference_from_interleaved(e.n, noisy, e.neg) == e)

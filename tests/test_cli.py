@@ -74,6 +74,39 @@ def test_trace(run):
     assert rep["output"]["generators"] == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("trace", "+XX\\n+ZZ", "--keep", "9"), "site 9 out of range"),
+    (("trace", "+XX\\n+ZZ", "--keep", "0"), "site 0 out of range"),
+    (("trace", "+XX\\n+ZZ", "--keep", "1,1"), "site 1 listed twice"),
+    (("ec", "demo", "--erase", "1,1"), "site 1 listed twice"),
+    (("share", "reconstruct", "--players", "1,3,9"), "site 9 out of range"),
+])
+def test_bad_site_lists_rejected(run, argv, message):
+    err = run(*argv, expect=2)
+    assert message in err
+
+
+def test_trace_reports_the_order_it_keeps(run):
+    rep = run("trace", "+XI\\n+IZ", "--keep", "2,1")
+    assert rep["kept_sites"] == [1, 2]
+    assert rep["output"]["generators"] == ["+XI", "+IZ"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([{"site": 1, "perm": "Q"}], "unknown permutation 'Q'"),
+    ([{"site": 1}], "has no 'perm' key"),
+    ({"site": 1}, "JSON list of factors"),
+    ([5], "not an object"),
+    ([{"site": "1", "perm": "H"}], "malformed sites"),
+    ([{"cx": [1]}], "malformed sites"),
+])
+def test_perm_apply_rejects_bad_spec(run, tmp_path, spec, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    err = run("perm", "apply", str(path), "+X", expect=2)
+    assert message in err
+
+
 def test_purify(run):
     rep = run("purify", "+ZI")
     assert rep["round_trip_ok"]

@@ -154,6 +154,35 @@ def test_erase_keeps_width():
     assert e.n == 2 and e == Group(2, [])
 
 
+@pytest.mark.parametrize("sites, message", [
+    ([9], "site 9 out of range"),
+    ([2], "site 2 out of range"),
+    ([-1], "site -1 out of range"),
+    ([1, 1], "site 1 listed twice"),
+])
+def test_trace_and_erase_reject_bad_sites(sites, message):
+    g = _state("+XX\n+ZZ")
+    with pytest.raises(ValueError, match=message):
+        partial_trace(g, sites)
+    with pytest.raises(ValueError, match=message):
+        erase(g, sites)
+
+
+def test_partial_trace_orders_kept_sites():
+    g = _state("+XI\n+IZ")
+    assert partial_trace(g, [1, 0]) == partial_trace(g, [0, 1]) == g
+
+
+def test_local_perm_rejects_unknown_spec():
+    for spec in ("Q", [0, 1, 2, 2], -1, 24, None):
+        with pytest.raises(ValueError, match="unknown permutation"):
+            Permutation.local(1, 0, spec)
+    with pytest.raises(ValueError, match="'perm'"):
+        Permutation.from_json(1, [{"site": 1}])
+    with pytest.raises(ValueError, match="'site'"):
+        Permutation.from_json(2, [{}])
+
+
 def test_purify_round_trip(rng):
     for _ in range(100):
         n = rng.randrange(1, 5)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from toystab.algebra import Element, Group, matrix_diag
-from toystab.dynamics import NAMED_PERMS, PERMS, PERM_ID, Permutation
+from toystab.dynamics import (NAMED_PERMS, PERMS, PERM_ID, Permutation,
+                              _solve_affine)
 from toystab.mbtc import (GatePattern, OpenGraph, Pattern, angle_element,
                           enumerate_branches, find_gflow, gate_patterns,
                           graph_state, run_pattern, verify_gflow)
@@ -233,3 +234,102 @@ def test_enumerate_branches_matches_brute_force():
                 want = reference_branches(gp.pattern, g, physical=physical)
                 assert _branch_rows(got) == _branch_rows(want), \
                     (name, str(g), physical)
+
+
+# -- gflow against the per-vertex reference -----------------------------------
+
+def reference_gflow(graph, *, best_effort=False):
+    """One linear system per unprocessed vertex per layer, each solved
+    alone: the layer peeling that find_gflow does with one elimination."""
+    nodes = list(graph.nodes)
+    inputs = set(graph.inputs)
+    g = {}
+    layer = {v: 0 for v in graph.outputs}
+    processed = set(graph.outputs)
+    depth = 0
+    while len(processed) < len(nodes):
+        depth += 1
+        corr = [v for v in nodes if v in processed and v not in inputs]
+        unproc = [v for v in nodes if v not in processed]
+        found = {}
+        for u in unproc:
+            rows = []
+            rhs = []
+            for w in unproc:
+                nbrs = graph.neighbors(w)
+                rows.append(sum(1 << i for i, c in enumerate(corr) if c in nbrs))
+                rhs.append(1 if w == u else 0)
+            x, _ = _solve_affine(rows, rhs, len(corr))
+            if x is not None:
+                found[u] = frozenset(corr[i] for i in range(len(corr))
+                                     if (x >> i) & 1)
+        if not found:
+            if not best_effort:
+                raise ValueError("graph admits no gflow")
+            u = unproc[0]
+            found[u] = frozenset()
+        for u, K in found.items():
+            g[u] = K
+            layer[u] = depth
+        processed.update(found)
+    return g, layer
+
+
+def _gflow_or_error(graph, find, best_effort):
+    try:
+        g, layer = find(graph, best_effort=best_effort)
+    except ValueError as exc:
+        return str(exc)
+    # dict order is part of the result: it fixes the layer order
+    return list(g.items()), list(layer.items())
+
+
+def _random_open_graph(rng):
+    n = rng.randint(2, 12)
+    nodes = tuple(rng.sample(range(100), n))
+    p = rng.random()
+    edges = tuple((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
+                  if rng.random() < p)
+    inputs = tuple(rng.sample(nodes, rng.randint(0, n // 2)))
+    outputs = tuple(rng.sample(nodes, rng.randint(0, n)))
+    return OpenGraph(nodes, edges, inputs, outputs)
+
+
+def _grid(side):
+    """side x side grid, inputs in the first column, outputs in the last."""
+    at = {(r, c): r * side + c for r in range(side) for c in range(side)}
+    edges = [(at[r, c], at[r, c + 1]) for r in range(side) for c in range(side - 1)]
+    edges += [(at[r, c], at[r + 1, c]) for r in range(side - 1) for c in range(side)]
+    return OpenGraph(tuple(range(side * side)), tuple(edges),
+                     inputs=tuple(at[r, 0] for r in range(side)),
+                     outputs=tuple(at[r, side - 1] for r in range(side)))
+
+
+def test_find_gflow_matches_reference():
+    rng = random.Random(20081)
+    graphs = [_random_open_graph(rng) for _ in range(500)]
+    graphs += [OpenGraph.line(64), _grid(8)]
+    failed = 0
+    for graph in graphs:
+        for best_effort in (False, True):
+            got = _gflow_or_error(graph, find_gflow, best_effort)
+            assert got == _gflow_or_error(graph, reference_gflow,
+                                          best_effort), (graph, best_effort)
+            if best_effort:
+                continue
+            if isinstance(got, str):
+                failed += 1
+            else:
+                verify_gflow(graph, dict(got[0]), dict(got[1]))
+    # graphs with and without a gflow both occur
+    assert 100 < failed < len(graphs) - 100
+
+
+def test_open_graph_adjacency_keeps_equality_and_hash():
+    a = OpenGraph((0, 1, 2), ((0, 1), (1, 2)), (0,), (2,))
+    b = OpenGraph((0, 1, 2), ((0, 1), (1, 2)), (0,), (2,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.neighbors(1) == {0, 2} and a.neighbors(7) == set()
+    assert a.odd_neighborhood([0, 2]) == set()
+    assert a != OpenGraph((0, 1, 2), ((0, 1),), (0,), (2,))
+    assert "adjacency" not in repr(a)
