@@ -124,7 +124,7 @@ class Element:
         ``a`` and ``b`` are bitmasks over sites; the X symbol reads the a
         bit, Z the b bit, and Y their XOR.
         """
-        return self.neg ^ _parity(self.x & a) ^ _parity(self.z & b)
+        return self.neg ^ (((self.x & a) ^ (self.z & b)).bit_count() & 1)
 
     # -- structure ---------------------------------------------------
 
@@ -137,7 +137,7 @@ class Element:
 
     @property
     def weight(self) -> int:
-        return bin(self.x | self.z).count("1")
+        return (self.x | self.z).bit_count()
 
     def interleaved(self) -> int:
         """Symbol bits packed with column 2i = x_i, column 2i+1 = z_i."""
@@ -258,7 +258,13 @@ class Group:
 
     Validity (mutual compatibility, independence, no negative identity) is
     checked by :meth:`violations`; construction itself never raises so that
-    invalid inputs can be inspected and reported.
+    invalid inputs can be inspected and reported.  A group never changes
+    after construction, so its validity is computed at most once and
+    remembered.  Two operations record their result as valid without a
+    check, because they keep validity: ``dynamics.measure_element`` for
+    its post-measurement group, and ``dynamics.Permutation.conjugate``
+    when its input is already known valid.  Every other group is checked
+    on its first :meth:`violations` or :meth:`require_valid`.
     """
 
     def __init__(self, n: int, generators: Iterable[Element] = ()):
@@ -272,6 +278,7 @@ class Group:
         self._neg_identity = neg_id
         self.canonical = tuple(
             Element.from_interleaved(n, bits, neg) for bits, neg in reduced)
+        self._violations: tuple[str, ...] | None = None
 
     # -- construction ------------------------------------------------
 
@@ -290,14 +297,16 @@ class Group:
     def trivial(cls, n: int) -> "Group":
         return cls(n, ())
 
-    @classmethod
-    def single_site(cls, name: str, neg: bool = False) -> "Group":
-        return cls(1, [Element.single(1, 0, name, neg)])
-
     # -- validity ----------------------------------------------------
 
     def violations(self) -> list[str]:
-        """Empty list when the generating set is a valid state group."""
+        """Empty list when the generating set is a valid state group.
+
+        Computed on the first call; later calls return a fresh copy of the
+        remembered list.
+        """
+        if self._violations is not None:
+            return list(self._violations)
         out = []
         gens = self.generators
         for i in range(len(gens)):
@@ -311,6 +320,7 @@ class Group:
             out.append("generators are linearly dependent")
         if len(self.canonical) > self.n:
             out.append("more independent generators than systems")
+        self._violations = tuple(out)
         return out
 
     @property
@@ -318,9 +328,20 @@ class Group:
         return not self.violations()
 
     def require_valid(self) -> "Group":
-        v = self.violations()
-        if v:
-            raise ValueError("invalid state group: " + "; ".join(v))
+        if not self._known_valid:
+            v = self.violations()
+            if v:
+                raise ValueError("invalid state group: " + "; ".join(v))
+        return self
+
+    @property
+    def _known_valid(self) -> bool:
+        return self._violations == ()
+
+    def _mark_valid(self) -> "Group":
+        """Record this group as valid without checking it: only for a group
+        derived from a known-valid one by an operation that keeps validity."""
+        self._violations = ()
         return self
 
     # -- structure ---------------------------------------------------
@@ -356,9 +377,6 @@ class Group:
         for g in self.canonical:
             base += [e * g for e in base]
         return base
-
-    def compatible_with(self, g: Element) -> bool:
-        return all(h.compatible(g) for h in self.canonical)
 
     # -- combination -------------------------------------------------
 

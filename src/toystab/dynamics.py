@@ -222,7 +222,10 @@ class Permutation:
         return Element(self.n, x, z, neg)
 
     def conjugate(self, group: Group) -> Group:
-        return Group(self.n, [self.conj_element(g) for g in group.canonical])
+        """The group of conjugated elements; valid exactly when ``group`` is,
+        so it is recorded as valid when ``group`` is already known valid."""
+        out = Group(self.n, [self.conj_element(g) for g in group.canonical])
+        return out._mark_valid() if group._known_valid else out
 
     # -- serialization -----------------------------------------------
 
@@ -258,6 +261,14 @@ class Permutation:
                     and len(sites) == (1 if kind == "local" else 2)
                     and all(type(s) is int for s in sites)):
                 raise ValueError(f"factor {item} has malformed sites")
+            if kind != "local" and kind not in CTRL_KINDS:
+                raise ValueError(f"unknown controlled kind {kind!r}")
+            for s in sites:
+                if not 1 <= s <= n:
+                    raise ValueError(f"site {s} out of range 1..{n}")
+            if len(sites) == 2 and sites[0] == sites[1]:
+                raise ValueError(f"factor {item} has control and target "
+                                 f"both at site {sites[0]}")
             if kind == "local":
                 factor = cls.local(n, sites[0] - 1, item["perm"])
             else:
@@ -276,6 +287,16 @@ def measure_element(group: Group, e: Element, *, rng=None, force: int | None = N
     Returns (outcome_bit, post_group, probability); outcome 0 means the
     post state contains ``e`` itself, outcome 1 its negation.  A forced
     outcome that contradicts a deterministic value yields probability 0.
+
+    ``group`` is checked for validity; for a group the engine derived, that
+    is a remembered result.  The post-measurement group is recorded as
+    valid without a check, which is sound because ``±e`` is absent from
+    the valid ``group``.  Each generator incompatible with ``e`` is
+    multiplied by the first such one, the pivot, which is dropped; so the
+    kept generators are compatible with ``e`` and with each other, and
+    they remain independent elements of ``group``.  ``±e`` lies outside
+    their span, so adding it keeps the set independent and brings in no
+    negative identity; a compatible independent set has at most n members.
     """
     group.require_valid()
     if e.is_identity_symbol:
@@ -301,7 +322,7 @@ def measure_element(group: Group, e: Element, *, rng=None, force: int | None = N
         gens = [g if g.compatible(e) else g * pivot
                 for g in group.canonical if g is not pivot]
         post = Group(group.n, gens + [observed])
-    return out, post.require_valid(), Fraction(1, 2)
+    return out, post._mark_valid(), Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -463,7 +484,7 @@ def _swap_xz(v: int, sites: int) -> int:
 
 
 def symplectic_product(u: int, v: int, sites: int) -> int:
-    return bin(_swap_xz(u, sites) & v).count("1") & 1
+    return (_swap_xz(u, sites) & v).bit_count() & 1
 
 
 def _span_reduce(basis: list[int], v: int) -> int:
@@ -500,14 +521,15 @@ def _nullspace(rows: list[int], width: int) -> list[int]:
         v = cb
         # back-substitute pivot variables
         for rb, pb in sorted(pivots, key=lambda t: -t[1]):
-            if bin(rb & v).count("1") & 1:
+            if (rb & v).bit_count() & 1:
                 v ^= pb
         out.append(v)
     return out
 
 
-def _solve_affine(rows: list[int], rhs: list[int], width: int):
-    """One solution x of parity(rows[i] & x) = rhs[i], plus the nullspace."""
+def _solve_affine(rows: list[int], rhs: list[int]) -> int | None:
+    """One solution x of parity(rows[i] & x) = rhs[i]; None when there is
+    none."""
     pivots = []  # (reduced row, rhs bit, pivot)
     for r, y in zip(rows, rhs):
         for rb, yb, _ in pivots:
@@ -517,13 +539,12 @@ def _solve_affine(rows: list[int], rhs: list[int], width: int):
         if r:
             pivots.append((r, y, r & -r))
         elif y:
-            return None, []
+            return None
     x = 0
     for rb, yb, pb in sorted(pivots, key=lambda t: -t[2]):
-        if (bin(rb & x).count("1") & 1) != yb:
+        if ((rb & x).bit_count() & 1) != yb:
             x ^= pb
-    null = _nullspace([r for r, _, _ in pivots], width)
-    return x, null
+    return x
 
 
 def isotropic_completion(vs: list[int], sites: int) -> list[tuple[int, int]]:
@@ -810,11 +831,13 @@ def relate_purifications(target: Group, source: Group,
         if not xa:
             continue
         gamma = [symplectic_product(xa, a, r) for a in a_list]
-        xb, null = _solve_affine([_swap_xz(b, r) for b in b_list], gamma, 2 * r)
+        b_rows = [_swap_xz(b, r) for b in b_list]
+        xb = _solve_affine(b_rows, gamma)
         if xb is None:
             raise AssertionError("no pairing-compatible completion")
         cand = _span_reduce(b_span, xb)
         if not cand:
+            null = _nullspace(b_rows, 2 * r)
             found = False
             for mask in range(1, 1 << len(null)):
                 v = xb
@@ -860,7 +883,7 @@ def relate_purifications(target: Group, source: Group,
         rows.append(_swap_xz(rb, r))
         rhs.append(0 if (st == "in") == (not g.neg) else 1)
     if ok:
-        w, _ = _solve_affine(rows, rhs, 2 * r)
+        w = _solve_affine(rows, rhs)
         if w is not None:
             wx = wz = 0
             for i, s in enumerate(ref):

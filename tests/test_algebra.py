@@ -69,6 +69,29 @@ def test_compatibility_two_system_pairs():
     assert not Element.parse("+XI").compatible(Element.parse("+ZI"))
 
 
+@given(st.integers(1, 70), st.data())
+def test_compatible_counts_anticommuting_sites(n, data):
+    a, b = (Element(n, data.draw(st.integers(0, (1 << n) - 1)),
+                    data.draw(st.integers(0, (1 << n) - 1))) for _ in range(2))
+    clashes = sum(a.symbol_at(i) != b.symbol_at(i) and "I" not in
+                  (a.symbol_at(i), b.symbol_at(i)) for i in range(n))
+    assert a.compatible(b) == (clashes % 2 == 0)
+
+
+def test_violations_are_remembered_but_not_shared():
+    bad = Group(2, [Element.parse("+XI"), Element.parse("+ZI")])
+    first = bad.violations()
+    first.append("junk")
+    first.pop(0)
+    assert bad.violations() == ["incompatible pair: +XI and +ZI"]
+    good = Group.parse("+XX\n+ZZ")
+    good.violations().append("junk")
+    assert good.violations() == [] and good.is_valid
+    assert good.require_valid() is good
+    with pytest.raises(ValueError, match="incompatible pair"):
+        bad.require_valid()
+
+
 def test_quantum_style_set_rejected():
     g = Group.parse("+XX\n+ZZ\n-YY")
     assert not g.is_valid

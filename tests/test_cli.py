@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toystab.cli import main
 
@@ -99,6 +102,11 @@ def test_trace_reports_the_order_it_keeps(run):
     ([5], "not an object"),
     ([{"site": "1", "perm": "H"}], "malformed sites"),
     ([{"cx": [1]}], "malformed sites"),
+    ([{"site": 0, "perm": "H"}], "site 0 out of range 1..1"),
+    ([{"site": 3, "perm": "H"}], "site 3 out of range 1..1"),
+    ([{"cz": [1, 3]}], "site 3 out of range 1..1"),
+    ([{"cy": [1, 1]}], "both at site 1"),
+    ([{"cw": [1, 2]}], "unknown controlled kind 'cw'"),
 ])
 def test_perm_apply_rejects_bad_spec(run, tmp_path, spec, message):
     path = tmp_path / "bad.json"
@@ -187,3 +195,60 @@ def test_selftest(run):
 
 def test_unknown_deviation(run):
     run("bvc", "simulate", "--deviation", "mystery", expect=2)
+
+
+# -- fuzz: every run ends in success, a usage error or a domain error ----------
+
+_GENERATOR_TEXT = st.text(alphabet="+-IXYZQ# ", min_size=0, max_size=5)
+_STATE_TEXT = st.lists(_GENERATOR_TEXT, max_size=4).map("\\n".join)
+_SITE_LIST = st.one_of(
+    st.lists(st.integers(-2, 8), max_size=4).map(
+        lambda sites: ",".join(map(str, sites))),
+    st.text(alphabet="0123456789,-a ", max_size=6))
+_SITE = st.one_of(st.integers(-2, 6), st.sampled_from(["1", None, 1.5, True]))
+_FACTOR = st.one_of(
+    st.fixed_dictionaries({"site": _SITE, "perm": st.one_of(
+        st.sampled_from(["I", "X", "Y", "Z", "H", "P", "B", "Q"]),
+        st.integers(-2, 30), st.lists(st.integers(0, 4), max_size=5))}),
+    st.dictionaries(st.sampled_from(["cx", "cy", "cz", "cw", "site", "perm"]),
+                    st.lists(_SITE, max_size=3), max_size=2),
+    st.integers(), st.text(max_size=3))
+_PERM_SPEC = st.one_of(st.lists(_FACTOR, max_size=4), _FACTOR)
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, perm spec or None) for state, measure, trace or perm apply."""
+    state = draw(_STATE_TEXT)
+    command = draw(st.sampled_from(["validate", "print", "measure", "trace",
+                                    "perm"]))
+    if command in ("validate", "print"):
+        return ["state", command, state], None
+    if command == "measure":
+        argv = ["measure", state, draw(_GENERATOR_TEXT),
+                "--seed", str(draw(st.integers(0, 9)))]
+        force = draw(st.sampled_from([None, "0", "1", "2"]))
+        return argv + (["--force", force] if force else []), None
+    if command == "trace":
+        return ["trace", state, "--keep", draw(_SITE_LIST)], None
+    return ["perm", "apply", None, state], draw(_PERM_SPEC)
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "perm.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_runs())
+def test_cli_fuzz_never_fails_internally(spec_path, case):
+    argv, spec = case
+    if spec is not None:
+        spec_path.write_text(json.dumps(spec))
+        argv[2] = str(spec_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toystab.algebra import Element, Group
-from toystab.dynamics import (NAMED_PERMS, PERMS, Measurement, Permutation,
-                              erase, generalized_map, measure_element,
-                              partial_trace, purify, relate_purifications)
+from toystab.dynamics import (CTRL_KINDS, NAMED_PERMS, PERMS, Measurement,
+                              Permutation, erase, generalized_map,
+                              measure_element, partial_trace, purify,
+                              relate_purifications)
 from toystab.oracle import Distribution, group_from_distribution, measure_observable
 
 from conftest import random_element, random_group, random_permutation
@@ -127,6 +129,68 @@ def test_bad_partition_rejected():
     m = Measurement((("a", Group.parse("+Z")), ("b", Group.parse("+X"))))
     with pytest.raises(ValueError):
         m.validate_partition()
+
+
+# -- validity trusted from measurement and conjugation ----------------------
+
+@st.composite
+def _elements(draw, n):
+    x = draw(st.integers(0, (1 << n) - 1))
+    z = draw(st.integers(0, (1 << n) - 1))
+    return Element(n, x, z, draw(st.booleans()))
+
+
+@st.composite
+def _valid_groups(draw):
+    """A valid group grown one candidate at a time through plain Group(...),
+    keeping each candidate whose extended group passes its own check."""
+    n = draw(st.integers(1, 6))
+    gens = []
+    for cand in draw(st.lists(_elements(n), max_size=8)):
+        if not Group(n, gens + [cand]).violations():
+            gens.append(cand)
+    return Group(n, gens)
+
+
+@st.composite
+def _permutations(draw, n):
+    factors = []
+    for _ in range(draw(st.integers(0, 8))):
+        if n >= 2 and draw(st.booleans()):
+            c, t = draw(st.permutations(range(n)))[:2]
+            factors.append((draw(st.sampled_from(CTRL_KINDS)), c, t))
+        else:
+            factors.append(("local", draw(st.integers(0, n - 1)),
+                            draw(st.integers(0, len(PERMS) - 1))))
+    return Permutation(n, tuple(factors))
+
+
+def _freshly_checked(g):
+    return Group(g.n, g.generators).violations()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_measured_and_conjugated_groups_are_valid(data):
+    g = data.draw(_valid_groups())
+    e = data.draw(_elements(g.n).filter(lambda e: not e.is_identity_symbol))
+    for force in (0, 1):
+        _, post, p = measure_element(g, e, force=force)
+        if p:
+            assert _freshly_checked(post) == []
+    moved = data.draw(_permutations(g.n)).conjugate(g.require_valid())
+    assert _freshly_checked(moved) == []
+
+
+def test_conjugating_an_invalid_group_vouches_for_nothing():
+    gens = [Element.parse("+XI"), Element.parse("+ZI")]
+    checked, unchecked = Group(2, gens), Group(2, gens)
+    assert checked.violations()
+    h = Permutation.local(2, 1, "H")
+    for group in (checked, unchecked):
+        for g in (h.conjugate(group), group):
+            with pytest.raises(ValueError, match="incompatible pair"):
+                measure_element(g, Element.parse("+IZ"), force=0)
 
 
 # -- trace / purification ----------------------------------------------------

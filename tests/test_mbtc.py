@@ -259,7 +259,7 @@ def reference_gflow(graph, *, best_effort=False):
                 nbrs = graph.neighbors(w)
                 rows.append(sum(1 << i for i, c in enumerate(corr) if c in nbrs))
                 rhs.append(1 if w == u else 0)
-            x, _ = _solve_affine(rows, rhs, len(corr))
+            x = _solve_affine(rows, rhs)
             if x is not None:
                 found[u] = frozenset(corr[i] for i in range(len(corr))
                                      if (x >> i) & 1)
