@@ -58,16 +58,26 @@ class Deviation:
     the adversary is credited with having corrupted the computation
     whenever the trap misses it.
 
+    ``flip_outcome(site)`` gives a bit that Bob XORs into every outcome
+    he reports at ``site``.  It cannot see the instruction, so a flip
+    that depends on the quarter is written as a ``before_measure`` hook.
+
     Sampled rounds call each hook once per event.  Exact analysis calls
     ``after_entangle`` once per pad configuration and ``before_measure``
-    once per (prefix, r), sharing the result between branches, so it
-    assumes deterministic hooks.
+    once per prefix and blinding bit (see ``_walk_rounds``), sharing the
+    result between branches, so it assumes deterministic hooks.
     """
 
     after_entangle: Callable | None = None   # (state) -> state
     before_measure: Callable | None = None   # (site, quarter, state) -> state
-    flip_outcome: Callable | None = None     # (site, quarter, outcome) -> outcome
+    flip_outcome: Callable | None = None     # (site) -> bit
     assume_corrupted: bool = False
+
+    @property
+    def reads_instruction(self) -> bool:
+        """Whether a hook sees Bob's instructions, so that the blinding
+        bits cannot be folded out of an exact analysis."""
+        return self.before_measure is not None
 
 
 class Bob:
@@ -107,10 +117,10 @@ class Bob:
             state = dev.before_measure(site, quarter, state)
         return state, angle_element(state.n, site, quarter)
 
-    def _report(self, site: int, quarter: int, out: int) -> int:
+    def _report(self, site: int, out: int) -> int:
         dev = self.deviation
         if dev and dev.flip_outcome:
-            return dev.flip_outcome(site, quarter, out)
+            return out ^ dev.flip_outcome(site)
         return out
 
     def measure(self, state: Group, site: int, angle: int, *, rng=None,
@@ -119,14 +129,14 @@ class Bob:
         quarter = quarter_from_formula(angle)
         state, e = self._observable(state, site, quarter)
         out, post, p = measure_element(state, e, rng=rng, force=force)
-        return self._report(site, quarter, out), post, p
+        return self._report(site, out), post, p
 
     def outcomes(self, state: Group, site: int, angle: int) -> list:
         """[(reported outcome, post state, probability)] of every outcome
         that can occur."""
         quarter = quarter_from_formula(angle)
         state, e = self._observable(state, site, quarter)
-        return [(self._report(site, quarter, out), post, p)
+        return [(self._report(site, out), post, p)
                 for out, post, p in live_outcomes(state, e)]
 
 
@@ -142,7 +152,7 @@ def extremal_deviation(site: int) -> Deviation:
 
 def flip_all_deviation() -> Deviation:
     """Bob reports every outcome negated."""
-    return Deviation(flip_outcome=lambda site, quarter, o: o ^ 1)
+    return Deviation(flip_outcome=lambda site: 1)
 
 
 def pauli_deviation(assignments: Mapping) -> Deviation:
@@ -401,10 +411,23 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
     entangles once, calling the deviation's ``after_entangle`` once;
     then at each measured vertex, in Alice's order, the walk branches on
     the blinding bit r and on the outcomes Bob can get, calling
-    ``before_measure`` once per (prefix, r).  Branches share their prefix
-    states, and dead outcomes are never visited.  Exact analysis thus
-    assumes deterministic hooks: a hook that draws randomness, such as
-    ``fuzzer_deviation``, is for Monte Carlo estimates only.
+    ``before_measure`` once per prefix and r.  Branches share their
+    prefix states, and dead outcomes are never visited.  Exact analysis
+    thus assumes deterministic hooks: a hook that draws randomness, such
+    as ``fuzzer_deviation``, is for Monte Carlo estimates only.
+
+    Walking ``rvalues=(0,)`` alone loses nothing that Alice decodes when
+    the deviation does not read the instruction.  Flipping r turns the
+    wire quarter by 2, and quarter q ^ 2 is the negated element of q, so
+    Bob's outcome o flips with equal probability into the same post
+    state; his reported ``o ^ flip_outcome(site)`` flips with it, and
+    Alice's decoding ``o ^ r`` flips it back.  Her decoded bits, and so
+    her corrections and later instructions up to their own r, are the
+    same, and each r = 0 leaf stands for 2 ** len(order) leaves of equal
+    probability.  Only the wire's low formula bit and the raw outcome of
+    each vertex tell those leaves apart.  A ``before_measure`` hook may
+    act on the quarter, which breaks the argument, so a deviation that
+    ``reads_instruction`` needs the full ``(0, 1)`` walk.
     """
     bob = Bob(deviation)
     state = bob.entangle(bob.prepare([prep[v] for v in plan.graph.nodes]),
@@ -427,23 +450,26 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
         yield plan.result(rec, prob)
 
 
-def _enumerate_rounds(pattern: Pattern, *, trap=None, deviation=None):
+def _enumerate_rounds(pattern: Pattern, *, trap=None, deviation=None,
+                      rvalues=(0, 1)):
     """Yield (weight, RoundResult) over pads and live outcome branches.
 
     The weight is the pads' probability times the branch's; the flow is
-    found once, and the walker runs once per pad configuration.
+    found once, and the walker runs once per pad configuration.  With
+    ``rvalues=(0,)`` the blinding bits are left out of the weight, so
+    each round stands for its whole class under r (see ``_walk_rounds``).
     """
     graph = pattern.graph
     dummies = sorted(graph.neighbors(trap)) if trap is not None else []
     padded = [v for v in graph.nodes if v not in dummies]
     plan = _Plan(graph, pattern.angles, dummies, trap)
     pad_weight = Fraction(1, 4 ** len(padded) * 2 ** len(dummies)
-                          * 2 ** len(plan.order))
+                          * len(rvalues) ** len(plan.order))
     for thetas in product(range(4), repeat=len(padded)):
         for dbits in product(range(2), repeat=len(dummies)):
             prep = {v: {"angle": t} for v, t in zip(padded, thetas)}
             prep.update({d: {"dummy": b} for d, b in zip(dummies, dbits)})
-            for res in _walk_rounds(plan, prep, deviation, (0, 1)):
+            for res in _walk_rounds(plan, prep, deviation, rvalues):
                 yield pad_weight * res.probability, res
 
 
@@ -466,15 +492,18 @@ def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
 
     Exact: every trap, pad configuration and live branch is walked once
     (see ``_walk_rounds``), so the deviation's hooks must be
-    deterministic.
+    deterministic.  The blinding bits are walked only for a deviation
+    that ``reads_instruction``: otherwise they cannot move the verdict
+    or the decoded output.
     """
     graph = pattern.graph
+    rvalues = (0, 1) if deviation.reads_instruction else (0,)
     total = Fraction(0)
     for trap in graph.nodes:
         honest = (None if deviation.assume_corrupted
                   else honest_output_support(pattern, trap))
         for w, res in _enumerate_rounds(pattern, trap=trap,
-                                        deviation=deviation):
+                                        deviation=deviation, rvalues=rvalues):
             if not res.accept:
                 continue
             if deviation.assume_corrupted or res.output not in honest:
@@ -519,13 +548,28 @@ def estimate_pfail(pattern: Pattern, deviation: Deviation, *, rng,
 
 def server_view_distribution(pattern: Pattern) -> dict:
     """Exact distribution of Bob's transcript (instructions, outcomes),
-    over every pad configuration and live branch of a trap-free round."""
+    over every pad configuration and live branch of a trap-free round.
+
+    The walk fixes every blinding bit to 0, and each round then shares
+    its weight evenly among the transcripts of its r-class.
+    """
     dist: dict = {}
-    for w, res in _enumerate_rounds(pattern):
-        key = (res.deltas, res.raw)
-        dist[key] = dist.get(key, Fraction(0)) + w
+    for w, res in _enumerate_rounds(pattern, rvalues=(0,)):
+        share = w / 2 ** len(res.raw)
+        for key in _r_class(res):
+            dist[key] = dist.get(key, Fraction(0)) + share
     assert sum(dist.values()) == 1
     return dist
+
+
+def _r_class(res: RoundResult):
+    """Bob's transcripts of the 2 ** m rounds that differ from ``res``,
+    walked with every blinding bit 0, in their blinding bits alone (see
+    ``_walk_rounds``): a bit of 1 flips its wire's low formula bit and
+    its raw outcome."""
+    for mask in product((0, 1), repeat=len(res.raw)):
+        yield (tuple((u, d ^ b) for (u, d), b in zip(res.deltas, mask)),
+               tuple(o ^ b for o, b in zip(res.raw, mask)))
 
 
 def view_distance(a: dict, b: dict) -> Fraction:

@@ -429,7 +429,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["delegated", "blind", "verified"],
                    default="verified")
     p.add_argument("--deviation", default="honest",
-                   help="honest or extremal:SITE")
+                   help="honest, flip-all, extremal:SITE with a 0-based "
+                   "site, or a factor file")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--sample-rounds", type=int, default=20)
     p.add_argument("--exact", action="store_true")

@@ -149,6 +149,17 @@ def test_trap_bound_exact_four_nodes():
             == Fraction(7, 8)
 
 
+PAT5 = line_pattern(5, (0, 1, 0, 2, 3))
+
+
+def test_trap_bound_exact_five_nodes():
+    # and 9/10 at n = 5, affordable because the blinding bits fold out
+    assert bvc.exact_pfail(PAT5, bvc.Deviation()) == 0
+    for site in range(5):
+        assert bvc.exact_pfail(PAT5, bvc.extremal_deviation(site)) \
+            == Fraction(9, 10)
+
+
 def test_monte_carlo_agrees_with_exact():
     dev = bvc.extremal_deviation(1)
     exact = bvc.exact_pfail(PAT3, dev)
@@ -161,6 +172,21 @@ def test_fuzzer_deviation_runs_under_bound():
     dev = bvc.fuzzer_deviation(random.Random(9))
     est = bvc.estimate_pfail(PAT3, dev, rng=random.Random(10), trials=500)
     assert 0 <= est["estimate"] <= 1
+
+
+def test_flip_outcome_xors_a_bit_per_site():
+    dev = bvc.Deviation(flip_outcome=lambda site: int(site == 1))
+    res = bvc.run_delegated(PAT3, forced={0: 0, 1: 0, 2: 0}, deviation=dev)
+    assert res.raw == (0, 1, 0)
+
+
+def test_reads_instruction_follows_the_hooks():
+    assert [dev.reads_instruction for dev in deviation_family()] \
+        == [False, False, False, False, True, False]
+    assert not bvc.extremal_deviation(0).reads_instruction
+    assert bvc.fuzzer_deviation(random.Random(0)).reads_instruction
+    with pytest.raises(AttributeError):
+        bvc.Deviation().reads_instruction = True
 
 
 def test_wilson_interval():
@@ -271,3 +297,74 @@ def test_bad_counts_rejected():
     with pytest.raises(ValueError, match="trials"):
         bvc.estimate_pfail(PAT3, bvc.Deviation(), rng=random.Random(0),
                            trials=0)
+
+
+# -- the blinding-bit reduction against the full walk -------------------------
+
+def full_walk_pfail(pattern, deviation):
+    """exact_pfail with every blinding bit walked."""
+    total = Fraction(0)
+    for trap in pattern.graph.nodes:
+        honest = bvc.honest_output_support(pattern, trap)
+        for w, res in bvc._enumerate_rounds(pattern, trap=trap,
+                                            deviation=deviation):
+            if res.accept and (deviation.assume_corrupted
+                               or res.output not in honest):
+                total += w
+    return total / len(pattern.graph.nodes)
+
+
+def full_walk_view(pattern):
+    """server_view_distribution with every blinding bit walked."""
+    dist = {}
+    for w, res in bvc._enumerate_rounds(pattern):
+        key = (res.deltas, res.raw)
+        dist[key] = dist.get(key, Fraction(0)) + w
+    return dist
+
+
+@pytest.mark.parametrize("angles", [(0, 1, 0), (2, 3, 1), (0, 1, 0, 2),
+                                    (1, 1, 2, 3)])
+def test_reduced_pfail_matches_full_walk(angles):
+    pattern = line_pattern(len(angles), angles)
+    deviations = deviation_family() + [bvc.extremal_deviation(site)
+                                       for site in range(len(angles))]
+    for dev in deviations:
+        assert bvc.exact_pfail(pattern, dev) == full_walk_pfail(pattern, dev)
+
+
+@pytest.mark.parametrize("angles", [(0,), (3,), (0, 1), (2, 3), (0, 1, 0),
+                                    (2, 3, 1), (0, 1, 0, 2)])
+def test_mirrored_view_matches_full_walk(angles):
+    pattern = line_pattern(len(angles), angles)
+    assert bvc.server_view_distribution(pattern) == full_walk_view(pattern)
+
+
+@pytest.mark.parametrize("angles", [(0, 1, 0), (2, 3, 1)])
+def test_r_class_matches_full_walk_per_pad(angles):
+    # per pad, so the pad's own turn of the wire cannot hide a bad mirror
+    pattern = line_pattern(len(angles), angles)
+    plan = bvc._Plan(pattern.graph, pattern.angles, [], None)
+    for thetas in product(range(4), repeat=len(angles)):
+        prep = {v: {"angle": t} for v, t in enumerate(thetas)}
+        full, mirrored = Counter(), Counter()
+        for res in bvc._walk_rounds(plan, prep, None, (0, 1)):
+            full[res.deltas, res.raw] += res.probability
+        for res in bvc._walk_rounds(plan, prep, None, (0,)):
+            for key in bvc._r_class(res):
+                mirrored[key] += res.probability
+        assert mirrored == full, thetas
+
+
+def test_instruction_reading_deviation_sees_both_blinding_bits():
+    seen = []
+
+    def rule(site, quarter):
+        seen.append((site, quarter))
+        return "Z" if quarter == 1 else None
+
+    bvc.exact_pfail(PAT3, bvc.instruction_conditioned_deviation(rule))
+    # the walk asks Bob about both blinding bits of the first measured
+    # vertex before it goes deeper: quarters q and q ^ 2 at one site
+    (site0, q0), (site1, q1) = seen[:2]
+    assert site1 == site0 and q1 == q0 ^ 2

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +95,16 @@ def test_trace_reports_the_order_it_keeps(run):
     rep = run("trace", "+XI\\n+IZ", "--keep", "2,1")
     assert rep["kept_sites"] == [1, 2]
     assert rep["output"]["generators"] == ["+XI", "+IZ"]
+
+
+def test_readme_perm_example_applies(run, tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    factors = re.search(r"`perm apply` takes.*?`(\[.*?\])`",
+                        readme.read_text(), re.S).group(1)
+    spec = tmp_path / "factors.json"
+    spec.write_text(factors)
+    rep = run("perm", "apply", str(spec), "+XX\\n+ZZ")
+    assert rep["output"]["n"] == 2
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -214,14 +226,32 @@ _FACTOR = st.one_of(
                     st.lists(_SITE, max_size=3), max_size=2),
     st.integers(), st.text(max_size=3))
 _PERM_SPEC = st.one_of(st.lists(_FACTOR, max_size=4), _FACTOR)
+_LINE_SPEC = st.one_of(
+    st.lists(st.integers(-2, 5), min_size=1, max_size=3).map(
+        lambda angles: ",".join(map(str, angles))),
+    st.text(alphabet="0123,-x ", max_size=5))
+_DEVIATION = st.one_of(
+    st.sampled_from(["honest", "flip-all"]),
+    st.integers(-2, 5).map("extremal:{}".format),
+    st.text(alphabet="abxyz:-01 ", max_size=6))
 
 
 @st.composite
 def _cli_runs(draw):
-    """(argv, perm spec or None) for state, measure, trace or perm apply."""
-    state = draw(_STATE_TEXT)
+    """(argv, perm spec or None) for state, measure, trace, perm apply or
+    bvc simulate."""
     command = draw(st.sampled_from(["validate", "print", "measure", "trace",
-                                    "perm"]))
+                                    "perm", "bvc"]))
+    if command == "bvc":
+        argv = ["bvc", "simulate", f"--line={draw(_LINE_SPEC)}",
+                f"--deviation={draw(_DEVIATION)}",
+                "--mode", draw(st.sampled_from(["delegated", "blind",
+                                                "verified"])),
+                "--trials", str(draw(st.integers(1, 20))),
+                "--sample-rounds", str(draw(st.integers(0, 3))),
+                "--seed", str(draw(st.integers(0, 9)))]
+        return argv + (["--exact"] if draw(st.booleans()) else []), None
+    state = draw(_STATE_TEXT)
     if command in ("validate", "print"):
         return ["state", command, state], None
     if command == "measure":
@@ -239,7 +269,7 @@ def spec_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "perm.json"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_cli_runs())
 def test_cli_fuzz_never_fails_internally(spec_path, case):
     argv, spec = case
