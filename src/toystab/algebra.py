@@ -71,6 +71,8 @@ class Element:
         """The named symbol at one site, identity elsewhere."""
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for n={n}")
+        if name not in SYMBOL_BITS:
+            raise ValueError(f"unknown symbol {name!r}")
         xb, zb = SYMBOL_BITS[name]
         return cls(n, xb << site, zb << site, neg)
 
@@ -197,37 +199,54 @@ class Element:
         return f"Element({str(self)!r})"
 
 
-def _echelon(rows: list[tuple[int, bool]]) -> tuple[list[tuple[int, bool]], bool]:
-    """Reduced row echelon form over GF(2) with a carried sign bit.
+def reduce(pivots: dict, bits: int, tag=0) -> tuple:
+    """Clear every pivot bit of ``bits``, XORing the tags along.
 
-    Rows are (symbol-bits, neg) pairs; the pivot is the lowest set bit.
-    Returns (rows sorted by pivot, saw_negative_identity).
+    ``pivots`` maps a pivot bit to its row ``(bits, tag)`` in reduced
+    echelon form: the pivot is the row's lowest set bit and is clear in
+    every other row, so one pass in any order clears them all.  A tag is
+    whatever the caller carries along the row operations (a sign, a
+    right-hand side, a mask of combined input rows, a companion vector).
     """
-    pivots: dict[int, tuple[int, bool]] = {}
-    neg_identity = False
-    for bits, neg in rows:
-        while bits:
-            p = bits & -bits
-            if p not in pivots:
-                pivots[p] = (bits, neg)
-                break
-            pb, pn = pivots[p]
+    for p, (pb, pt) in pivots.items():
+        if bits & p:
             bits ^= pb
-            neg ^= pn
-        else:
-            if neg:
-                neg_identity = True
-    # back-substitute so every pivot column is clear elsewhere
-    for p in sorted(pivots, reverse=True):
-        bits, neg = pivots[p]
-        for q in list(pivots):
-            if q == p:
-                continue
-            qb, qn = pivots[q]
+            tag ^= pt
+    return bits, tag
+
+
+def insert(pivots: dict, bits: int, tag=0) -> tuple:
+    """Reduce a row and add it to ``pivots`` unless it reduces to zero.
+
+    Returns the reduced ``(bits, tag)``; zero bits mean the row was
+    dependent and ``pivots`` is unchanged.  The new pivot is cleared from
+    the rows that hold it, so the form stays reduced.
+    """
+    bits, tag = reduce(pivots, bits, tag)
+    if bits:
+        p = bits & -bits
+        for q, (qb, qt) in pivots.items():
             if qb & p:
-                pivots[q] = (qb ^ bits, qn ^ neg)
-    out = [pivots[p] for p in sorted(pivots)]
-    return out, neg_identity
+                pivots[q] = (qb ^ bits, qt ^ tag)
+        pivots[p] = (bits, tag)
+    return bits, tag
+
+
+def echelon(rows: Iterable[tuple]) -> tuple[dict, list]:
+    """Reduced echelon form over GF(2) of ``(bits, tag)`` rows.
+
+    Rows are inserted in input order.  Returns ``(pivots, zero_tags)``:
+    the reduced rows keyed by pivot bit, and the tag each dependent row
+    reduced to, in row order.  The reduced rows are unique for the span;
+    their tags combine only the independent rows, so they are unique too.
+    """
+    pivots: dict = {}
+    zero_tags = []
+    for bits, tag in rows:
+        bits, tag = insert(pivots, bits, tag)
+        if not bits:
+            zero_tags.append(tag)
+    return pivots, zero_tags
 
 
 def solve_gf2(rows: list[int], target: int) -> int | None:
@@ -235,22 +254,9 @@ def solve_gf2(rows: list[int], target: int) -> int | None:
 
     Bit ``i`` of the result selects ``rows[i]``.  None when unsolvable.
     """
-    basis: list[tuple[int, int]] = []  # (reduced row, choice mask)
-    for i, r in enumerate(rows):
-        choice = 1 << i
-        for rb, rc in basis:
-            if r & (rb & -rb):
-                r ^= rb
-                choice ^= rc
-        if r:
-            basis.append((r, choice))
-            basis.sort(key=lambda t: t[0] & -t[0])
-    choice = 0
-    for rb, rc in basis:
-        if target & (rb & -rb):
-            target ^= rb
-            choice ^= rc
-    return None if target else choice
+    pivots, _ = echelon((r, 1 << i) for i, r in enumerate(rows))
+    rest, choice = reduce(pivots, target)
+    return None if rest else choice
 
 
 class Group:
@@ -273,11 +279,11 @@ class Group:
         for g in self.generators:
             if g.n != n:
                 raise ValueError("generator size mismatch")
-        rows = [(g.interleaved(), g.neg) for g in self.generators]
-        reduced, neg_id = _echelon(rows)
-        self._neg_identity = neg_id
-        self.canonical = tuple(
-            Element.from_interleaved(n, bits, neg) for bits, neg in reduced)
+        self._pivots, zero_tags = echelon(
+            (g.interleaved(), g.neg) for g in self.generators)
+        self._neg_identity = any(zero_tags)
+        self.canonical = tuple(Element.from_interleaved(n, *self._pivots[p])
+                               for p in sorted(self._pivots))
         self._violations: tuple[str, ...] | None = None
 
     # -- construction ------------------------------------------------
@@ -358,12 +364,7 @@ class Group:
         """'in', 'negation', or 'absent' for the given element."""
         if g.n != self.n:
             raise ValueError("size mismatch")
-        bits, neg = g.interleaved(), g.neg
-        for row in self.canonical:
-            rb = row.interleaved()
-            if bits & (rb & -rb):
-                bits ^= rb
-                neg ^= row.neg
+        bits, neg = reduce(self._pivots, g.interleaved(), g.neg)
         if bits:
             return "absent"
         return "negation" if neg else "in"

@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        # argparse reads the value "--" (as in --line=--) as an empty list
+        for name, value in vars(ns).items():
+            if isinstance(value, list):
+                self.error(f"argument {name}: expected one value, got '--'")
+        return ns
+
 
 def _rat(x) -> dict:
     f = Fraction(x)
@@ -162,7 +170,10 @@ def _parse_error(text: str, n: int) -> Element:
     """Error spec W@site with a 1-based site, e.g. X@3."""
     try:
         sym, site = text.split("@")
-        return Element.single(n, int(site) - 1, sym.lstrip("+"))
+        site = int(site)
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} out of range 1..{n}")
+        return Element.single(n, site - 1, sym.lstrip("+"))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad error spec {text!r}: {exc}")
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import Element, Group, solve_gf2
-from .dynamics import Permutation, erase, measure_element, partial_trace
+from .dynamics import (Permutation, _check_sites, erase, measure_element,
+                       partial_trace)
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,13 @@ class Code:
     def brute_force_distance(self) -> int:
         """Minimum weight over the normalizer minus the stabilizer span."""
         best = self.n + 1
-        span_rows = [g.interleaved() for g in self.stabilizers.canonical]
         for bits in range(1, 4 ** self.n):
             e = Element.from_interleaved(self.n, bits)
             if e.weight >= best:
                 continue
             if not all(e.compatible(g) for g in self.stabilizers.canonical):
                 continue
-            if solve_gf2(span_rows, bits) is not None:
+            if self.stabilizers.member(e) != "absent":
                 continue
             best = e.weight
         return best
@@ -199,12 +199,18 @@ class Code:
 
     def _erasure_fix(self, syndrome: tuple[int, ...],
                      sites: list[int]) -> Element:
-        for bits in range(4 ** len(sites)):
-            e = Element.from_interleaved(len(sites), bits).embed(self.n, sites)
+        # every symbol error supported on the sites, in increasing order of
+        # its interleaved bits; with no sites only the identity
+        mask = sum(0b11 << (2 * s) for s in _check_sites(self.n, sites))
+        bits = 0
+        while True:
+            e = Element.from_interleaved(self.n, bits)
             if self.syndrome_of(e) == syndrome:
                 return e
-        raise ValueError(
-            f"no recovery on sites {sites} matches syndrome {syndrome}")
+            bits = (bits - mask) & mask
+            if not bits:
+                raise ValueError(
+                    f"no recovery on sites {sites} matches syndrome {syndrome}")
 
 
 def five_system_code() -> Code:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .algebra import Element, Group, solve_gf2
+from .algebra import Element, Group, echelon, insert, reduce
 
 # --------------------------------------------------------------------------
 # single-site permutations
@@ -400,6 +400,14 @@ def measure(group: Group, m: Measurement, rng):
 # partial trace / purification
 # --------------------------------------------------------------------------
 
+def _site_bits(e: Element, sites: list[int]) -> int:
+    """Interleaved symbol bits of ``e`` on ``sites``, in list order."""
+    out = 0
+    for i, s in enumerate(sites):
+        out |= ((e.x >> s) & 1) << (2 * i) | ((e.z >> s) & 1) << (2 * i + 1)
+    return out
+
+
 def _check_sites(n: int, sites: Iterable[int]) -> list[int]:
     """The sites as a list; raises on a site out of range or repeated."""
     sites = list(sites)
@@ -422,48 +430,15 @@ def partial_trace(group: Group, keep: Iterable[int]) -> Group:
     group.require_valid()
     keep = sorted(_check_sites(group.n, keep))
     drop = [s for s in range(group.n) if s not in keep]
-    # echelonize with dropped columns leading so that rows clear of them
-    # are exposed
-    order = [c for s in drop for c in (2 * s, 2 * s + 1)]
-    order += [c for s in keep for c in (2 * s, 2 * s + 1)]
-    pos = {c: i for i, c in enumerate(order)}
-
-    def reorder(bits):
-        out = 0
-        for c, i in pos.items():
-            out |= ((bits >> c) & 1) << i
-        return out
-
-    rows = [(reorder(g.interleaved()), g.neg, g) for g in group.canonical]
-    pivots = {}
-    kept_rows = []
-    drop_mask = (1 << (2 * len(drop))) - 1
-    for bits, neg, _ in rows:
-        elem_bits, elem_neg = bits, neg
-        while elem_bits:
-            p = elem_bits & -elem_bits
-            if p not in pivots:
-                pivots[p] = (elem_bits, elem_neg)
-                break
-            pb, pn = pivots[p]
-            elem_bits ^= pb
-            elem_neg ^= pn
-    for p in sorted(pivots, reverse=True):
-        bits, neg = pivots[p]
-        for q in list(pivots):
-            if q != p and pivots[q][0] & p:
-                pivots[q] = (pivots[q][0] ^ bits, pivots[q][1] ^ neg)
-    for p in sorted(pivots):
-        bits, neg = pivots[p]
-        if bits & drop_mask:
-            continue
-        # restrict to kept columns
-        out = 0
-        for i, s in enumerate(keep):
-            out |= ((bits >> pos[2 * s]) & 1) << (2 * i)
-            out |= ((bits >> pos[2 * s + 1]) & 1) << (2 * i + 1)
-        kept_rows.append(Element.from_interleaved(len(keep), out, neg))
-    return Group(len(keep), kept_rows)
+    # echelonize with the dropped columns lowest: the reduced rows clear of
+    # them are those with a pivot above them, and they span the marginal
+    width = 2 * len(drop)
+    pivots, _ = echelon(
+        (_site_bits(g, drop) | _site_bits(g, keep) << width, g.neg)
+        for g in group.canonical)
+    return Group(len(keep), [
+        Element.from_interleaved(len(keep), pivots[p][0] >> width, pivots[p][1])
+        for p in sorted(pivots) if p >> width])
 
 
 def erase(group: Group, sites: Iterable[int]) -> Group:
@@ -487,64 +462,25 @@ def symplectic_product(u: int, v: int, sites: int) -> int:
     return (_swap_xz(u, sites) & v).bit_count() & 1
 
 
-def _span_reduce(basis: list[int], v: int) -> int:
-    for b in basis:
-        if v & (b & -b):
-            v ^= b
-    return v
-
-
-def _add_to_span(basis: list[int], v: int) -> bool:
-    v = _span_reduce(basis, v)
-    if v:
-        basis.append(v)
-        basis.sort(key=lambda b: b & -b)
-        return True
-    return False
-
-
 def _nullspace(rows: list[int], width: int) -> list[int]:
-    """Basis of {v : parity(row & v) = 0 for every row}."""
-    pivots = []  # (reduced row, pivot bit)
-    for r in rows:
-        for rb, _ in pivots:
-            if r & (rb & -rb):
-                r ^= rb
-        if r:
-            pivots.append((r, r & -r))
-    pivot_bits = {p for _, p in pivots}
+    """Basis of {v : parity(row & v) = 0 for every row}: per free column
+    c, the vector with bit c set and every other free bit clear."""
+    pivots, _ = echelon((r, 0) for r in rows)
     out = []
     for c in range(width):
         cb = 1 << c
-        if cb in pivot_bits:
-            continue
-        v = cb
-        # back-substitute pivot variables
-        for rb, pb in sorted(pivots, key=lambda t: -t[1]):
-            if (rb & v).bit_count() & 1:
-                v ^= pb
-        out.append(v)
+        if cb not in pivots:
+            out.append(cb | sum(p for p, (pb, _) in pivots.items() if pb & cb))
     return out
 
 
 def _solve_affine(rows: list[int], rhs: list[int]) -> int | None:
-    """One solution x of parity(rows[i] & x) = rhs[i]; None when there is
-    none."""
-    pivots = []  # (reduced row, rhs bit, pivot)
-    for r, y in zip(rows, rhs):
-        for rb, yb, _ in pivots:
-            if r & (rb & -rb):
-                r ^= rb
-                y ^= yb
-        if r:
-            pivots.append((r, y, r & -r))
-        elif y:
-            return None
-    x = 0
-    for rb, yb, pb in sorted(pivots, key=lambda t: -t[2]):
-        if ((rb & x).bit_count() & 1) != yb:
-            x ^= pb
-    return x
+    """The solution x of parity(rows[i] & x) = rhs[i] that is clear on the
+    free columns; None when there is none."""
+    pivots, zero_tags = echelon(zip(rows, rhs))
+    if any(zero_tags):
+        return None
+    return sum(p for p, (_, y) in pivots.items() if y)
 
 
 def isotropic_completion(vs: list[int], sites: int) -> list[tuple[int, int]]:
@@ -556,14 +492,12 @@ def isotropic_completion(vs: list[int], sites: int) -> list[tuple[int, int]]:
     """
     width = 2 * sites
     perp = _nullspace([_swap_xz(v, sites) for v in vs], width)
-    vspan: list[int] = []
-    for v in vs:
-        _add_to_span(vspan, v)
+    vspan, _ = echelon((v, 0) for v in vs)
     candidates = []
-    cspan = list(vspan)
+    cspan = dict(vspan)
     for w in perp:
-        if _add_to_span(cspan, w):
-            candidates.append(_span_reduce(vspan, w))
+        if insert(cspan, w)[0]:
+            candidates.append(reduce(vspan, w)[0])
     pairs = []
     while candidates:
         u = candidates.pop(0)
@@ -753,81 +687,40 @@ def relate_purifications(target: Group, source: Group,
 
     k, r = len(keep), len(ref)
 
-    def split(e: Element) -> tuple[int, int]:
-        kb = rb = 0
-        for i, s in enumerate(keep):
-            kb |= ((e.x >> s) & 1) << (2 * i)
-            kb |= ((e.z >> s) & 1) << (2 * i + 1)
-        for i, s in enumerate(ref):
-            rb |= ((e.x >> s) & 1) << (2 * i)
-            rb |= ((e.z >> s) & 1) << (2 * i + 1)
-        return kb, rb
-
-    def build_lists(group: Group):
-        keeps = [split(g)[0] for g in group.canonical]
-        refs = [split(g)[1] for g in group.canonical]
-        return keeps, refs
-
-    src_k, src_r = build_lists(source)
-    tgt_k, tgt_r = build_lists(target)
-
-    # kernel of the keep-projection: reference symbols of keep-trivial elements
-    def kernel_refs(keeps, refs):
-        m = len(keeps)
-        combos = _nullspace([sum(((keeps[i] >> c) & 1) << i for i in range(m))
-                             for c in range(2 * k)], m)
-        out = []
-        for mask in combos:
-            v = 0
-            for i in range(m):
-                if (mask >> i) & 1:
-                    v ^= refs[i]
-            out.append(v)
-        return out
-
-    a_list = kernel_refs(src_k, src_r)
-    b_list = kernel_refs(tgt_k, tgt_r)
+    # keep parts reduced with their reference parts carried as tags; a
+    # dependent row's tag is the reference symbol of a keep-trivial element
+    src, a_list = echelon((_site_bits(g, keep), _site_bits(g, ref))
+                          for g in source.canonical)
+    tgt, b_list = echelon((_site_bits(g, keep), _site_bits(g, ref))
+                          for g in target.canonical)
     if len(a_list) != len(b_list):
         raise AssertionError("purification ranks disagree")
 
     # extend by transported representatives of keep-symbols outside the
     # marginal's span
     vspan = [g.interleaved() for g in marg_t.canonical]
-    vbasis: list[int] = []
-    for v in vspan:
-        _add_to_span(vbasis, v)
-    perp = _nullspace([_swap_xz(v, k) for v in vbasis], 2 * k)
-    ext_span = list(vbasis)
+    perp = _nullspace([_swap_xz(v, k) for v in vspan], 2 * k)
+    ext_span, _ = echelon((v, 0) for v in vspan)
     for u in perp:
-        if not _add_to_span(ext_span, u):
+        if not insert(ext_span, u)[0]:
             continue
-        ca = solve_gf2(src_k, u)
-        cb = solve_gf2(tgt_k, u)
-        if ca is None or cb is None:
+        ca, av = reduce(src, u)
+        cb, bv = reduce(tgt, u)
+        if ca or cb:
             raise AssertionError("keep-projection misses a perp vector")
-        av = bv = 0
-        for i in range(len(src_r)):
-            if (ca >> i) & 1:
-                av ^= src_r[i]
-            if (cb >> i) & 1:
-                bv ^= tgt_r[i]
         a_list.append(av)
         b_list.append(bv)
 
     # complete both to full bases of the reference symbol space with
     # matching inner products
-    a_span: list[int] = []
-    b_span: list[int] = []
-    for v in a_list:
-        if not _add_to_span(a_span, v):
-            raise AssertionError("dependent source vectors")
-    for v in b_list:
-        if not _add_to_span(b_span, v):
-            raise AssertionError("dependent target vectors")
+    a_span, a_dependent = echelon((v, 0) for v in a_list)
+    b_span, b_dependent = echelon((v, 0) for v in b_list)
+    if a_dependent or b_dependent:
+        raise AssertionError("dependent reference vectors")
     for c in range(2 * r):
         if len(a_list) == 2 * r:
             break
-        xa = _span_reduce(a_span, 1 << c)
+        xa = reduce(a_span, 1 << c)[0]
         if not xa:
             continue
         gamma = [symplectic_product(xa, a, r) for a in a_list]
@@ -835,35 +728,27 @@ def relate_purifications(target: Group, source: Group,
         xb = _solve_affine(b_rows, gamma)
         if xb is None:
             raise AssertionError("no pairing-compatible completion")
-        cand = _span_reduce(b_span, xb)
-        if not cand:
+        if not reduce(b_span, xb)[0]:
             null = _nullspace(b_rows, 2 * r)
-            found = False
             for mask in range(1, 1 << len(null)):
                 v = xb
                 for i in range(len(null)):
                     if (mask >> i) & 1:
                         v ^= null[i]
-                if _span_reduce(b_span, v):
-                    xb, found = v, True
+                if reduce(b_span, v)[0]:
+                    xb = v
                     break
-            if not found:
+            else:
                 raise AssertionError("completion stuck")
         a_list.append(xa)
         b_list.append(xb)
-        _add_to_span(a_span, xa)
-        _add_to_span(b_span, xb)
+        insert(a_span, xa)
+        insert(b_span, xb)
 
-    # F = B A^-1 via change of basis: express unit vectors in the a basis
-    f_columns = []
-    for c in range(2 * r):
-        coeffs = solve_gf2(a_list, 1 << c)
-        assert coeffs is not None
-        img = 0
-        for i in range(len(b_list)):
-            if (coeffs >> i) & 1:
-                img ^= b_list[i]
-        f_columns.append(img)
+    # F = B A^-1 via change of basis: express unit vectors in the a basis,
+    # carrying the b vectors as tags
+    basis, _ = echelon(zip(a_list, b_list))
+    f_columns = [reduce(basis, 1 << c)[1] for c in range(2 * r)]
 
     local_factors = synthesize_symplectic(f_columns, r)
     factors = tuple((f[0], ref[f[1]], f[2]) if f[0] == "local"
@@ -879,8 +764,7 @@ def relate_purifications(target: Group, source: Group,
         if st == "absent":
             ok = False
             break
-        kb, rb = split(g)
-        rows.append(_swap_xz(rb, r))
+        rows.append(_swap_xz(_site_bits(g, ref), r))
         rhs.append(0 if (st == "in") == (not g.neg) else 1)
     if ok:
         w = _solve_affine(rows, rhs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .algebra import Element, Group
+from .algebra import Element, Group, echelon
 from .dynamics import Permutation, measure_element, partial_trace
 
 QUARTER_SYMBOL = {0: ("X", False), 1: ("Y", False), 2: ("X", True), 3: ("Y", True)}
@@ -112,12 +112,13 @@ def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
     Each layer assigns every unprocessed vertex u for which some set K of
     processed non-inputs has u as the only unprocessed vertex in its odd
     neighborhood.  The layer's matrix (a row per unprocessed vertex w:
-    the candidates adjacent to w) is reduced once, tracking which rows
-    each reduced row combines.  The right-hand side of u is the unit
-    vector at u, so on a reduced row it is bit u of that row's
-    combination: u is solvable when no dependent row combines u, and one
-    back-substitution gives K.  This is the elimination and particular
-    solution of solving each u's system alone, so the flow is the same.
+    the candidates adjacent to w) is brought to reduced echelon form
+    once, tagging each row with the mask of input rows it combines.  The
+    right-hand side of u is the unit vector at u, so on a reduced row it
+    is bit u of that row's tag: u is solvable when no dependent row
+    combines u, and K is the set of pivots whose rows combine u.  This is
+    the particular solution, clear on the free columns, of solving each
+    u's system alone, so the flow is the same.
 
     Returns (g, layer) with layer 0 holding the outputs.  Raises
     ValueError when no gflow exists, unless ``best_effort`` is set, in
@@ -136,28 +137,17 @@ def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
         corr = [v for v in nodes if v in processed and v not in inputs]
         unproc = [v for v in nodes if v not in processed]
         column = {c: 1 << i for i, c in enumerate(corr)}
-        pivots = []     # (reduced row, its row combination, pivot bit)
+        pivots, zero_tags = echelon(
+            (sum(column[c] for c in adjacency[w] if c in column), 1 << j)
+            for j, w in enumerate(unproc))
         dependent = 0   # rows combined into some zero row
-        for j, w in enumerate(unproc):
-            row = sum(column[c] for c in adjacency[w] if c in column)
-            comb = 1 << j
-            for rb, cb, pb in pivots:
-                if row & pb:
-                    row ^= rb
-                    comb ^= cb
-            if row:
-                pivots.append((row, comb, row & -row))
-            else:
-                dependent |= comb
-        pivots.sort(key=lambda t: -t[2])
+        for comb in zero_tags:
+            dependent |= comb
         found = {}
         for j, u in enumerate(unproc):
             if (dependent >> j) & 1:
                 continue
-            x = 0
-            for rb, cb, pb in pivots:
-                if ((rb & x).bit_count() & 1) != ((cb >> j) & 1):
-                    x ^= pb
+            x = sum(p for p, (_, comb) in pivots.items() if (comb >> j) & 1)
             found[u] = frozenset(c for c in corr if x & column[c])
         if not found:
             if not best_effort:

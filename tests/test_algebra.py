@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from toystab.algebra import Element, Group, matrix_diag, solve_gf2
+from toystab.algebra import (Element, Group, echelon, insert, matrix_diag,
+                             reduce, solve_gf2)
+from toystab.dynamics import _nullspace, _solve_affine
 
 from conftest import random_element, random_group
 
@@ -196,3 +198,142 @@ def test_interleave_kernel_matches_site_loop(case):
     noisy = bits | stray << (2 * e.n)
     assert (Element.from_interleaved(e.n, noisy, e.neg)
             == _reference_from_interleaved(e.n, noisy, e.neg) == e)
+
+
+# -- the GF(2) kernel against the per-use eliminations it replaced -------------
+
+def _reference_echelon(rows):
+    """Reduced echelon form with a carried sign bit: insert by lowest-bit
+    pivots, then back-substitute.  Returns (rows by pivot, negative
+    identity seen)."""
+    pivots = {}
+    neg_identity = False
+    for bits, neg in rows:
+        while bits:
+            p = bits & -bits
+            if p not in pivots:
+                pivots[p] = (bits, neg)
+                break
+            pb, pn = pivots[p]
+            bits ^= pb
+            neg ^= pn
+        else:
+            if neg:
+                neg_identity = True
+    for p in sorted(pivots, reverse=True):
+        bits, neg = pivots[p]
+        for q in list(pivots):
+            if q == p:
+                continue
+            qb, qn = pivots[q]
+            if qb & p:
+                pivots[q] = (qb ^ bits, qn ^ neg)
+    return [pivots[p] for p in sorted(pivots)], neg_identity
+
+
+def _reference_solve_gf2(rows, target):
+    basis = []  # (reduced row, choice mask)
+    for i, r in enumerate(rows):
+        choice = 1 << i
+        for rb, rc in basis:
+            if r & (rb & -rb):
+                r ^= rb
+                choice ^= rc
+        if r:
+            basis.append((r, choice))
+            basis.sort(key=lambda t: t[0] & -t[0])
+    choice = 0
+    for rb, rc in basis:
+        if target & (rb & -rb):
+            target ^= rb
+            choice ^= rc
+    return None if target else choice
+
+
+def _reference_nullspace(rows, width):
+    pivots = []  # (reduced row, pivot bit)
+    for r in rows:
+        for rb, _ in pivots:
+            if r & (rb & -rb):
+                r ^= rb
+        if r:
+            pivots.append((r, r & -r))
+    pivot_bits = {p for _, p in pivots}
+    out = []
+    for c in range(width):
+        cb = 1 << c
+        if cb in pivot_bits:
+            continue
+        v = cb
+        for rb, pb in sorted(pivots, key=lambda t: -t[1]):
+            if (rb & v).bit_count() & 1:
+                v ^= pb
+        out.append(v)
+    return out
+
+
+def _reference_solve_affine(rows, rhs):
+    pivots = []  # (reduced row, rhs bit, pivot)
+    for r, y in zip(rows, rhs):
+        for rb, yb, _ in pivots:
+            if r & (rb & -rb):
+                r ^= rb
+                y ^= yb
+        if r:
+            pivots.append((r, y, r & -r))
+        elif y:
+            return None
+    x = 0
+    for rb, yb, pb in sorted(pivots, key=lambda t: -t[2]):
+        if ((rb & x).bit_count() & 1) != yb:
+            x ^= pb
+    return x
+
+
+@st.composite
+def _row_cases(draw):
+    """Rows of width <= 140, with repeated rows and XORs of earlier rows
+    mixed in so that many are dependent."""
+    width = draw(st.integers(1, 140))
+    word = st.integers(0, (1 << width) - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 70))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "sum"])
+                    if rows else st.just("fresh"))
+        if kind == "fresh":
+            rows.append(draw(word))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(a ^ b)
+    signs = draw(st.lists(st.booleans(), min_size=len(rows),
+                          max_size=len(rows)))
+    target = draw(st.one_of(word, st.sampled_from(rows) if rows else word))
+    return width, rows, signs, target
+
+
+@given(_row_cases())
+def test_kernel_matches_reference_eliminations(case):
+    width, rows, signs, target = case
+    pivots, zero_tags = echelon(zip(rows, signs))
+    want_rows, want_neg = _reference_echelon(list(zip(rows, signs)))
+    assert [pivots[p] for p in sorted(pivots)] == want_rows
+    assert any(zero_tags) == want_neg
+    assert solve_gf2(rows, target) == _reference_solve_gf2(rows, target)
+    assert _nullspace(rows, width) == _reference_nullspace(rows, width)
+    rhs = [int(s) for s in signs]
+    assert _solve_affine(rows, rhs) == _reference_solve_affine(rows, rhs)
+
+
+def test_echelon_tags_name_the_combined_rows():
+    pivots, zero_tags = echelon((r, 1 << i)
+                                for i, r in enumerate([0b011, 0b110, 0b101]))
+    # inserting 0b110 clears its pivot bit 1 from the first row
+    assert pivots == {0b01: (0b101, 0b011), 0b10: (0b110, 0b010)}
+    assert zero_tags == [0b111]  # all three rows XOR to zero
+    assert reduce(pivots, 0b111) == (0b100, 0b001)  # 0b111 ^ row 0
+    assert insert(pivots, 0b111, 0b1000) == (0b100, 0b1001)
+    # the new pivot bit 2 is cleared from both older rows
+    assert pivots == {0b001: (0b001, 0b1010), 0b010: (0b010, 0b1011),
+                      0b100: (0b100, 0b1001)}

@@ -39,6 +39,17 @@ def test_parse_error_exit_code(run):
     run("no-such-command", expect=1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("bvc", "simulate", "--line=--"),
+    ("share", "reconstruct", "--players=--"),
+    ("ec", "demo", "--secret=--"),
+    ("measure", "+Z", "--", "--"),
+])
+def test_double_dash_value_is_a_usage_error(run, argv):
+    err = run(*argv, expect=1)
+    assert "expected one value, got '--'" in err
+
+
 def test_ontic_dump(run):
     rep = run("ontic", "dump", "+Z")
     assert rep["numerators"] == [1, 1, 0, 0]
@@ -151,11 +162,24 @@ def test_ec_demo_erasure(run):
     assert rep["success"]
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("Q@1", "bad error spec 'Q@1': unknown symbol 'Q'"),
+    ("@1", "bad error spec '@1': unknown symbol ''"),
+    ("X@0", "bad error spec 'X@0': site 0 out of range 1..5"),
+    ("X@6", "bad error spec 'X@6': site 6 out of range 1..5"),
+])
+def test_ec_demo_rejects_bad_error_spec(run, spec, message):
+    err = run("ec", "demo", "--error", spec, expect=2)
+    assert message in err
+
+
 def test_share_flow(run):
     rep = run("share", "reconstruct", "--players", "1,3,5", "--seed", "3")
     assert rep["match"]
     err = run("share", "reconstruct", "--players", "1,2", expect=2)
     assert "no information" in err
+    rep = run("share", "reconstruct", "--players", "1,2,3,4,5")
+    assert rep["match"]
 
 
 def test_mbtc_run(run, tmp_path):
@@ -234,14 +258,40 @@ _DEVIATION = st.one_of(
     st.sampled_from(["honest", "flip-all"]),
     st.integers(-2, 5).map("extremal:{}".format),
     st.text(alphabet="abxyz:-01 ", max_size=6))
+_ERROR_SPEC = st.one_of(
+    st.builds("{}@{}".format,
+              st.sampled_from(["X", "Y", "Z", "I", "+X", "-Z", "Q", ""]),
+              st.integers(-1, 7)),
+    st.text(alphabet="XYZQ@0123+-", max_size=5))
+_SECRET = st.one_of(
+    st.sampled_from(["+Z", "-X", "+Y", "+ZI\\n+IX", "-XX", "+XX\\n+ZZ"]),
+    _STATE_TEXT)
+
+
+def _seed(draw):
+    return ["--seed", str(draw(st.integers(0, 9)))]
+
+
+def _optional_secret(draw):
+    return [f"--secret={draw(_SECRET)}"] if draw(st.booleans()) else []
 
 
 @st.composite
 def _cli_runs(draw):
-    """(argv, perm spec or None) for state, measure, trace, perm apply or
-    bvc simulate."""
+    """(argv, perm spec or None) for state, measure, trace, perm apply,
+    purify, ec demo, share or bvc simulate."""
     command = draw(st.sampled_from(["validate", "print", "measure", "trace",
-                                    "perm", "bvc"]))
+                                    "perm", "bvc", "purify", "ec", "share"]))
+    if command == "ec":
+        argv = ["ec", "demo", "--code", draw(st.sampled_from(["five", "four"]))]
+        argv.append(draw(st.one_of(
+            _ERROR_SPEC.map("--error={}".format),
+            _SITE_LIST.map("--erase={}".format))))
+        return argv + _optional_secret(draw) + _seed(draw), None
+    if command == "share":
+        argv = ["share", draw(st.sampled_from(["deal", "reconstruct"])),
+                f"--players={draw(_SITE_LIST)}"]
+        return argv + _optional_secret(draw) + _seed(draw), None
     if command == "bvc":
         argv = ["bvc", "simulate", f"--line={draw(_LINE_SPEC)}",
                 f"--deviation={draw(_DEVIATION)}",
@@ -252,6 +302,8 @@ def _cli_runs(draw):
                 "--seed", str(draw(st.integers(0, 9)))]
         return argv + (["--exact"] if draw(st.booleans()) else []), None
     state = draw(_STATE_TEXT)
+    if command == "purify":
+        return ["purify", state], None
     if command in ("validate", "print"):
         return ["state", command, state], None
     if command == "measure":

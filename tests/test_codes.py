@@ -108,6 +108,42 @@ def test_all_three_subsets_reconstruct(rng):
             assert SCHEME.reconstruct(dealt, holders, rng=rng) == secret
 
 
+def test_more_than_three_shares_reconstruct(rng):
+    for text in LOGICAL_BASIS:
+        secret = _secret(text)
+        dealt = SCHEME.deal(secret)
+        for size in (4, 5):
+            for holders in itertools.combinations(range(5), size):
+                assert SCHEME.reconstruct(dealt, holders, rng=rng) == secret
+
+
+def test_correct_with_nothing_erased(rng):
+    encoded = FIVE.encode(_secret("+X"))
+    syndrome, fixed = FIVE.correct(encoded, rng=rng, erasure=[])
+    assert syndrome == (0,) * 4 and fixed == encoded
+    damaged = FIVE.apply_error(encoded, Element.parse("+IZIII"))
+    with pytest.raises(ValueError, match=r"no recovery on sites \[\]"):
+        FIVE.correct(damaged, rng=rng, erasure=[])
+
+
+def test_erasure_fix_is_the_first_match_on_the_sites():
+    """The first error, in the order of its site-local interleaved bits,
+    whose syndrome matches: the same as enumerating each erased site's
+    symbols and embedding them."""
+    for size in (1, 2):
+        for sites in itertools.combinations(range(5), size):
+            errors = [Element.from_interleaved(size, bits).embed(5, sites)
+                      for bits in range(4 ** size)]
+            for syndrome in itertools.product((0, 1), repeat=4):
+                want = next((e for e in errors
+                             if FIVE.syndrome_of(e) == syndrome), None)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        FIVE._erasure_fix(syndrome, list(sites))
+                else:
+                    assert FIVE._erasure_fix(syndrome, list(sites)) == want
+
+
 def test_two_subsets_leak_nothing():
     secrets = [_secret(t) for t in LOGICAL_BASIS]
     for holders in itertools.combinations(range(5), 2):

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from toystab.algebra import Element, Group, matrix_diag
-from toystab.dynamics import (NAMED_PERMS, PERMS, PERM_ID, Permutation,
-                              _solve_affine)
+from toystab.dynamics import NAMED_PERMS, PERMS, PERM_ID, Permutation
 from toystab.mbtc import (GatePattern, OpenGraph, Pattern, angle_element,
                           enumerate_branches, find_gflow, gate_patterns,
                           graph_state, run_pattern, verify_gflow)
@@ -237,6 +236,27 @@ def test_enumerate_branches_matches_brute_force():
 
 
 # -- gflow against the per-vertex reference -----------------------------------
+
+def _solve_affine(rows, rhs):
+    """The solution x of parity(rows[i] & x) = rhs[i] that is clear on the
+    free columns, by forward elimination and back-substitution; None when
+    there is none."""
+    pivots = []  # (reduced row, rhs bit, pivot)
+    for r, y in zip(rows, rhs):
+        for rb, yb, _ in pivots:
+            if r & (rb & -rb):
+                r ^= rb
+                y ^= yb
+        if r:
+            pivots.append((r, y, r & -r))
+        elif y:
+            return None
+    x = 0
+    for rb, yb, pb in sorted(pivots, key=lambda t: -t[2]):
+        if ((rb & x).bit_count() & 1) != yb:
+            x ^= pb
+    return x
+
 
 def reference_gflow(graph, *, best_effort=False):
     """One linear system per unprocessed vertex per layer, each solved
