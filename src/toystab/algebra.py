@@ -19,10 +19,6 @@ SYMBOL_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 BITS_SYMBOL = {v: k for k, v in SYMBOL_BITS.items()}
 
 
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
-
-
 def _byte_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(spread, gather): spread[b] holds the 8 bits of b at the even
     positions of 16 bits; gather[b] reads b as 4 interleaved sites and
@@ -111,7 +107,7 @@ class Element:
 
     def compatible(self, other: "Element") -> bool:
         """True when the symplectic product of the symbol parts vanishes."""
-        return (_parity(self.x & other.z) ^ _parity(self.z & other.x)) == 0
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def negated(self) -> "Element":
         return Element(self.n, self.x, self.z, not self.neg)
@@ -269,8 +265,11 @@ class Group:
     remembered.  Two operations record their result as valid without a
     check, because they keep validity: ``dynamics.measure_element`` for
     its post-measurement group, and ``dynamics.Permutation.conjugate``
-    when its input is already known valid.  Every other group is checked
-    on its first :meth:`violations` or :meth:`require_valid`.
+    when its input is already known valid.  Both build their result with
+    the trusted constructor :meth:`_from_reduced`, straight from updated
+    reduced rows, and ``mbtc.graph_state`` marks its entangled state valid
+    after checking the input.  Every other group is checked on its first
+    :meth:`violations` or :meth:`require_valid`.
     """
 
     def __init__(self, n: int, generators: Iterable[Element] = ()):
@@ -302,6 +301,25 @@ class Group:
     @classmethod
     def trivial(cls, n: int) -> "Group":
         return cls(n, ())
+
+    @classmethod
+    def _from_reduced(cls, n: int, pivots: dict, base: "Group") -> "Group":
+        """The valid group of reduced rows ``{pivot: (bits, sign)}``, taken
+        as they are: for rows derived from the known-valid ``base`` by an
+        operation that keeps validity and the reduced form.  A row that is
+        the very row object of ``base`` keeps its canonical element.  The
+        generators are the canonical rows."""
+        kept = dict(zip(sorted(base._pivots), base.canonical))
+        old = base._pivots
+        self = cls.__new__(cls)
+        self.n = n
+        self._pivots = pivots
+        self._neg_identity = False
+        self.canonical = self.generators = tuple(
+            kept[p] if old.get(p) is row else Element.from_interleaved(n, *row)
+            for p, row in sorted(pivots.items()))
+        self._violations = ()
+        return self
 
     # -- validity ----------------------------------------------------
 

@@ -197,8 +197,15 @@ def _cmd_ec(args) -> dict:
     else:
         err = _parse_error(args.error, code.n)
         damaged = code.apply_error(encoded, err)
-        syndrome, fixed = code.correct(damaged, rng=rng)
+        syndrome, measured = code.measure_syndrome(damaged, rng=rng)
+        fix = code.syndrome_table().get(syndrome)
         report["error"] = str(err)
+        if fix is None:
+            # the code detects this error but cannot correct it
+            report.update(syndrome=list(syndrome), detected=True,
+                          success=False)
+            return report
+        fixed = code.apply_error(measured, fix)
     report["syndrome"] = list(syndrome)
     report["recovered"] = _group_json(code.decode(fixed))
     report["success"] = fixed == encoded
@@ -223,24 +230,56 @@ def _cmd_share(args) -> dict:
     return report
 
 
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _ints(value, what: str) -> list:
+    if not _is_ints(value):
+        raise ValueError(f"pattern {what} must be a list of integers")
+    return value
+
+
+def _node_map(value, what: str, ok, kind: str) -> dict:
+    """A JSON object keyed by node numbers, each value passing ``ok``."""
+    if isinstance(value, dict):
+        try:
+            out = {int(k): v for k, v in value.items()}
+        except ValueError:
+            out = None
+        if out is not None and all(map(ok, out.values())):
+            return out
+    raise ValueError(f"pattern {what} must map node numbers to {kind}")
+
+
 def _load_pattern(path: str) -> Pattern:
     with open(path) as fh:
         spec = json.load(fh)
+    if not (isinstance(spec, dict) and isinstance(spec.get("graph"), dict)):
+        raise ValueError("a pattern is a JSON object with a 'graph' object")
+    edges = spec["graph"]["edges"]
+    if not (isinstance(edges, list) and all(
+            _is_ints(e) and len(e) == 2 for e in edges)):
+        raise ValueError("pattern edges must be a list of node pairs")
     graph = OpenGraph(
-        tuple(spec["graph"]["nodes"]),
-        tuple(tuple(e) for e in spec["graph"]["edges"]),
-        tuple(spec.get("inputs", ())),
-        tuple(spec.get("outputs", ())))
-    angles = {int(k) if isinstance(k, str) else k: v
-              for k, v in spec["angles"].items()}
+        tuple(_ints(spec["graph"]["nodes"], "nodes")),
+        tuple(map(tuple, edges)),
+        tuple(_ints(spec.get("inputs", []), "inputs")),
+        tuple(_ints(spec.get("outputs", []), "outputs")))
+    angles = _node_map(spec["angles"], "angles", _is_int, "integers")
     flow = None
     gflow = spec.get("gflow", "auto")
     if gflow != "auto":
-        g = {int(k) if isinstance(k, str) else k: frozenset(v)
-             for k, v in gflow["g"].items()}
-        layers = {int(k) if isinstance(k, str) else k: v
-                  for k, v in gflow["layers"].items()}
-        flow = (g, layers)
+        if not isinstance(gflow, dict):
+            raise ValueError("pattern gflow must be 'auto' or an object")
+        g = _node_map(gflow["g"], "gflow g", _is_ints, "lists of integers")
+        layers = _node_map(gflow["layers"], "gflow layers", _is_int,
+                           "integers")
+        flow = ({u: frozenset(K) for u, K in g.items()}, layers)
     return Pattern(graph, angles, flow)
 
 

@@ -174,6 +174,14 @@ class Code:
         """Lose the listed systems and re-issue them in the flat state."""
         return erase(state, sites)
 
+    def measure_syndrome(self, state: Group, *, rng=None):
+        """Measure the stabilizers in order; returns (syndrome, post_group)."""
+        syndrome = []
+        for g in self.stabilizers.canonical:
+            out, state, _ = measure_element(state, g, rng=rng)
+            syndrome.append(out)
+        return tuple(syndrome), state
+
     def correct(self, state: Group, *, rng=None,
                 erasure: Iterable[int] | None = None):
         """Measure the stabilizers and undo the inferred error.
@@ -181,12 +189,11 @@ class Code:
         For symbol errors the syndrome lookup is used; for erasures any
         symbol error supported on the erased sites matching the observed
         syndrome is solved for.  Returns (syndrome, corrected_group).
+        Raises ValueError for a syndrome the lookup does not hold (an
+        error the code detects but cannot correct) or no erasure recovery
+        matches.
         """
-        syndrome = []
-        for g in self.stabilizers.canonical:
-            out, state, _ = measure_element(state, g, rng=rng)
-            syndrome.append(out)
-        syndrome = tuple(syndrome)
+        syndrome, state = self.measure_syndrome(state, rng=rng)
         if erasure is None:
             table = self.syndrome_table()
             if syndrome not in table:

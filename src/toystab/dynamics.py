@@ -64,6 +64,15 @@ _PERM_ACTION = []
 for _p in PERMS:
     _PERM_ACTION.append((_conj_image(_p, 1, 0, False), _conj_image(_p, 0, 1, False)))
 
+# the interleaved symbol s = x | z << 1 of each single-site permutation
+# that maps X and Z to plus or minus themselves: it negates X when s has a
+# Z part and Z when s has an X part, so exactly the symbols incompatible
+# with s
+_PAULI_SYMBOL = {}
+for _i, ((_xx, _xz, _xn), (_zx, _zz, _zn)) in enumerate(_PERM_ACTION):
+    if (_xx, _xz, _zx, _zz) == (1, 0, 0, 1):
+        _PAULI_SYMBOL[_i] = _zn | _xn << 1
+
 # perm id for a given unsigned symbol action with plus signs on both images
 _ACTION_PID = {}
 for _i, ((_xx, _xz, _xn), (_zx, _zz, _zn)) in enumerate(_PERM_ACTION):
@@ -221,9 +230,35 @@ class Permutation:
                 z = (z & ~(1 << c) & ~(1 << t)) | (zc << c) | (zt << t)
         return Element(self.n, x, z, neg)
 
+    def _pauli_bits(self) -> int | None:
+        """Interleaved symbol of a product of single-site symbol flips,
+        None when some factor is not one."""
+        bits = 0
+        for f in self.factors:
+            s = (_PAULI_SYMBOL.get(f[2])
+                 if f[0] == "local" and 0 <= f[1] < self.n else None)
+            if s is None:
+                return None
+            bits ^= s << 2 * f[1]
+        return bits
+
     def conjugate(self, group: Group) -> Group:
         """The group of conjugated elements; valid exactly when ``group`` is,
-        so it is recorded as valid when ``group`` is already known valid."""
+        so it is recorded as valid when ``group`` is already known valid.
+
+        A product of symbol flips maps every row to plus or minus itself,
+        negating the rows incompatible with its symbol; on a known-valid
+        group it keeps the reduced rows and flips only their signs.
+        """
+        pauli = self._pauli_bits() if group._known_valid else None
+        if pauli is not None and group.n == self.n:
+            flips = _swap_xz(pauli, self.n)
+            rows = {}
+            for p, row in group._pivots.items():
+                bits, neg = row
+                rows[p] = ((bits, not neg) if (bits & flips).bit_count() & 1
+                           else row)
+            return Group._from_reduced(self.n, rows, group)
         out = Group(self.n, [self.conj_element(g) for g in group.canonical])
         return out._mark_valid() if group._known_valid else out
 
@@ -289,21 +324,30 @@ def measure_element(group: Group, e: Element, *, rng=None, force: int | None = N
     outcome that contradicts a deterministic value yields probability 0.
 
     ``group`` is checked for validity; for a group the engine derived, that
-    is a remembered result.  The post-measurement group is recorded as
-    valid without a check, which is sound because ``±e`` is absent from
-    the valid ``group``.  Each generator incompatible with ``e`` is
-    multiplied by the first such one, the pivot, which is dropped; so the
-    kept generators are compatible with ``e`` and with each other, and
-    they remain independent elements of ``group``.  ``±e`` lies outside
+    is a remembered result.  A random outcome updates the reduced rows of
+    ``group`` in O(rank) row operations.  Of the rows incompatible with
+    ``e``, the one with the highest pivot is dropped and XORed into the
+    others; its bits all lie above their pivots, and it holds no other
+    pivot bit, so their pivots stay and the form stays reduced.  Then
+    ``±e`` is inserted.  The kept rows are compatible with ``e`` and with
+    each other, and independent elements of ``group``; ``±e`` lies outside
     their span, so adding it keeps the set independent and brings in no
-    negative identity; a compatible independent set has at most n members.
+    negative identity, and a compatible independent set has at most n
+    members.  The post group is therefore valid and built as such.  Its
+    signed span, ``group ∩ e^⊥`` and ``±e``, does not depend on which
+    incompatible row is dropped, and a reduced echelon form with lowest-bit
+    pivots is unique for its signed span, so the canonical rows are those
+    of re-echeloning any generating set of the post state.
     """
     group.require_valid()
     if e.is_identity_symbol:
         raise ValueError("cannot measure the identity symbol")
-    status = group.member(e)
-    if status != "absent":
-        out = 0 if status == "in" else 1
+    if e.n != group.n:
+        raise ValueError("size mismatch")
+    bits = e.interleaved()
+    rest, neg = reduce(group._pivots, bits, e.neg)
+    if not rest:
+        out = 1 if neg else 0
         if force is not None and force != out:
             return force, None, Fraction(0)
         return out, group, Fraction(1)
@@ -313,16 +357,19 @@ def measure_element(group: Group, e: Element, *, rng=None, force: int | None = N
         out = rng.randrange(2)
     else:
         raise ValueError("random outcome needs an rng or a forced value")
-    observed = e if out == 0 else e.negated()
-    bad = [g for g in group.canonical if not g.compatible(e)]
-    if not bad:
-        post = group.extended(observed)
-    else:
-        pivot = bad[0]
-        gens = [g if g.compatible(e) else g * pivot
-                for g in group.canonical if g is not pivot]
-        post = Group(group.n, gens + [observed])
-    return out, post._mark_valid(), Fraction(1, 2)
+    pivots = dict(group._pivots)
+    swapped = _swap_xz(bits, group.n)
+    bad = [p for p, (pb, _) in pivots.items()
+           if (pb & swapped).bit_count() & 1]
+    if bad:
+        top = max(bad)
+        tb, tneg = pivots.pop(top)
+        for p in bad:
+            if p != top:
+                pb, pneg = pivots[p]
+                pivots[p] = (pb ^ tb, pneg ^ tneg)
+    insert(pivots, bits, e.neg ^ (out != 0))
+    return out, Group._from_reduced(group.n, pivots, group), Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -452,9 +499,7 @@ def erase(group: Group, sites: Iterable[int]) -> Group:
 # -- GF(2) symplectic helpers over site-interleaved bit vectors -----------
 
 def _swap_xz(v: int, sites: int) -> int:
-    x_mask = 0
-    for i in range(sites):
-        x_mask |= 1 << (2 * i)
+    x_mask = ((1 << 2 * sites) - 1) // 3   # the even columns
     return ((v & x_mask) << 1) | ((v >> 1) & x_mask)
 
 
@@ -773,9 +818,9 @@ def relate_purifications(target: Group, source: Group,
             for i, s in enumerate(ref):
                 wx |= ((w >> (2 * i)) & 1) << s
                 wz |= ((w >> (2 * i + 1)) & 1) << s
-            perm = perm.then(Permutation.pauli(n, wx, wz))
-            if perm.conjugate(source) == target:
-                return perm
+            fix = Permutation.pauli(n, wx, wz)
+            if fix.conjugate(moved) == target:
+                return perm.then(fix)
 
     # desk-scale fallback for a single reference site
     if len(ref) == 1:

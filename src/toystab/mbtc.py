@@ -53,6 +53,10 @@ class OpenGraph:
         for v in self.inputs + self.outputs:
             if v not in seen:
                 raise ValueError(f"unknown terminal {v}")
+        for name, terminals in (("input", self.inputs),
+                                ("output", self.outputs)):
+            if len(set(terminals)) != len(terminals):
+                raise ValueError(f"an {name} is listed twice")
         object.__setattr__(self, "adjacency",
                            {v: frozenset(ns) for v, ns in adjacency.items()})
 
@@ -194,14 +198,19 @@ class Pattern:
 
 
 def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
-    """Entangled initial state: inputs as given, the rest at +X, cz edges."""
+    """Entangled initial state: inputs as given, the rest at +X, cz edges.
+
+    Built straight from the edges: a cz on edge (u, v) adds the X bit of
+    u to the Z bit of v and the X bit of v to the Z bit of u, with no
+    sign, so each generator's Z part gains the odd neighbourhood of its X
+    part (an edge listed twice cancels).  A valid input group makes the
+    product state valid, and the cz factors keep validity.
+    """
     nodes = list(graph.nodes)
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    gens = []
-    non_inputs = [v for v in nodes if v not in graph.inputs]
-    for v in non_inputs:
-        gens.append(Element.single(n, idx[v], "X"))
+    gens = [Element.single(n, idx[v], "X")
+            for v in nodes if v not in graph.inputs]
     if graph.inputs:
         if input_group is None:
             input_group = Group(len(graph.inputs),
@@ -209,13 +218,22 @@ def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
                                  for i in range(len(graph.inputs))])
         if input_group.n != len(graph.inputs):
             raise ValueError("input state size mismatch")
+        input_group.require_valid()
         gens += [e.embed(n, [idx[v] for v in graph.inputs])
                  for e in input_group.canonical]
-    state = Group(n, gens).require_valid()
-    perm = Permutation.identity(n)
+    odd = [0] * n
     for u, v in graph.edges:
-        perm = perm.then(Permutation.controlled(n, "cz", idx[u], idx[v]))
-    return perm.conjugate(state)
+        odd[idx[u]] ^= 1 << idx[v]
+        odd[idx[v]] ^= 1 << idx[u]
+    entangled = []
+    for e in gens:
+        z, x = e.z, e.x
+        while x:
+            low = x & -x
+            z ^= odd[low.bit_length() - 1]
+            x ^= low
+        entangled.append(Element(n, e.x, z, e.neg))
+    return Group(n, entangled)._mark_valid()
 
 
 def live_outcomes(state: Group, e: Element) -> list:

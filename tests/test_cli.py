@@ -162,6 +162,15 @@ def test_ec_demo_erasure(run):
     assert rep["success"]
 
 
+@pytest.mark.parametrize("error", ["X@3", "Y@1", "Z@4"])
+def test_ec_demo_four_reports_a_detected_error(run, error):
+    rep = run("ec", "demo", "--code", "four", "--error", error)
+    assert rep["detected"] is True and rep["success"] is False
+    assert rep["syndrome"] != [0, 0] and "recovered" not in rep
+    rep = run("ec", "demo", "--code", "four", "--error", "I@2")
+    assert rep["success"] and "detected" not in rep
+
+
 @pytest.mark.parametrize("spec, message", [
     ("Q@1", "bad error spec 'Q@1': unknown symbol 'Q'"),
     ("@1", "bad error spec '@1': unknown symbol ''"),
@@ -191,6 +200,28 @@ def test_mbtc_run(run, tmp_path):
     rep = run("mbtc", "run", str(pat), "--input", "+Z", "--branches", "all")
     assert rep["deterministic"]
     assert rep["results"][0]["output_state"]["generators"] == ["+X"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([0, 1], "a pattern is a JSON object with a 'graph' object"),
+    ({"graph": {"nodes": [0, [1]], "edges": []}, "angles": {}},
+     "pattern nodes must be a list of integers"),
+    ({"graph": {"nodes": [0, 1], "edges": [[0, 1, 2]]}, "angles": {}},
+     "pattern edges must be a list of node pairs"),
+    ({"graph": {"nodes": [0, 1], "edges": [[0, 1]]}, "outputs": 1,
+      "angles": {}}, "pattern outputs must be a list of integers"),
+    ({"graph": {"nodes": [0, 1], "edges": [[0, 1]]}, "outputs": [1],
+      "angles": {"0": "1"}}, "pattern angles must map node numbers to integers"),
+    ({"graph": {"nodes": [0, 1], "edges": [[0, 1]]}, "outputs": [1],
+      "angles": {"0": 1}, "gflow": 3}, "gflow must be 'auto' or an object"),
+    ({"graph": {"nodes": [0, 1], "edges": [[0, 1]]}, "inputs": [0, 0],
+      "outputs": [1], "angles": {"0": 1}}, "an input is listed twice"),
+])
+def test_mbtc_run_rejects_bad_pattern(run, tmp_path, spec, message):
+    pat = tmp_path / "p.json"
+    pat.write_text(json.dumps(spec))
+    err = run("mbtc", "run", str(pat), expect=2)
+    assert message in err
 
 
 def test_bvc_simulate_exact(run):
@@ -268,6 +299,61 @@ _SECRET = st.one_of(
     _STATE_TEXT)
 
 
+_NODE = st.one_of(st.integers(-1, 4), st.sampled_from(["0", None, 1.5, [0]]))
+_NODE_LIST = st.one_of(st.lists(_NODE, max_size=4), _NODE)
+_EDGE = st.one_of(st.lists(_NODE, min_size=2, max_size=2),
+                  st.lists(_NODE, max_size=3), _NODE)
+_ANGLES = st.one_of(
+    st.dictionaries(st.one_of(st.integers(-1, 4).map(str), st.just("x")),
+                    st.one_of(st.integers(-2, 5), st.sampled_from(
+                        ["1", None, 1.5, [1]])), max_size=4),
+    st.lists(st.integers(0, 3), max_size=2))
+_GFLOW = st.one_of(
+    st.just("auto"), st.sampled_from(["none", None, 3, []]),
+    st.fixed_dictionaries({
+        "g": st.dictionaries(st.integers(-1, 4).map(str),
+                             st.one_of(st.lists(_NODE, max_size=2), _NODE),
+                             max_size=4),
+        "layers": st.dictionaries(st.integers(-1, 4).map(str),
+                                  st.one_of(st.integers(-1, 3), _NODE),
+                                  max_size=5)}),
+    st.dictionaries(st.sampled_from(["g", "layers"]), _NODE, max_size=2))
+
+
+def _mostly(draw, valid, junk):
+    """``valid``, or a draw from ``junk`` one time in four."""
+    return draw(junk) if draw(st.sampled_from([0, 0, 0, 1])) else valid
+
+
+@st.composite
+def _pattern_files(draw):
+    """Pattern JSON: mostly well-formed line graphs on up to five nodes,
+    with junk mixed in at every level."""
+    n = draw(st.integers(1, 5))
+    line = {"nodes": _mostly(draw, list(range(n)), _NODE_LIST),
+            "edges": _mostly(draw, [[i, i + 1] for i in range(n - 1)],
+                             st.one_of(st.lists(_EDGE, max_size=5), _NODE))}
+    spec = {"graph": _mostly(draw, line, _NODE),
+            "inputs": _mostly(draw, [0], _NODE_LIST),
+            "outputs": _mostly(draw, [n - 1], _NODE_LIST),
+            "angles": _mostly(draw, {str(i): draw(st.integers(0, 3))
+                                     for i in range(n - 1)}, _ANGLES),
+            "gflow": _mostly(draw, "auto", _GFLOW)}
+    if draw(st.sampled_from([0, 0, 0, 0, 1])):
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    return json.dumps(_mostly(draw, spec, st.one_of(_NODE, _ANGLES)))
+
+
+@st.composite
+def _encoding_files(draw):
+    """Two generator blocks, sometimes one or three, for bc demo."""
+    blocks = _mostly(draw, draw(st.sampled_from([
+        ["+ZZ\\n+XX", "+ZZ\\n-XX"], ["+ZI", "+XI"],
+        ["+ZZI\\n+XXI\\n+IIZ", "+ZZI\\n-XXI\\n+IIX"]])),
+        st.lists(_STATE_TEXT, min_size=1, max_size=3))
+    return "\n\n".join(b.replace("\\n", "\n") for b in blocks)
+
+
 def _seed(draw):
     return ["--seed", str(draw(st.integers(0, 9)))]
 
@@ -278,10 +364,27 @@ def _optional_secret(draw):
 
 @st.composite
 def _cli_runs(draw):
-    """(argv, perm spec or None) for state, measure, trace, perm apply,
-    purify, ec demo, share or bvc simulate."""
+    """(argv, file text or None) for state, measure, trace, perm apply,
+    purify, ec demo, share, bvc simulate, mbtc run, bc demo or ontic dump;
+    a file's text is written to a file whose path replaces FILE."""
     command = draw(st.sampled_from(["validate", "print", "measure", "trace",
-                                    "perm", "bvc", "purify", "ec", "share"]))
+                                    "perm", "bvc", "purify", "ec", "share",
+                                    "mbtc", "bc", "ontic"]))
+    if command == "mbtc":
+        argv = ["mbtc", "run", "FILE", "--branches",
+                draw(st.sampled_from(["all", "sample"]))]
+        if draw(st.booleans()):
+            argv.append(f"--input={draw(_SECRET)}")
+        return argv + _seed(draw), draw(_pattern_files())
+    if command == "bc":
+        partition = _mostly(draw, draw(st.sampled_from(["1", "2", "1,3"])),
+                            _SITE_LIST)
+        argv = ["bc", "demo", "--encoding", "FILE", f"--partition={partition}",
+                "--mode", draw(st.sampled_from(["perfect", "imperfect"]))]
+        return argv, draw(_encoding_files())
+    if command == "ontic":
+        argv = ["ontic", "dump", f"--cap={draw(st.integers(-1, 6))}"]
+        return argv + ["--", draw(_SECRET)], None
     if command == "ec":
         argv = ["ec", "demo", "--code", draw(st.sampled_from(["five", "four"]))]
         argv.append(draw(st.one_of(
@@ -313,21 +416,21 @@ def _cli_runs(draw):
         return argv + (["--force", force] if force else []), None
     if command == "trace":
         return ["trace", state, "--keep", draw(_SITE_LIST)], None
-    return ["perm", "apply", None, state], draw(_PERM_SPEC)
+    return ["perm", "apply", "FILE", state], json.dumps(draw(_PERM_SPEC))
 
 
 @pytest.fixture(scope="module")
 def spec_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "perm.json"
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
 
 
 @settings(max_examples=300, deadline=None)
 @given(_cli_runs())
 def test_cli_fuzz_never_fails_internally(spec_path, case):
-    argv, spec = case
-    if spec is not None:
-        spec_path.write_text(json.dumps(spec))
-        argv[2] = str(spec_path)
+    argv, text = case
+    if text is not None:
+        spec_path.write_text(text)
+        argv[argv.index("FILE")] = str(spec_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toystab.algebra import Element, Group
-from toystab.dynamics import (CTRL_KINDS, NAMED_PERMS, PERMS, Measurement,
-                              Permutation, erase, generalized_map,
+from toystab.dynamics import (CTRL_KINDS, NAMED_PERMS, PERM_ID, PERMS,
+                              Measurement, Permutation, erase, generalized_map,
                               measure_element, partial_trace, purify,
                               relate_purifications)
 from toystab.oracle import Distribution, group_from_distribution, measure_observable
@@ -191,6 +191,123 @@ def test_conjugating_an_invalid_group_vouches_for_nothing():
         for g in (h.conjugate(group), group):
             with pytest.raises(ValueError, match="incompatible pair"):
                 measure_element(g, Element.parse("+IZ"), force=0)
+
+
+# -- incremental update against the rebuild it replaced ----------------------
+
+def _reference_measure_element(group, e, *, rng=None, force=None):
+    """The earlier measure_element: membership, then a re-echelon of the
+    kept generators, each incompatible one multiplied by the first."""
+    group.require_valid()
+    status = group.member(e)
+    if status != "absent":
+        out = 0 if status == "in" else 1
+        if force is not None and force != out:
+            return force, None, Fraction(0)
+        return out, group, Fraction(1)
+    out = force if force is not None else rng.randrange(2)
+    observed = e if out == 0 else e.negated()
+    bad = [g for g in group.canonical if not g.compatible(e)]
+    if not bad:
+        return out, group.extended(observed), HALF
+    pivot = bad[0]
+    gens = [g if g.compatible(e) else g * pivot
+            for g in group.canonical if g is not pivot]
+    return out, Group(group.n, gens + [observed]), HALF
+
+
+@st.composite
+def _large_valid_groups(draw):
+    """A valid group on n <= 70 systems: a Z-basis seed of random rank and
+    signs, scrambled by a random permutation of depth 3n."""
+    n = draw(st.integers(1, 70))
+    rank = draw(st.integers(0, n))
+    return random_group(random.Random(draw(st.integers(0, 2**32))), n, rank)
+
+
+@st.composite
+def _observables(draw, g):
+    """A random non-identity element, or a signed product of canonical
+    rows (a deterministic outcome)."""
+    if g.rank and draw(st.booleans()):
+        mask = draw(st.integers(1, (1 << g.rank) - 1))
+        e = Element.identity(g.n)
+        for i, row in enumerate(g.canonical):
+            if mask >> i & 1:
+                e = e * row
+        return e.negated() if draw(st.booleans()) else e
+    return draw(_elements(g.n).filter(lambda e: not e.is_identity_symbol))
+
+
+def _same_post(got, want):
+    """Equal results, with the engine's post group valid and canonical."""
+    (out, post, p), (want_out, want_post, want_p) = got, want
+    assert (out, p) == (want_out, want_p)
+    if want_post is None:
+        assert post is None
+        return
+    assert post.canonical == want_post.canonical
+    assert post is want_post or post.generators == post.canonical
+    assert post._known_valid and want_post.violations() == []
+    assert _freshly_checked(post) == []
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_incremental_measurement_matches_rebuild(data):
+    g = data.draw(_large_valid_groups())
+    e = data.draw(_observables(g))
+    for force in (0, 1):
+        _same_post(measure_element(g, e, force=force),
+                   _reference_measure_element(g, e, force=force))
+    seed = data.draw(st.integers(0, 2**32))
+    _same_post(measure_element(g, e, rng=random.Random(seed)),
+               _reference_measure_element(g, e, rng=random.Random(seed)))
+
+
+_FLIP_IDS = {PERM_ID[NAMED_PERMS[w]] for w in "IXYZ"}
+
+
+@st.composite
+def _flips_or_general(draw, n):
+    """A product of symbol flips, or a random permutation of any factors."""
+    if draw(st.booleans()):
+        return Permutation(n, tuple(
+            ("local", draw(st.integers(0, n - 1)),
+             draw(st.sampled_from(sorted(_FLIP_IDS))))
+            for _ in range(draw(st.integers(0, 8)))))
+    return draw(_permutations(n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sign_only_conjugation_matches_rebuild(data):
+    g = data.draw(_large_valid_groups())
+    perm = data.draw(_flips_or_general(g.n))
+    flips_only = all(f[0] == "local" and f[2] in _FLIP_IDS
+                     for f in perm.factors)
+    # anything but a product of symbol flips takes the general path
+    assert (perm._pauli_bits() is not None) == flips_only
+    want = Group(g.n, [perm.conj_element(h) for h in g.canonical])
+    unchecked = perm.conjugate(Group(g.n, g.canonical))
+    moved = perm.conjugate(g.require_valid())
+    assert moved.canonical == unchecked.canonical == want.canonical
+    assert moved._known_valid and not unchecked._known_valid
+    assert want.violations() == [] and _freshly_checked(moved) == []
+
+
+def test_controlled_factors_take_the_general_path():
+    g = _state("+XZI\n+ZXZ\n+IZX")
+    for kind in CTRL_KINDS:
+        # a target site that is also the id of a symbol-flip permutation
+        perm = Permutation(3, ((kind, 1, 0),))
+        assert perm._pauli_bits() is None
+        want = Group(3, [perm.conj_element(h) for h in g.canonical])
+        assert perm.conjugate(g).canonical == want.canonical
+    flip = Permutation(3, (("local", 0, PERM_ID[NAMED_PERMS["Z"]]),))
+    assert flip._pauli_bits() == 0b10   # the Z flip has symbol Z
+    assert str(flip.conjugate(g)) == str(Group(3, [
+        Element.parse("-XZI"), Element.parse("+ZXZ"), Element.parse("+IZX")]))
 
 
 # -- trace / purification ----------------------------------------------------

@@ -2,12 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toystab.algebra import Element, Group, matrix_diag
 from toystab.dynamics import NAMED_PERMS, PERMS, PERM_ID, Permutation
 from toystab.mbtc import (GatePattern, OpenGraph, Pattern, angle_element,
                           enumerate_branches, find_gflow, gate_patterns,
                           graph_state, run_pattern, verify_gflow)
+
+from conftest import random_group
 
 
 def _state(text):
@@ -62,6 +65,68 @@ def test_graph_state_generators():
     assert Element.parse("+XZI") in gs
     assert Element.parse("+ZXZ") in gs
     assert Element.parse("+IZX") in gs
+
+
+def _reference_graph_state(graph, input_group=None):
+    """The earlier graph_state: the product state conjugated by one cz
+    factor per listed edge."""
+    nodes = list(graph.nodes)
+    idx = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    gens = [Element.single(n, idx[v], "X")
+            for v in nodes if v not in graph.inputs]
+    if graph.inputs:
+        if input_group is None:
+            input_group = Group(len(graph.inputs),
+                                [Element.single(len(graph.inputs), i, "X")
+                                 for i in range(len(graph.inputs))])
+        gens += [e.embed(n, [idx[v] for v in graph.inputs])
+                 for e in input_group.canonical]
+    state = Group(n, gens).require_valid()
+    perm = Permutation.identity(n)
+    for u, v in graph.edges:
+        perm = perm.then(Permutation.controlled(n, "cz", idx[u], idx[v]))
+    return perm.conjugate(state)
+
+
+@st.composite
+def _open_graphs(draw):
+    """(graph, input group or None) on n <= 70 shuffled labels, up to 3n
+    edges with repeats and reversed repeats, and a random input subset."""
+    n = draw(st.integers(1, 70))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    labels = rng.sample(range(1000), n)
+    edges = []
+    for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+        if edges and rng.random() < 0.2:
+            u, v = rng.choice(edges)
+            edges.append((v, u) if rng.random() < 0.5 else (u, v))
+        else:
+            edges.append(tuple(rng.sample(labels, 2)))
+    inputs = tuple(rng.sample(labels, draw(st.integers(0, min(n, 8)))))
+    graph = OpenGraph(tuple(labels), tuple(edges), inputs=inputs)
+    k = len(inputs)
+    input_group = (random_group(rng, k, draw(st.integers(0, k)))
+                   if k and draw(st.booleans()) else None)
+    return graph, input_group
+
+
+@settings(max_examples=100, deadline=None)
+@given(_open_graphs())
+def test_direct_graph_state_matches_cz_conjugation(case):
+    graph, input_group = case
+    got = graph_state(graph, input_group)
+    want = _reference_graph_state(graph, input_group)
+    assert got.canonical == want.canonical
+    assert got._known_valid and want.violations() == []
+    assert Group(got.n, got.generators).violations() == []
+
+
+def test_graph_state_rejects_an_invalid_input():
+    graph = OpenGraph.line(3)
+    with pytest.raises(ValueError, match="negative identity"):
+        graph_state(graph, Group(1, [Element.parse("+Z"),
+                                     Element.parse("-Z")]))
 
 
 def test_measure_nothing_pattern_returns_graph_state():
