@@ -24,8 +24,8 @@ from typing import Callable, Mapping, NamedTuple
 
 from .algebra import Element, Group
 from .dynamics import Permutation, erase, measure_element
-from .mbtc import (OpenGraph, Pattern, angle_element, find_gflow,
-                   live_outcomes, walk)
+from .mbtc import (OpenGraph, Pattern, adapt_quarter, angle_element,
+                   correction_masks, find_gflow, live_outcomes, walk)
 
 
 def formula_from_quarter(q: int) -> int:
@@ -209,14 +209,6 @@ def deviation_from_factors(spec: list) -> Deviation:
 # the client
 # --------------------------------------------------------------------------
 
-def _adapt_quarter(q: int, sx: int, sz: int) -> int:
-    if sx:
-        q = (-q) % 4
-    if sz:
-        q ^= 2
-    return q
-
-
 @dataclass
 class RoundResult:
     deltas: tuple          # (vertex, formula angle) in send order
@@ -263,13 +255,7 @@ class _Plan:
         self.base = {v: 0 if v == trap else angles[v] for v in self.order}
         self.graph, self.trap, self.blinded = graph, trap, blinded
         self.edges = [(idx[a], idx[b]) for a, b in graph.edges]
-        # vertex -> (X mask, Z mask, Alice's op count) of its corrections
-        self.fixes = {}
-        for u, K in g.items():
-            flips_z = sub.odd_neighborhood(K) - {u}
-            self.fixes[u] = (sum(1 << idx[j] for j in K),
-                             sum(1 << idx[j] for j in flips_z),
-                             len(K) + len(flips_z))
+        self.fixes = correction_masks(sub, g, idx, g)
 
     def thetas(self, prep: Mapping) -> dict:
         """Each measured vertex's pad angle (quarter encoding), turned by
@@ -287,7 +273,7 @@ class _Plan:
     def instruct(self, u, rec: _Transcript, theta: Mapping, r: int):
         """(wire angle, Alice's op count) of the instruction for ``u``."""
         bit = 1 << self.site[u]
-        phi = _adapt_quarter(self.base[u], rec.sx & bit, rec.sz & bit)
+        phi = adapt_quarter(self.base[u], rec.sx & bit, rec.sz & bit)
         if not self.blinded:
             return formula_from_quarter(phi), 1
         return formula_from_quarter(phi ^ theta[u] ^ (r << 1)), 3
@@ -299,8 +285,10 @@ class _Plan:
         ops += 1
         sx, sz = rec.sx, rec.sz
         if dec and u in self.fixes:
-            x, z, n = self.fixes[u]
-            sx, sz, ops = sx ^ x, sz ^ z, ops + n
+            # one operation per flip booked
+            x, z = self.fixes[u]
+            sx, sz = sx ^ x, sz ^ z
+            ops += x.bit_count() + z.bit_count()
         return _Transcript(sx, sz, rec.ops + ops, rec.deltas + ((u, wire),),
                            rec.raw + (o,), rec.decoded + ((u, dec),))
 

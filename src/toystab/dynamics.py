@@ -2,9 +2,11 @@
 
 Allowed reversible maps are permutations of the ontic space composed from
 single-site permutations (all 24 of S4) and controlled single-site
-symbol flips between two sites.  Conjugation action on group elements is
-derived from the permutation itself (never hand-coded tables), so the
-stabilizer-level update provably matches the ontic oracle.
+symbol flips between two sites.  The conjugation action of every factor,
+local or controlled, is derived once from its ontic map
+(``Permutation.apply_bits``), so the stabilizer-level update provably
+matches the ontic oracle.  Conjugation, the symbol-flip fast path and
+symplectic synthesis all use that one derived action.
 """
 
 from __future__ import annotations
@@ -36,48 +38,6 @@ NAMED_PERMS = {
     "B": (0, 1, 3, 2),   # a <- a+b: exchanges X and Y, fixes Z
 }
 PERM_NAME = {v: k for k, v in NAMED_PERMS.items()}
-
-_SIGNED_DIAGS = {}
-for _name, (_x, _z) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1))):
-    for _neg in (False, True):
-        _e = Element(1, _x, _z, _neg)
-        _diag = tuple(-1 if _e.eval_bit(s & 1, s >> 1) else 1 for s in range(4))
-        _SIGNED_DIAGS[_diag] = (_x, _z, _neg)
-
-
-def _conj_image(perm: tuple[int, ...], x: int, z: int, neg: bool):
-    """Image of one single-site symbol under conjugation by ``perm``.
-
-    The conjugated diagonal is d'[i] = d[perm^-1(i)].
-    """
-    e = Element(1, x, z, neg)
-    inv = [0] * 4
-    for s, t in enumerate(perm):
-        inv[t] = s
-    diag = tuple(-1 if e.eval_bit(inv[i] & 1, inv[i] >> 1) else 1
-                 for i in range(4))
-    return _SIGNED_DIAGS[diag]
-
-
-# images of X and Z under every single-site permutation, derived once
-_PERM_ACTION = []
-for _p in PERMS:
-    _PERM_ACTION.append((_conj_image(_p, 1, 0, False), _conj_image(_p, 0, 1, False)))
-
-# the interleaved symbol s = x | z << 1 of each single-site permutation
-# that maps X and Z to plus or minus themselves: it negates X when s has a
-# Z part and Z when s has an X part, so exactly the symbols incompatible
-# with s
-_PAULI_SYMBOL = {}
-for _i, ((_xx, _xz, _xn), (_zx, _zz, _zn)) in enumerate(_PERM_ACTION):
-    if (_xx, _xz, _zx, _zz) == (1, 0, 0, 1):
-        _PAULI_SYMBOL[_i] = _zn | _xn << 1
-
-# perm id for a given unsigned symbol action with plus signs on both images
-_ACTION_PID = {}
-for _i, ((_xx, _xz, _xn), (_zx, _zz, _zn)) in enumerate(_PERM_ACTION):
-    if not _xn and not _zn:
-        _ACTION_PID[((_xx, _xz), (_zx, _zz))] = _i
 
 
 # --------------------------------------------------------------------------
@@ -192,43 +152,20 @@ class Permutation:
 
     # -- conjugation action ----------------------------------------------
 
+    def _conj_row(self, bits: int, neg: bool) -> tuple[int, bool]:
+        """The conjugated interleaved row ``(bits, sign)``."""
+        for f in self.factors:
+            bits, sign = _act(f, bits)
+            neg ^= sign
+        if bits >> 2 * self.n:
+            raise ValueError("a factor acts outside the register")
+        return bits, neg
+
     def conj_element(self, e: Element) -> Element:
         if e.n != self.n:
             raise ValueError("size mismatch")
-        x, z, neg = e.x, e.z, e.neg
-        for f in self.factors:
-            if f[0] == "local":
-                _, i, pid = f
-                xb, zb = (x >> i) & 1, (z >> i) & 1
-                nx = nz = 0
-                (ix, iz, ineg), (jx, jz, jneg) = _PERM_ACTION[pid]
-                if xb:
-                    nx ^= ix
-                    nz ^= iz
-                    neg ^= ineg
-                if zb:
-                    nx ^= jx
-                    nz ^= jz
-                    neg ^= jneg
-                x = (x & ~(1 << i)) | (nx << i)
-                z = (z & ~(1 << i)) | (nz << i)
-            else:
-                kind, c, t = f
-                xc, zc = (x >> c) & 1, (z >> c) & 1
-                xt, zt = (x >> t) & 1, (z >> t) & 1
-                if kind == "cz":
-                    zt ^= xc
-                    zc ^= xt
-                elif kind == "cx":
-                    xt ^= xc
-                    zc ^= zt
-                else:  # cy
-                    zc ^= xt ^ zt
-                    xt ^= xc
-                    zt ^= xc
-                x = (x & ~(1 << c) & ~(1 << t)) | (xc << c) | (xt << t)
-                z = (z & ~(1 << c) & ~(1 << t)) | (zc << c) | (zt << t)
-        return Element(self.n, x, z, neg)
+        return Element.from_interleaved(self.n,
+                                        *self._conj_row(e.interleaved(), e.neg))
 
     def _pauli_bits(self) -> int | None:
         """Interleaved symbol of a product of single-site symbol flips,
@@ -246,21 +183,26 @@ class Permutation:
         """The group of conjugated elements; valid exactly when ``group`` is,
         so it is recorded as valid when ``group`` is already known valid.
 
-        A product of symbol flips maps every row to plus or minus itself,
-        negating the rows incompatible with its symbol; on a known-valid
-        group it keeps the reduced rows and flips only their signs.
+        On a known-valid group the reduced rows are conjugated as packed
+        rows and re-echeloned into the result.  A product of symbol flips
+        maps every row to plus or minus itself, negating the rows
+        incompatible with its symbol, so it keeps the reduced rows and
+        flips only their signs.
         """
-        pauli = self._pauli_bits() if group._known_valid else None
-        if pauli is not None and group.n == self.n:
-            flips = _swap_xz(pauli, self.n)
-            rows = {}
-            for p, row in group._pivots.items():
-                bits, neg = row
-                rows[p] = ((bits, not neg) if (bits & flips).bit_count() & 1
-                           else row)
+        if not (group._known_valid and group.n == self.n):
+            return Group(self.n, [self.conj_element(g) for g in group.canonical])
+        pauli = self._pauli_bits()
+        if pauli is None:
+            rows, _ = echelon(self._conj_row(*row)
+                              for row in group._pivots.values())
             return Group._from_reduced(self.n, rows, group)
-        out = Group(self.n, [self.conj_element(g) for g in group.canonical])
-        return out._mark_valid() if group._known_valid else out
+        flips = _swap_xz(pauli, self.n)
+        rows = {}
+        for p, row in group._pivots.items():
+            bits, neg = row
+            rows[p] = ((bits, not neg) if (bits & flips).bit_count() & 1
+                       else row)
+        return Group._from_reduced(self.n, rows, group)
 
     # -- serialization -----------------------------------------------
 
@@ -310,6 +252,57 @@ class Permutation:
                 factor = cls.controlled(n, kind, sites[0] - 1, sites[1] - 1)
             perm = perm.then(factor)
         return perm
+
+
+def _derive_table(factor, sites: int) -> tuple:
+    """Conjugation table of one factor on ``sites`` systems, derived from
+    its ontic map: entry s is the (image, sign) of interleaved symbol s.
+
+    The conjugated element takes at apply_bits(w) the value the element
+    takes at w.  Symbol column c reads one ontic bit (a_i when c = 2i,
+    b_i when c = 2i + 1), so its image reads that bit of the preimage: an
+    affine function whose constant is the sign and whose linear part is
+    the image.  The rest of the table follows by linearity.
+    """
+    forward = Permutation(sites, (factor,)).apply_bits
+    pre = {forward(a, b): (a, b)
+           for a in range(1 << sites) for b in range(1 << sites)}
+    unit = [(0, 1 << c // 2) if c & 1 else (1 << c // 2, 0)
+            for c in range(2 * sites)]
+
+    def read(c, state):
+        return bool(state[c & 1] >> c // 2 & 1)
+
+    table = [(0, False)]
+    for c in range(2 * sites):
+        sign = read(c, pre[0, 0])
+        image = sum((read(c, pre[u]) ^ sign) << j for j, u in enumerate(unit))
+        table += [(b ^ image, s ^ sign) for b, s in table]
+    return tuple(table)
+
+
+_LOCAL_TABLES = tuple(_derive_table(("local", 0, pid), 1)
+                      for pid in range(len(PERMS)))
+_CTRL_TABLES = {kind: _derive_table((kind, 0, 1), 2) for kind in CTRL_KINDS}
+
+# the interleaved symbol of each single-site permutation that maps X and Z
+# to plus or minus themselves: it negates X when it has a Z part (the z
+# bit) and Z when it has an X part (the x bit), so exactly the symbols
+# incompatible with it
+_PAULI_SYMBOL = {pid: t[2][1] | t[1][1] << 1
+                 for pid, t in enumerate(_LOCAL_TABLES)
+                 if (t[1][0], t[2][0]) == (1, 2)}
+
+
+def _act(factor, v: int) -> tuple[int, bool]:
+    """(image, sign) of interleaved symbol ``v`` under one factor."""
+    kind, i, j = factor     # ("local", site, perm id) or (kind, control, target)
+    if kind == "local":
+        image, sign = _LOCAL_TABLES[j][v >> 2 * i & 3]
+        return v & ~(3 << 2 * i) | image << 2 * i, sign
+    image, sign = _CTRL_TABLES[kind][v >> 2 * i & 3 | (v >> 2 * j & 3) << 2]
+    v &= ~(3 << 2 * i | 3 << 2 * j)
+    return v | (image & 3) << 2 * i | (image >> 2) << 2 * j, sign
 
 
 # --------------------------------------------------------------------------
@@ -594,67 +587,31 @@ def purify(group: Group) -> Group:
 
 def _block(v: int, j: int) -> int:
     """(x + 2z) block of vector v at site j."""
-    return ((v >> (2 * j)) & 1) | (((v >> (2 * j + 1)) & 1) << 1)
+    return v >> 2 * j & 3
 
 
-_TO_X = {1: ((1, 0), (0, 1)),        # X already: identity
-         2: ((0, 1), (1, 0)),        # Z -> X: swap
-         3: ((1, 0), (1, 1))}        # Y -> X: (x, z) -> (x, x+z)
-_FIX_CZ = ((1, 1), (0, 1))           # X -> X, Y -> Z: (x, z) -> (x+z, z)
-_TO_Z = {2: ((1, 0), (0, 1)),
-         1: ((0, 1), (1, 0)),
-         3: ((1, 1), (0, 1))}
-
-
-def _apply_matrix_block(v: int, j: int, mat) -> int:
-    xb = (v >> (2 * j)) & 1
-    zb = (v >> (2 * j + 1)) & 1
-    nx = (mat[0][0] & xb) ^ (mat[0][1] & zb)
-    nz = (mat[1][0] & xb) ^ (mat[1][1] & zb)
-    v &= ~(0b11 << (2 * j))
-    return v | (nx << (2 * j)) | (nz << (2 * j + 1))
-
-
-def _gate_apply(gate, v: int) -> int:
-    if gate[0] == "local":
-        return _apply_matrix_block(v, gate[1], gate[2])
-    kind, c, t = gate
-    xc, zc = (v >> (2 * c)) & 1, (v >> (2 * c + 1)) & 1
-    xt, zt = (v >> (2 * t)) & 1, (v >> (2 * t + 1)) & 1
-    if kind == "cz":
-        zt ^= xc
-        zc ^= xt
-    elif kind == "cx":
-        xt ^= xc
-        zc ^= zt
-    else:
-        zc ^= xt ^ zt
-        xt ^= xc
-        zt ^= xc
-    v &= ~(0b11 << (2 * c)) & ~(0b11 << (2 * t))
-    return v | (xc << (2 * c)) | (zc << (2 * c + 1)) | (xt << (2 * t)) | (zt << (2 * t + 1))
-
-
-def _mat_inv2(mat):
-    a, b = mat[0]
-    c, d = mat[1]
-    det = (a & d) ^ (b & c)
-    assert det == 1
-    return ((d, b), (c, a))
+# plus-signed local gates of the sweep, named by their symbol action
+_H = PERM_ID[NAMED_PERMS["H"]]     # X <-> Z
+_B = PERM_ID[NAMED_PERMS["B"]]     # X <-> Y, Z fixed
+_BT = PERM_ID[(0, 3, 2, 1)]        # b <- a+b, B transposed: Z <-> Y, X fixed
+_TO_X = {2: _H, 3: _B}             # by block (x + 2z): the gate taking it to X
+_TO_Z = {1: _H, 3: _BT}            # ... and to Z
 
 
 def synthesize_symplectic(f_columns: list[int], sites: int) -> list:
     """Factor list (local site indices) realizing a symplectic symbol map.
 
     ``f_columns[2j]`` is the image of X at site j, ``f_columns[2j+1]`` of Z.
+    The sweep applies gates to the columns until they are the identity;
+    every gate is an involution on symbols, so the map is realized by the
+    sweep's gates in reverse order.  Signs are left to the caller.
     """
     cols = list(f_columns)
     gates = []
 
     def apply(gate):
         gates.append(gate)
-        for i in range(len(cols)):
-            cols[i] = _gate_apply(gate, cols[i])
+        cols[:] = [_act(gate, c)[0] for c in cols]
 
     for i in range(sites):
         cx = cols[2 * i]
@@ -662,45 +619,25 @@ def synthesize_symplectic(f_columns: list[int], sites: int) -> list:
             j = next(j for j in range(i + 1, sites) if _block(cx, j))
             for g in (("cx", i, j), ("cx", j, i), ("cx", i, j)):  # swap
                 apply(g)
-            cx = cols[2 * i]
-        b = _block(cx, i)
+        b = _block(cols[2 * i], i)
         if b != 1:
             apply(("local", i, _TO_X[b]))
-            cx = cols[2 * i]
         for j in range(sites):
-            if j == i:
-                continue
             bj = _block(cols[2 * i], j)
-            if bj:
+            if j != i and bj:
                 if bj != 1:
                     apply(("local", j, _TO_X[bj]))
                 apply(("cx", i, j))
-        cz = cols[2 * i + 1]
         for j in range(sites):
-            if j == i:
-                continue
-            bj = _block(cz, j)
-            if bj:
+            bj = _block(cols[2 * i + 1], j)
+            if j != i and bj:
                 if bj != 2:
                     apply(("local", j, _TO_Z[bj]))
                 apply(("cx", j, i))
-                cz = cols[2 * i + 1]
         if _block(cols[2 * i + 1], i) == 3:
-            apply(("local", i, _FIX_CZ))
-    for j in range(2 * sites):
-        assert cols[j] == 1 << j, "symplectic sweep failed"
-    # gates reduce F to identity; the realized sequence is their inverses
-    # in reverse order
-    out = []
-    for g in reversed(gates):
-        if g[0] == "local":
-            mat = _mat_inv2(g[2])
-            imgx = (mat[0][0], mat[1][0])
-            imgz = (mat[0][1], mat[1][1])
-            out.append(("local", g[1], _ACTION_PID[(imgx, imgz)]))
-        else:
-            out.append(g)
-    return out
+            apply(("local", i, _BT))
+    assert cols == [1 << j for j in range(2 * sites)], "symplectic sweep failed"
+    return gates[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -712,7 +649,7 @@ def relate_purifications(target: Group, source: Group,
     """A permutation local to ``ref`` with conj(source) == target.
 
     Both groups must be pure states on the same systems with equal
-    marginals outside ``ref``.  GF(2) transport of the reference symbols
+    marginals outside ``ref``, a list of distinct sites.  GF(2) transport of the reference symbols
     plus a sign-fixing symbol flip; the result is verified by conjugation
     before being returned.
     """
@@ -721,7 +658,7 @@ def relate_purifications(target: Group, source: Group,
     if target.n != source.n:
         raise ValueError("size mismatch")
     n = target.n
-    ref = sorted(set(ref))
+    ref = sorted(_check_sites(n, ref))
     keep = [s for s in range(n) if s not in ref]
     if not (target.is_pure and source.is_pure):
         raise ValueError("both states must be pure")
@@ -770,21 +707,13 @@ def relate_purifications(target: Group, source: Group,
             continue
         gamma = [symplectic_product(xa, a, r) for a in a_list]
         b_rows = [_swap_xz(b, r) for b in b_list]
+        # xb is never in b_span: a's span holds its own complement (the
+        # keep-trivial parts are isotropic, the transported ones pair
+        # non-degenerately), so xb = sum c_i b_i would, by the equal inner
+        # products, put xa - sum c_i a_i in it and xa in a's span
         xb = _solve_affine(b_rows, gamma)
-        if xb is None:
+        if xb is None or not reduce(b_span, xb)[0]:
             raise AssertionError("no pairing-compatible completion")
-        if not reduce(b_span, xb)[0]:
-            null = _nullspace(b_rows, 2 * r)
-            for mask in range(1, 1 << len(null)):
-                v = xb
-                for i in range(len(null)):
-                    if (mask >> i) & 1:
-                        v ^= null[i]
-                if reduce(b_span, v)[0]:
-                    xb = v
-                    break
-            else:
-                raise AssertionError("completion stuck")
         a_list.append(xa)
         b_list.append(xb)
         insert(a_span, xa)
@@ -800,35 +729,23 @@ def relate_purifications(target: Group, source: Group,
                     else (f[0], ref[f[1]], ref[f[2]]) for f in local_factors)
     perm = Permutation(n, factors)
 
+    # moved has target's symbols, and their signs differ by a character
+    # that is trivial on the keep-only elements (the marginals agree), so
+    # it reads only the reference part: a reference-local symbol flip,
+    # solved for from each row's sign mismatch
     moved = perm.conjugate(source)
-    # sign fix via a reference-local symbol flip
-    rows, rhs = [], []
-    ok = True
-    for g in target.canonical:
-        st = moved.member(Element(n, g.x, g.z))
-        if st == "absent":
-            ok = False
-            break
-        rows.append(_swap_xz(_site_bits(g, ref), r))
-        rhs.append(0 if (st == "in") == (not g.neg) else 1)
-    if ok:
-        w = _solve_affine(rows, rhs)
-        if w is not None:
-            wx = wz = 0
-            for i, s in enumerate(ref):
-                wx |= ((w >> (2 * i)) & 1) << s
-                wz |= ((w >> (2 * i + 1)) & 1) << s
-            fix = Permutation.pauli(n, wx, wz)
-            if fix.conjugate(moved) == target:
-                return perm.then(fix)
-
-    # desk-scale fallback for a single reference site
-    if len(ref) == 1:
-        for pid in range(len(PERMS)):
-            cand = Permutation.local(n, ref[0], pid)
-            if cand.conjugate(source) == target:
-                return cand
-    raise RuntimeError("could not relate the purifications")
+    ref_mask = sum(3 << 2 * s for s in ref)
+    rows = [_swap_xz(g.interleaved() & ref_mask, n) for g in target.canonical]
+    rhs = [(moved.member(Element(n, g.x, g.z)) == "in") == g.neg
+           for g in target.canonical]
+    w = _solve_affine(rows, rhs)
+    if w is None:
+        raise AssertionError("no reference-local sign fix")
+    flip = Element.from_interleaved(n, w)
+    fix = Permutation.pauli(n, flip.x, flip.z)
+    if fix.conjugate(moved) != target:
+        raise RuntimeError("could not relate the purifications")
+    return perm.then(fix)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,16 @@ def angle_element(n: int, site: int, quarter: int) -> Element:
     return Element.single(n, site, name, neg)
 
 
+def adapt_quarter(q: int, sx: int, sz: int) -> int:
+    """The quarter whose element is that of ``q`` conjugated by pending X
+    (``sx``) and Z (``sz``) flips: X negates Y, Z negates X and Y."""
+    if sx:
+        q = (-q) % 4
+    if sz:
+        q ^= 2
+    return q
+
+
 # --------------------------------------------------------------------------
 # open graphs and gflow
 # --------------------------------------------------------------------------
@@ -48,6 +58,8 @@ class OpenGraph:
         for u, v in self.edges:
             if u == v or u not in seen or v not in seen:
                 raise ValueError(f"bad edge ({u}, {v})")
+            if v in adjacency[u]:
+                raise ValueError(f"edge ({u}, {v}) is listed twice")
             adjacency[u].add(v)
             adjacency[v].add(u)
         for v in self.inputs + self.outputs:
@@ -165,6 +177,19 @@ def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
     return g, layer
 
 
+def correction_masks(graph: OpenGraph, g: Mapping, idx: Mapping,
+                     vertices: Iterable) -> dict:
+    """vertex -> (X mask, Z mask) over vertex indices of the corrections
+    that outcome 1 of each listed vertex triggers: X on its correction
+    set, Z on the rest of that set's odd neighbourhood."""
+    out = {}
+    for u in vertices:
+        K = g.get(u, ())
+        out[u] = (sum(1 << idx[j] for j in K),
+                  sum(1 << idx[j] for j in graph.odd_neighborhood(K) - {u}))
+    return out
+
+
 # --------------------------------------------------------------------------
 # patterns
 # --------------------------------------------------------------------------
@@ -203,8 +228,8 @@ def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
     Built straight from the edges: a cz on edge (u, v) adds the X bit of
     u to the Z bit of v and the X bit of v to the Z bit of u, with no
     sign, so each generator's Z part gains the odd neighbourhood of its X
-    part (an edge listed twice cancels).  A valid input group makes the
-    product state valid, and the cz factors keep validity.
+    part.  A valid input group makes the product state valid, and the cz
+    factors keep validity.  An input group needs a graph with inputs.
     """
     nodes = list(graph.nodes)
     idx = {v: i for i, v in enumerate(nodes)}
@@ -221,6 +246,8 @@ def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
         input_group.require_valid()
         gens += [e.embed(n, [idx[v] for v in graph.inputs])
                  for e in input_group.canonical]
+    elif input_group is not None:
+        raise ValueError("an input state needs a graph with inputs")
     odd = [0] * n
     for u, v in graph.edges:
         odd[idx[u]] ^= 1 << idx[v]
@@ -281,24 +308,17 @@ class _PatternRun:
         self.state = graph_state(graph, input_group)
         self.pattern = pattern
         self.physical = physical
-        # vertex -> (X mask, Z mask) of the corrections of its outcome 1
-        self.fixes = {}
-        for u in self.order:
-            K = g.get(u, ())
-            flips_z = graph.odd_neighborhood(K) - {u}
-            self.fixes[u] = (sum(1 << idx[j] for j in K),
-                             sum(1 << idx[j] for j in flips_z))
+        self.fixes = correction_masks(graph, g, idx, self.order)
         self.quantum_outputs = [v for v in graph.outputs
                                 if v not in pattern.angles]
 
     def element(self, u, sx: int, sz: int) -> Element:
         """The measured element of ``u``, adapted to pending corrections."""
         i = self.idx[u]
-        base = angle_element(self.n, i, self.pattern.angles[u])
-        x, z = (sx >> i) & 1, (sz >> i) & 1
-        if self.physical or not (x or z):
-            return base
-        return Permutation.pauli(self.n, x << i, z << i).conj_element(base)
+        q = self.pattern.angles[u]
+        if not self.physical:
+            q = adapt_quarter(q, (sx >> i) & 1, (sz >> i) & 1)
+        return angle_element(self.n, i, q)
 
     def correct(self, u, out: int, state: Group, sx: int, sz: int):
         """(state, sx, sz) after outcome ``out`` of ``u``."""

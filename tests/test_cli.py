@@ -216,12 +216,30 @@ def test_mbtc_run(run, tmp_path):
       "angles": {"0": 1}, "gflow": 3}, "gflow must be 'auto' or an object"),
     ({"graph": {"nodes": [0, 1], "edges": [[0, 1]]}, "inputs": [0, 0],
       "outputs": [1], "angles": {"0": 1}}, "an input is listed twice"),
+    ({"graph": {"nodes": [0, 1, 2, 3],
+                "edges": [[0, 1], [0, 1], [0, 1], [1, 2], [2, 3]]},
+      "inputs": [0], "outputs": [3], "angles": {"0": 0, "1": 0, "2": 0}},
+     "edge (0, 1) is listed twice"),
+    ({"graph": {"nodes": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 1]]},
+      "outputs": [2], "angles": {"0": 0, "1": 0}},
+     "edge (2, 1) is listed twice"),
 ])
 def test_mbtc_run_rejects_bad_pattern(run, tmp_path, spec, message):
     pat = tmp_path / "p.json"
     pat.write_text(json.dumps(spec))
     err = run("mbtc", "run", str(pat), expect=2)
     assert message in err
+
+
+def test_mbtc_run_rejects_an_input_state_without_inputs(run, tmp_path):
+    pat = tmp_path / "p.json"
+    pat.write_text(json.dumps({
+        "graph": {"nodes": [0, 1], "edges": [[0, 1]]},
+        "inputs": [], "outputs": [1], "angles": {"0": 0}}))
+    for mode in ("all", "sample"):
+        err = run("mbtc", "run", str(pat), "--input=+ZZ", "--branches", mode,
+                  expect=2)
+        assert "an input state needs a graph with inputs" in err
 
 
 def test_bvc_simulate_exact(run):

@@ -8,7 +8,7 @@ from toystab.algebra import Element, Group
 from toystab.dynamics import (CTRL_KINDS, NAMED_PERMS, PERM_ID, PERMS,
                               Measurement, Permutation, erase, generalized_map,
                               measure_element, partial_trace, purify,
-                              relate_purifications)
+                              relate_purifications, synthesize_symplectic)
 from toystab.oracle import Distribution, group_from_distribution, measure_observable
 
 from conftest import random_element, random_group, random_permutation
@@ -58,6 +58,17 @@ def test_controlled_factors_are_involutions(rng):
         perm = Permutation.controlled(3, kind, 0, 2)
         g = random_group(rng, 3, 2)
         assert perm.conjugate(perm.conjugate(g)) == g
+
+
+@pytest.mark.parametrize("factor, element", [
+    (("cx", 0, 5), "+XI"), (("cx", 5, 0), "+ZI"), (("cz", 0, 5), "+XI"),
+    (("cz", 5, 0), "+XI"), (("cy", 0, 5), "+XI"), (("cy", 5, 0), "+ZI"),
+])
+def test_factor_outside_the_register_raises(factor, element):
+    # a factor built directly, past the checks of Permutation.controlled,
+    # that would move a symbol off the register
+    with pytest.raises(ValueError, match="outside the register"):
+        Permutation(2, (factor,)).conj_element(Element.parse(element))
 
 
 def test_inverse_round_trip(rng):
@@ -153,14 +164,16 @@ def _valid_groups(draw):
 
 
 @st.composite
-def _permutations(draw, n):
+def _permutations(draw, n, sites=None):
+    """Up to 8 random factors on ``sites`` (default: all n systems)."""
+    sites = list(range(n)) if sites is None else sites
     factors = []
-    for _ in range(draw(st.integers(0, 8))):
-        if n >= 2 and draw(st.booleans()):
-            c, t = draw(st.permutations(range(n)))[:2]
+    for _ in range(draw(st.integers(0, 8)) if sites else 0):
+        if len(sites) >= 2 and draw(st.booleans()):
+            c, t = draw(st.permutations(sites))[:2]
             factors.append((draw(st.sampled_from(CTRL_KINDS)), c, t))
         else:
-            factors.append(("local", draw(st.integers(0, n - 1)),
+            factors.append(("local", draw(st.sampled_from(sites)),
                             draw(st.integers(0, len(PERMS) - 1))))
     return Permutation(n, tuple(factors))
 
@@ -310,6 +323,176 @@ def test_controlled_factors_take_the_general_path():
         Element.parse("-XZI"), Element.parse("+ZXZ"), Element.parse("+IZX")]))
 
 
+# -- the derived symbol action against the hand-coded one it replaced --------
+
+def _reference_signed_diags():
+    out = {}
+    for x, z in ((1, 0), (1, 1), (0, 1)):
+        for neg in (False, True):
+            e = Element(1, x, z, neg)
+            diag = tuple(-1 if e.eval_bit(s & 1, s >> 1) else 1
+                         for s in range(4))
+            out[diag] = (x, z, neg)
+    return out
+
+
+_REF_DIAGS = _reference_signed_diags()
+
+
+def _reference_image(perm, x, z):
+    """Image of one single-site symbol by matching the conjugated diagonal
+    d'[i] = d[perm^-1(i)] against the six signed symbols."""
+    e = Element(1, x, z)
+    inv = [0] * 4
+    for s, t in enumerate(perm):
+        inv[t] = s
+    return _REF_DIAGS[tuple(-1 if e.eval_bit(inv[i] & 1, inv[i] >> 1) else 1
+                            for i in range(4))]
+
+
+# images of X and Z under every single-site permutation
+_REF_ACTION = [(_reference_image(p, 1, 0), _reference_image(p, 0, 1))
+               for p in PERMS]
+
+
+def _reference_conj_element(perm, e):
+    """The earlier conj_element: matched single-site images and a
+    hand-written symbol map for each controlled kind."""
+    x, z, neg = e.x, e.z, e.neg
+    for f in perm.factors:
+        if f[0] == "local":
+            _, i, pid = f
+            xb, zb = (x >> i) & 1, (z >> i) & 1
+            nx = nz = 0
+            for bit, (ix, iz, ineg) in zip((xb, zb), _REF_ACTION[pid]):
+                if bit:
+                    nx, nz, neg = nx ^ ix, nz ^ iz, neg ^ ineg
+            x = (x & ~(1 << i)) | (nx << i)
+            z = (z & ~(1 << i)) | (nz << i)
+        else:
+            kind, c, t = f
+            xc, zc = (x >> c) & 1, (z >> c) & 1
+            xt, zt = (x >> t) & 1, (z >> t) & 1
+            if kind == "cz":
+                zt ^= xc
+                zc ^= xt
+            elif kind == "cx":
+                xt ^= xc
+                zc ^= zt
+            else:  # cy
+                zc ^= xt ^ zt
+                xt ^= xc
+                zt ^= xc
+            x = (x & ~(1 << c) & ~(1 << t)) | (xc << c) | (xt << t)
+            z = (z & ~(1 << c) & ~(1 << t)) | (zc << c) | (zt << t)
+    return Element(e.n, x, z, neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_derived_conjugation_matches_hand_coded(data):
+    n = data.draw(st.integers(1, 8))
+    perm = data.draw(_permutations(n))
+    e = data.draw(_elements(n))
+    got, want = perm.conj_element(e), _reference_conj_element(perm, e)
+    assert got == want and type(got.neg) is bool
+
+
+def _block(v, j):
+    return ((v >> (2 * j)) & 1) | (((v >> (2 * j + 1)) & 1) << 1)
+
+
+def _apply_matrix_block(v, j, mat):
+    xb, zb = (v >> (2 * j)) & 1, (v >> (2 * j + 1)) & 1
+    nx = (mat[0][0] & xb) ^ (mat[0][1] & zb)
+    nz = (mat[1][0] & xb) ^ (mat[1][1] & zb)
+    return v & ~(0b11 << (2 * j)) | (nx << (2 * j)) | (nz << (2 * j + 1))
+
+
+def _reference_gate_apply(gate, v):
+    """A 2x2 matrix on one site's block, or a cx (the only controlled
+    gate of the sweep) written on the interleaved bits."""
+    if gate[0] == "local":
+        return _apply_matrix_block(v, gate[1], gate[2])
+    _, c, t = gate
+    xc, zc = (v >> (2 * c)) & 1, (v >> (2 * c + 1)) & 1
+    xt, zt = (v >> (2 * t)) & 1, (v >> (2 * t + 1)) & 1
+    xt ^= xc
+    zc ^= zt
+    v &= ~(0b11 << (2 * c)) & ~(0b11 << (2 * t))
+    return (v | (xc << (2 * c)) | (zc << (2 * c + 1)) | (xt << (2 * t))
+            | (zt << (2 * t + 1)))
+
+
+# plus-signed permutation id of each 2x2 symbol action
+_REF_ACTION_PID = {((xx, xz), (zx, zz)): pid
+                   for pid, ((xx, xz, xn), (zx, zz, zn)) in enumerate(_REF_ACTION)
+                   if not xn and not zn}
+
+
+def _reference_synthesize(f_columns, sites):
+    """The earlier synthesize_symplectic: 2x2 GF(2) gate matrices, then an
+    inversion pass naming each inverse matrix by its permutation id."""
+    to_x = {1: ((1, 0), (0, 1)), 2: ((0, 1), (1, 0)), 3: ((1, 0), (1, 1))}
+    fix_cz = ((1, 1), (0, 1))
+    to_z = {2: ((1, 0), (0, 1)), 1: ((0, 1), (1, 0)), 3: ((1, 1), (0, 1))}
+    cols = list(f_columns)
+    gates = []
+
+    def apply(gate):
+        gates.append(gate)
+        cols[:] = [_reference_gate_apply(gate, c) for c in cols]
+
+    for i in range(sites):
+        if _block(cols[2 * i], i) == 0:
+            j = next(j for j in range(i + 1, sites) if _block(cols[2 * i], j))
+            for g in (("cx", i, j), ("cx", j, i), ("cx", i, j)):
+                apply(g)
+        b = _block(cols[2 * i], i)
+        if b != 1:
+            apply(("local", i, to_x[b]))
+        for j in range(sites):
+            bj = _block(cols[2 * i], j)
+            if j != i and bj:
+                if bj != 1:
+                    apply(("local", j, to_x[bj]))
+                apply(("cx", i, j))
+        for j in range(sites):
+            bj = _block(cols[2 * i + 1], j)
+            if j != i and bj:
+                if bj != 2:
+                    apply(("local", j, to_z[bj]))
+                apply(("cx", j, i))
+        if _block(cols[2 * i + 1], i) == 3:
+            apply(("local", i, fix_cz))
+    assert cols == [1 << j for j in range(2 * sites)]
+    out = []
+    for g in reversed(gates):
+        if g[0] == "local":
+            (a, b), (c, d) = g[2]
+            inv = ((d, b), (c, a))     # the inverse of a determinant-1 matrix
+            out.append(("local", g[1],
+                        _REF_ACTION_PID[((inv[0][0], inv[1][0]),
+                                         (inv[0][1], inv[1][1]))]))
+        else:
+            out.append(g)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_synthesis_matches_matrix_sweep(data):
+    r = data.draw(st.integers(1, 5))
+    perm = data.draw(_permutations(r))
+    cols = [perm.conj_element(Element.from_interleaved(r, 1 << c)).interleaved()
+            for c in range(2 * r)]
+    factors = synthesize_symplectic(cols, r)
+    assert factors == _reference_synthesize(cols, r)
+    realized = Permutation(r, tuple(factors))
+    assert [realized.conj_element(Element.from_interleaved(r, 1 << c))
+            .interleaved() for c in range(2 * r)] == cols
+
+
 # -- trace / purification ----------------------------------------------------
 
 def test_partial_trace_examples():
@@ -389,6 +572,32 @@ def test_relate_purifications(rng):
         mover = relate_purifications(p1, p2, ref)
         assert set(mover.sites) <= set(ref)
         assert mover.conjugate(p2) == p1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_relate_purifications_any_reference_block(data):
+    # two reference-local scrambles of a random pure state, with the
+    # reference an arbitrary (often non-contiguous) subset of the sites
+    n = data.draw(st.integers(1, 6))
+    pure = random_group(random.Random(data.draw(st.integers(0, 2**32))), n, n)
+    ref = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    target = data.draw(_permutations(n, ref)).conjugate(pure)
+    source = data.draw(_permutations(n, ref)).conjugate(pure)
+    mover = relate_purifications(target, source, ref)
+    assert mover.sites <= set(ref)
+    assert mover.conjugate(source) == target
+
+
+@pytest.mark.parametrize("ref, message", [
+    ([5], "site 5 out of range for n=2"),
+    ([-1], "site -1 out of range for n=2"),
+    ([1, 1], "site 1 listed twice"),
+])
+def test_relate_purifications_rejects_bad_reference_sites(ref, message):
+    pure = _state("+XX\n+ZZ")
+    with pytest.raises(ValueError, match=message):
+        relate_purifications(pure, pure, ref)
 
 
 def test_generalized_map_runs(rng):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from toystab.algebra import Element, Group, matrix_diag
 from toystab.dynamics import NAMED_PERMS, PERMS, PERM_ID, Permutation
-from toystab.mbtc import (GatePattern, OpenGraph, Pattern, angle_element,
-                          enumerate_branches, find_gflow, gate_patterns,
-                          graph_state, run_pattern, verify_gflow)
+from toystab.mbtc import (GatePattern, OpenGraph, Pattern, adapt_quarter,
+                          angle_element, enumerate_branches, find_gflow,
+                          gate_patterns, graph_state, run_pattern,
+                          verify_gflow)
 
 from conftest import random_group
 
@@ -30,6 +31,15 @@ def test_open_graph_validation():
         OpenGraph((0, 1), ((0, 2),))  # unknown endpoint
     with pytest.raises(ValueError):
         OpenGraph((0,), (), inputs=(5,))
+
+
+@pytest.mark.parametrize("edges", [((0, 1), (0, 1)), ((0, 1), (1, 2), (1, 0)),
+                                   ((0, 1),) * 3 + ((2, 3),) * 2])
+def test_open_graph_rejects_a_repeated_edge(edges):
+    # gflow reads the simple graph while every listed cz acts on the state,
+    # so a repeated edge would cancel in the state alone
+    with pytest.raises(ValueError, match="is listed twice"):
+        OpenGraph((0, 1, 2, 3), edges)
 
 
 def test_line_gflow():
@@ -92,19 +102,16 @@ def _reference_graph_state(graph, input_group=None):
 @st.composite
 def _open_graphs(draw):
     """(graph, input group or None) on n <= 70 shuffled labels, up to 3n
-    edges with repeats and reversed repeats, and a random input subset."""
+    distinct edges in random orientations, and a random input subset."""
     n = draw(st.integers(1, 70))
     rng = random.Random(draw(st.integers(0, 2**32)))
     labels = rng.sample(range(1000), n)
-    edges = []
+    edges = {}
     for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
-        if edges and rng.random() < 0.2:
-            u, v = rng.choice(edges)
-            edges.append((v, u) if rng.random() < 0.5 else (u, v))
-        else:
-            edges.append(tuple(rng.sample(labels, 2)))
+        u, v = rng.sample(labels, 2)
+        edges.setdefault(frozenset((u, v)), (u, v))
     inputs = tuple(rng.sample(labels, draw(st.integers(0, min(n, 8)))))
-    graph = OpenGraph(tuple(labels), tuple(edges), inputs=inputs)
+    graph = OpenGraph(tuple(labels), tuple(edges.values()), inputs=inputs)
     k = len(inputs)
     input_group = (random_group(rng, k, draw(st.integers(0, k)))
                    if k and draw(st.booleans()) else None)
@@ -127,6 +134,14 @@ def test_graph_state_rejects_an_invalid_input():
     with pytest.raises(ValueError, match="negative identity"):
         graph_state(graph, Group(1, [Element.parse("+Z"),
                                      Element.parse("-Z")]))
+
+
+def test_graph_state_rejects_an_input_without_inputs():
+    graph = OpenGraph((0, 1), ((0, 1),), inputs=(), outputs=(1,))
+    with pytest.raises(ValueError, match="needs a graph with inputs"):
+        graph_state(graph, _state("+ZZ"))
+    with pytest.raises(ValueError, match="needs a graph with inputs"):
+        run_pattern(Pattern(graph, {0: 0}), _state("+Z"))
 
 
 def test_measure_nothing_pattern_returns_graph_state():
@@ -250,6 +265,15 @@ def test_anachronical_correction_identity():
             lhs = _perm_matrix_conj(perm, _projector_diag(e))
             rhs = _projector_diag(perm.conj_element(e))
             assert lhs == rhs
+
+
+def test_adapt_quarter_is_pauli_conjugation():
+    # the one angle-adaptation rule agrees with conjugating the measured
+    # element by the pending flips, on every quarter and flip pair
+    for q, sx, sz in itertools.product(range(4), (0, 1), (0, 1)):
+        flips = Permutation.pauli(1, sx, sz)
+        assert (angle_element(1, 0, adapt_quarter(q, sx, sz))
+                == flips.conj_element(angle_element(1, 0, q)))
 
 
 def test_adapted_equals_physical_everywhere():

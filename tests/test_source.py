@@ -1,0 +1,50 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "toystab"
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each module-level private name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every name read, attribute or import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_private_module_name_is_used():
+    # a table or helper left behind by a refactor shows up as a private
+    # name that nothing outside its own definition reads
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    refs = {module: list(_references(tree)) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            if not any(ref == name and not (other == module
+                                            and first <= line <= last)
+                       for other, module_refs in refs.items()
+                       for ref, line in module_refs):
+                unused.append(f"{module}:{first} {name}")
+    assert unused == []
