@@ -267,9 +267,11 @@ class Group:
     its post-measurement group, and ``dynamics.Permutation.conjugate``
     when its input is already known valid.  Both build their result with
     the trusted constructor :meth:`_from_reduced`, straight from updated
-    reduced rows, and ``mbtc.graph_state`` marks its entangled state valid
-    after checking the input.  Every other group is checked on its first
-    :meth:`violations` or :meth:`require_valid`.
+    reduced rows.  ``bvc.Bob.prepare`` marks its product of single-site
+    elements on distinct sites valid, and ``mbtc``'s cz rule, which
+    entangles a valid product state, builds its graph state as valid.
+    Every other group is checked on its first :meth:`violations` or
+    :meth:`require_valid`.
     """
 
     def __init__(self, n: int, generators: Iterable[Element] = ()):
@@ -289,11 +291,19 @@ class Group:
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "Group":
+        """One generator per line; blank lines and ``#`` lines are skipped.
+
+        Lines that are all ``+I...I`` give the trivial (flat) state on that
+        many systems.  Beside any other generator they stay, and make the
+        set dependent.
+        """
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         gens = [Element.parse(ln) for ln in lines]
         if gens:
             n = gens[0].n if n is None else n
+            if all(g == Element.identity(n) for g in gens):
+                gens = []
         if n is None:
             raise ValueError("empty group needs an explicit system count")
         return cls(n, gens)

@@ -11,7 +11,7 @@ outcome decodes to zero.
 Angle encodings: the *quarter* encoding indexes the equator family
 (0: X, 1: Y, 2: -X, 3: -Y); the *formula* encoding used on the wire
 keeps the sign in the low bit and the basis in the high bit.  The two
-are related by swapping bits.
+are related by swapping bits, a swap that is its own inverse.
 """
 
 from __future__ import annotations
@@ -24,18 +24,19 @@ from typing import Callable, Mapping, NamedTuple
 
 from .algebra import Element, Group
 from .dynamics import Permutation, erase, measure_element
-from .mbtc import (OpenGraph, Pattern, adapt_quarter, angle_element,
-                   correction_masks, find_gflow, live_outcomes, walk)
+from .mbtc import (OpenGraph, Pattern, _entangled, adapt_quarter,
+                   angle_element, correction_masks, find_gflow, live_outcomes,
+                   walk)
 
 
 def formula_from_quarter(q: int) -> int:
+    """Swap the two low bits of ``q``: the formula encoding of a quarter,
+    and the quarter encoding of a formula."""
     q %= 4
     return ((q & 1) << 1) | (q >> 1)
 
 
-def quarter_from_formula(v: int) -> int:
-    v %= 4
-    return ((v & 1) << 1) | (v >> 1)
+quarter_from_formula = formula_from_quarter
 
 
 def blind_delta(phi: int, theta: int, r: int) -> int:
@@ -91,6 +92,8 @@ class Bob:
         self.deviation = deviation
 
     def prepare(self, states) -> Group:
+        """The product state of one single-site element per system, which
+        is valid by construction."""
         n = len(states)
         gens = []
         for i, spec in enumerate(states):
@@ -99,13 +102,12 @@ class Bob:
             else:
                 e = angle_element(n, i, quarter_from_formula(spec["angle"]))
             gens.append(e)
-        return Group(n, gens).require_valid()
+        return Group(n, gens)._mark_valid()
 
     def entangle(self, state: Group, edges) -> Group:
-        perm = Permutation.identity(state.n)
-        for a, b in edges:
-            perm = perm.then(Permutation.controlled(state.n, "cz", a, b))
-        state = perm.conjugate(state)
+        """``state`` after a cz on each edge of site indices, then the
+        deviation's ``after_entangle`` hook."""
+        state = _entangled(state.n, state.require_valid().canonical, edges)
         dev = self.deviation
         if dev and dev.after_entangle:
             state = dev.after_entangle(state)
@@ -258,8 +260,9 @@ class _Plan:
         self.fixes = correction_masks(sub, g, idx, g)
 
     def thetas(self, prep: Mapping) -> dict:
-        """Each measured vertex's pad angle (quarter encoding), turned by
-        half a turn for every neighboring dummy prepared as -Z."""
+        """Each measured vertex's pad angle (formula encoding), turned by
+        half a turn, a flip of the sign bit, for every neighboring dummy
+        prepared as -Z."""
         if not self.blinded:
             return {}
         zshift = {v: 0 for v in self.graph.nodes}
@@ -267,16 +270,16 @@ class _Plan:
             if spec.get("dummy"):
                 for w in self.graph.adjacency[d]:
                     zshift[w] ^= 1
-        return {u: (quarter_from_formula(prep[u]["angle"]) + 2 * zshift[u]) % 4
-                for u in self.order}
+        return {u: (prep[u]["angle"] % 4) ^ zshift[u] for u in self.order}
 
     def instruct(self, u, rec: _Transcript, theta: Mapping, r: int):
         """(wire angle, Alice's op count) of the instruction for ``u``."""
         bit = 1 << self.site[u]
-        phi = adapt_quarter(self.base[u], rec.sx & bit, rec.sz & bit)
+        phi = formula_from_quarter(
+            adapt_quarter(self.base[u], rec.sx & bit, rec.sz & bit))
         if not self.blinded:
-            return formula_from_quarter(phi), 1
-        return formula_from_quarter(phi ^ theta[u] ^ (r << 1)), 3
+            return phi, 1
+        return blind_delta(phi, theta[u], r), 3
 
     def receive(self, u, rec: _Transcript, wire: int, ops: int, o: int,
                 r: int) -> _Transcript:

@@ -21,8 +21,7 @@ from fractions import Fraction
 from . import bvc, codes, crypto
 from .algebra import Element, Group
 from .dynamics import Permutation, measure_element, partial_trace, purify
-from .mbtc import (OpenGraph, Pattern, enumerate_branches, gate_patterns,
-                   run_pattern)
+from .mbtc import OpenGraph, Pattern, enumerate_branches, run_pattern
 from .oracle import DEFAULT_CAP, Distribution, check_cap
 
 

@@ -12,7 +12,7 @@ from math import lcm
 from typing import Iterable
 
 from .algebra import Element, Group
-from .dynamics import Permutation, partial_trace, relate_purifications
+from .dynamics import measure_element, partial_trace, relate_purifications
 from .oracle import Distribution, group_from_distribution
 
 
@@ -51,25 +51,15 @@ def saturating_purification_groups(sigma_b: Group, a_sites: list[int],
     """Purifications (psi, phi) of the flat state and of ``sigma_b``.
 
     psi is the maximally correlated grid between the two blocks; phi is
-    obtained by forcing each generator of sigma_b (placed on the B block)
-    onto psi.  Every nonzero row of phi's grid keeps its diagonal cell,
-    which makes the pair saturate the reduced-state distance exactly.
+    obtained by measuring each generator of sigma_b (placed on the B
+    block) on psi with outcome 0 forced.  Every nonzero row of phi's grid
+    keeps its diagonal cell, which makes the pair saturate the
+    reduced-state distance exactly.
     """
     psi = correlated_pair_group(a_sites, b_sites, n)
-    gens = list(psi.canonical)
+    phi = psi
     for g in sigma_b.canonical:
-        e = g.embed(n, b_sites)
-        kept = []
-        bad = None
-        for h in gens:
-            if h.compatible(e):
-                kept.append(h)
-            elif bad is None:
-                bad = h
-            else:
-                kept.append(h * bad)
-        gens = kept + [e]
-    phi = Group(n, gens).require_valid()
+        _, phi, _ = measure_element(phi, g.embed(n, b_sites), force=0)
     assert partial_trace(phi, b_sites) == Group(len(b_sites), sigma_b.canonical)
     return psi, phi
 

@@ -222,14 +222,35 @@ class Pattern:
         return sorted(order, key=lambda v: (-layer[v], self.graph.nodes.index(v)))
 
 
+def _entangled(n: int, gens: Iterable[Element], edges: Iterable) -> Group:
+    """The group of the valid product state ``gens`` after a cz on each
+    edge ``(a, b)`` of site indices.
+
+    Built straight from the edges: a cz on edge (a, b) adds the X bit of
+    a to the Z bit of b and the X bit of b to the Z bit of a, with no
+    sign, so each generator's Z part gains the odd neighbourhood of its X
+    part.  The cz factors keep validity, so the result is built as valid.
+    """
+    odd = [0] * n
+    for a, b in edges:
+        odd[a] ^= 1 << b
+        odd[b] ^= 1 << a
+    entangled = []
+    for e in gens:
+        z, x = e.z, e.x
+        while x:
+            low = x & -x
+            z ^= odd[low.bit_length() - 1]
+            x ^= low
+        entangled.append(Element(n, e.x, z, e.neg))
+    return Group(n, entangled)._mark_valid()
+
+
 def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
     """Entangled initial state: inputs as given, the rest at +X, cz edges.
 
-    Built straight from the edges: a cz on edge (u, v) adds the X bit of
-    u to the Z bit of v and the X bit of v to the Z bit of u, with no
-    sign, so each generator's Z part gains the odd neighbourhood of its X
-    part.  A valid input group makes the product state valid, and the cz
-    factors keep validity.  An input group needs a graph with inputs.
+    A valid input group makes the product state valid.  An input group
+    needs a graph with inputs.
     """
     nodes = list(graph.nodes)
     idx = {v: i for i, v in enumerate(nodes)}
@@ -248,19 +269,7 @@ def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
                  for e in input_group.canonical]
     elif input_group is not None:
         raise ValueError("an input state needs a graph with inputs")
-    odd = [0] * n
-    for u, v in graph.edges:
-        odd[idx[u]] ^= 1 << idx[v]
-        odd[idx[v]] ^= 1 << idx[u]
-    entangled = []
-    for e in gens:
-        z, x = e.z, e.x
-        while x:
-            low = x & -x
-            z ^= odd[low.bit_length() - 1]
-            x ^= low
-        entangled.append(Element(n, e.x, z, e.neg))
-    return Group(n, entangled)._mark_valid()
+    return _entangled(n, gens, ((idx[u], idx[v]) for u, v in graph.edges))
 
 
 def live_outcomes(state: Group, e: Element) -> list:
@@ -412,11 +421,7 @@ def enumerate_branches(pattern: Pattern, input_group: Group | None = None,
 # --------------------------------------------------------------------------
 
 def _line_pattern(angles) -> Pattern:
-    k = len(angles)
-    graph = OpenGraph(tuple(range(k + 1)),
-                      tuple((i, i + 1) for i in range(k)),
-                      inputs=(0,), outputs=(k,))
-    return Pattern(graph, {i: angles[i] for i in range(k)})
+    return Pattern(OpenGraph.line(len(angles) + 1), dict(enumerate(angles)))
 
 
 _PROBES = tuple(Group(1, [Element.single(1, 0, w)]) for w in ("X", "Z"))

@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toystab import bvc
-from toystab.mbtc import OpenGraph, Pattern, run_pattern
+from toystab.algebra import Element, Group
+from toystab.dynamics import Permutation
+from toystab.mbtc import OpenGraph, Pattern, angle_element, run_pattern
 
 HALF = Fraction(1, 2)
 
@@ -44,6 +47,70 @@ def test_encoding_conversion_is_an_involution():
     for v in range(4):
         assert bvc.quarter_from_formula(bvc.formula_from_quarter(v)) == v
         assert bvc.formula_from_quarter(bvc.quarter_from_formula(v)) == v
+
+
+@pytest.mark.parametrize("phi, theta, r",
+                         list(product(range(4), range(4), range(2))))
+def test_rounds_send_blind_delta(phi, theta, r):
+    # a one-vertex round has nothing to adapt: the wire carries the
+    # blinded angle itself
+    pattern = line_pattern(1, (phi,))
+    res = bvc.run_blind(pattern, prep={0: {"angle": theta}}, rbits={0: r},
+                        forced={0: 0})
+    assert res.deltas == ((0, bvc.blind_delta(
+        bvc.formula_from_quarter(phi), theta, r)),)
+
+
+# -- Bob's entangled state -----------------------------------------------------
+
+def _reference_prepared(prep):
+    """The product state Bob prepares, checked as an arbitrary group."""
+    n = len(prep)
+    return Group(n, [
+        Element.single(n, i, "Z", bool(spec["dummy"])) if "dummy" in spec
+        else angle_element(n, i, bvc.quarter_from_formula(spec["angle"]))
+        for i, spec in enumerate(prep)]).require_valid()
+
+
+def _reference_entangled(prep, edges):
+    """The earlier ``Bob.entangle``: the product state conjugated by one
+    cz factor per edge."""
+    n = len(prep)
+    perm = Permutation.identity(n)
+    for a, b in edges:
+        perm = perm.then(Permutation.controlled(n, "cz", a, b))
+    return perm.conjugate(_reference_prepared(prep))
+
+
+@st.composite
+def _pads_and_edges(draw):
+    """Angle pads (any formula integer) and +-Z dummies on n <= 10 systems,
+    with distinct edges in random orientations."""
+    n = draw(st.integers(1, 10))
+    pad = st.one_of(st.integers(-4, 7).map(lambda a: {"angle": a}),
+                    st.integers(0, 1).map(lambda d: {"dummy": d}))
+    prep = draw(st.lists(pad, min_size=n, max_size=n))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = (draw(st.lists(edge, unique_by=frozenset, max_size=3 * n))
+             if n > 1 else [])
+    return prep, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pads_and_edges())
+def test_bob_entangles_like_cz_conjugation(case):
+    prep, edges = case
+    seen = []
+    bob = bvc.Bob(bvc.Deviation(after_entangle=lambda s: seen.append(s) or s))
+    prepared = bob.prepare(prep)
+    assert prepared.canonical == _reference_prepared(prep).canonical
+    assert Group(prepared.n, prepared.generators).violations() == []
+    state = bob.entangle(prepared, edges)
+    assert len(seen) == 1 and seen[0] is state
+    assert state.canonical == _reference_entangled(prep, edges).canonical
+    assert state._known_valid
+    assert Group(state.n, state.generators).violations() == []
 
 
 # -- correctness ---------------------------------------------------------------

@@ -35,6 +35,32 @@ def test_state_print(run):
     assert rep["rank"] == 2 and rep["size"] == 4
 
 
+def test_identity_lines_give_the_flat_state(run, tmp_path):
+    for text, n in (("+II", 2), ("+I\\n+I", 1)):
+        rep = run("state", "print", text)
+        assert rep == {"generators": [], "n": n, "rank": 0, "size": 1}
+    rep = run("purify", "+II")
+    assert rep["input"] == {"generators": [], "n": 2}
+    assert rep["purification"]["generators"] == ["+XIXI", "+ZIZI",
+                                                 "+IXIX", "+IZIZ"]
+    assert rep["round_trip_ok"]
+    spec = tmp_path / "h.json"
+    spec.write_text(json.dumps([{"site": 1, "perm": "H"}, {"cz": [1, 2]}]))
+    rep = run("perm", "apply", str(spec), "+II")
+    assert rep["output"] == {"generators": [], "n": 2}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("+II\\n+ZZ", "linearly dependent"),
+    ("+ZZ\\n+II", "linearly dependent"),
+    ("-II", "negative identity"),
+    ("+II\\n-II", "negative identity"),
+])
+def test_identity_lines_beside_others_are_reported(run, text, message):
+    err = run("state", "print", "--", text, expect=2)
+    assert message in err
+
+
 def test_parse_error_exit_code(run):
     run("no-such-command", expect=1)
 
@@ -312,8 +338,9 @@ _ERROR_SPEC = st.one_of(
               st.sampled_from(["X", "Y", "Z", "I", "+X", "-Z", "Q", ""]),
               st.integers(-1, 7)),
     st.text(alphabet="XYZQ@0123+-", max_size=5))
-_SECRET = st.one_of(
-    st.sampled_from(["+Z", "-X", "+Y", "+ZI\\n+IX", "-XX", "+XX\\n+ZZ"]),
+_STATE = st.one_of(
+    st.sampled_from(["+Z", "-X", "+Y", "+ZI\\n+IX", "-XX", "+XX\\n+ZZ",
+                     "+II", "+I\\n+I"]),
     _STATE_TEXT)
 
 
@@ -377,7 +404,7 @@ def _seed(draw):
 
 
 def _optional_secret(draw):
-    return [f"--secret={draw(_SECRET)}"] if draw(st.booleans()) else []
+    return [f"--secret={draw(_STATE)}"] if draw(st.booleans()) else []
 
 
 @st.composite
@@ -392,7 +419,7 @@ def _cli_runs(draw):
         argv = ["mbtc", "run", "FILE", "--branches",
                 draw(st.sampled_from(["all", "sample"]))]
         if draw(st.booleans()):
-            argv.append(f"--input={draw(_SECRET)}")
+            argv.append(f"--input={draw(_STATE)}")
         return argv + _seed(draw), draw(_pattern_files())
     if command == "bc":
         partition = _mostly(draw, draw(st.sampled_from(["1", "2", "1,3"])),
@@ -402,7 +429,7 @@ def _cli_runs(draw):
         return argv, draw(_encoding_files())
     if command == "ontic":
         argv = ["ontic", "dump", f"--cap={draw(st.integers(-1, 6))}"]
-        return argv + ["--", draw(_SECRET)], None
+        return argv + ["--", draw(_STATE)], None
     if command == "ec":
         argv = ["ec", "demo", "--code", draw(st.sampled_from(["five", "four"]))]
         argv.append(draw(st.one_of(
@@ -422,7 +449,7 @@ def _cli_runs(draw):
                 "--sample-rounds", str(draw(st.integers(0, 3))),
                 "--seed", str(draw(st.integers(0, 9)))]
         return argv + (["--exact"] if draw(st.booleans()) else []), None
-    state = draw(_STATE_TEXT)
+    state = draw(_STATE)
     if command == "purify":
         return ["purify", state], None
     if command in ("validate", "print"):

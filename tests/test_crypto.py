@@ -7,6 +7,7 @@ import pytest
 from toystab.algebra import Element, Group
 from toystab.crypto import (bc_cheat_imperfect, bc_cheat_perfect,
                             correlated_pair_group, no_deletion_witness,
+                            saturating_purification_groups,
                             saturating_purifications, trace_distance)
 from toystab.dynamics import Permutation, partial_trace
 from toystab.oracle import Distribution
@@ -70,6 +71,39 @@ def test_distance_saturation_all_small_marginals():
         phi_b = partial_trace(res["phi"], range(n, 2 * n))
         assert psi_b == Group(n, [])
         assert phi_b == g
+
+
+def _reference_phi(sigma_b, a_sites, b_sites, n):
+    """The earlier hand-written update: to force e, keep the generators
+    compatible with it, drop the first incompatible one and multiply it
+    into the other incompatible ones, then add e."""
+    gens = list(correlated_pair_group(a_sites, b_sites, n).canonical)
+    for g in sigma_b.canonical:
+        e = g.embed(n, b_sites)
+        kept = []
+        bad = None
+        for h in gens:
+            if h.compatible(e):
+                kept.append(h)
+            elif bad is None:
+                bad = h
+            else:
+                kept.append(h * bad)
+        gens = kept + [e]
+    return Group(n, gens).require_valid()
+
+
+def test_saturating_phi_matches_the_hand_update(rng):
+    for _ in range(500):
+        nb = rng.randint(1, 4)
+        sigma = random_group(rng, nb, rng.randint(0, nb))
+        sites = rng.sample(range(2 * nb), 2 * nb)
+        a_sites, b_sites = sorted(sites[:nb]), sorted(sites[nb:])
+        psi, phi = saturating_purification_groups(sigma, a_sites, b_sites,
+                                                  2 * nb)
+        assert psi == correlated_pair_group(a_sites, b_sites, 2 * nb)
+        assert phi.canonical == _reference_phi(sigma, a_sites, b_sites,
+                                               2 * nb).canonical
 
 
 def test_bc_perfect_cheat(rng):

@@ -48,3 +48,25 @@ def test_every_private_module_name_is_used():
                        for ref, line in module_refs):
                 unused.append(f"{module}:{first} {name}")
     assert unused == []
+
+
+def _unused_imports(tree):
+    """(name, line) of each name a module imports but never reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    yield name, node.lineno
+
+
+def test_every_import_is_used():
+    # the package's __init__ imports names to re-export them
+    unused = [f"{path.name}:{line} {name}"
+              for path in SRC.glob("*.py") if path.name != "__init__.py"
+              for name, line in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []
