@@ -55,12 +55,17 @@ def saturating_purification_groups(sigma_b: Group, a_sites: list[int],
     block) on psi with outcome 0 forced.  Every nonzero row of phi's grid
     keeps its diagonal cell, which makes the pair saturate the
     reduced-state distance exactly.
+
+    Site i of ``sigma_b`` is ``b_sites[i]``, in whatever order the block
+    lists its sites.
     """
     psi = correlated_pair_group(a_sites, b_sites, n)
     phi = psi
     for g in sigma_b.canonical:
         _, phi, _ = measure_element(phi, g.embed(n, b_sites), force=0)
-    assert partial_trace(phi, b_sites) == Group(len(b_sites), sigma_b.canonical)
+    # both marginals list the B sites in ascending order
+    assert partial_trace(phi, b_sites) == partial_trace(
+        sigma_b.embed(n, b_sites), b_sites)
     return psi, phi
 
 

@@ -196,12 +196,8 @@ class Permutation:
             rows, _ = echelon(self._conj_row(*row)
                               for row in group._pivots.values())
             return Group._from_reduced(self.n, rows, group)
-        flips = _swap_xz(pauli, self.n)
-        rows = {}
-        for p, row in group._pivots.items():
-            bits, neg = row
-            rows[p] = ((bits, not neg) if (bits & flips).bit_count() & 1
-                       else row)
+        rows = dict(group._pivots)
+        flip_signs(rows, _swap_xz(pauli, self.n))
         return Group._from_reduced(self.n, rows, group)
 
     # -- serialization -----------------------------------------------
@@ -309,60 +305,121 @@ def _act(factor, v: int) -> tuple[int, bool]:
 # measurement
 # --------------------------------------------------------------------------
 
-def measure_element(group: Group, e: Element, *, rng=None, force: int | None = None):
-    """Measure one signed observable on a state group.
+def _fold_top(rows: dict, pivots: list) -> None:
+    """Of the reduced rows at ``pivots``, XOR the one with the highest
+    pivot into the others and remove it.  Its bits all lie at or above
+    its pivot and it holds no other pivot bit, so each other row keeps
+    its pivot and the form stays reduced."""
+    top = max(pivots)
+    tb, tneg = rows.pop(top)
+    for p in pivots:
+        if p != top:
+            pb, pneg = rows[p]
+            rows[p] = (pb ^ tb, pneg ^ tneg)
 
-    Returns (outcome_bit, post_group, probability); outcome 0 means the
-    post state contains ``e`` itself, outcome 1 its negation.  A forced
-    outcome that contradicts a deterministic value yields probability 0.
 
-    ``group`` is checked for validity; for a group the engine derived, that
-    is a remembered result.  A random outcome updates the reduced rows of
-    ``group`` in O(rank) row operations.  Of the rows incompatible with
-    ``e``, the one with the highest pivot is dropped and XORed into the
-    others; its bits all lie above their pivots, and it holds no other
-    pivot bit, so their pivots stay and the form stays reduced.  Then
-    ``±e`` is inserted.  The kept rows are compatible with ``e`` and with
-    each other, and independent elements of ``group``; ``±e`` lies outside
-    their span, so adding it keeps the set independent and brings in no
-    negative identity, and a compatible independent set has at most n
-    members.  The post group is therefore valid and built as such.  Its
-    signed span, ``group ∩ e^⊥`` and ``±e``, does not depend on which
-    incompatible row is dropped, and a reduced echelon form with lowest-bit
-    pivots is unique for its signed span, so the canonical rows are those
-    of re-echeloning any generating set of the post state.
+def measure_rows(rows: dict, bits: int, neg: bool, sites: int, *, rng=None,
+                 force: int | None = None) -> tuple:
+    """Measure the signed symbol ``(bits, neg)`` on the reduced rows
+    ``{pivot: (bits, sign)}`` of a valid state on ``sites`` systems.
+
+    Returns ``(outcome, post, random)``.  ``post`` is ``rows`` itself
+    when the outcome is deterministic, a new dict of reduced rows when it
+    is random (probability 1/2 each), and None when ``force`` contradicts
+    a deterministic outcome.  A random outcome is ``force`` when given,
+    else one ``rng.randrange(2)``.
+
+    The random update takes O(rank) row operations.  Of the rows
+    incompatible with the symbol, the one with the highest pivot is
+    XORed into the others and dropped (:func:`_fold_top`), and then the
+    signed symbol is inserted.  The kept rows are compatible with it and
+    with each other, and independent elements of the state; the symbol
+    lies outside their span, so adding it keeps the set independent and
+    brings in no negative identity, and a compatible independent set has
+    at most ``sites`` members.  The post rows are therefore those of a
+    valid state.  Their signed span, the state's compatible part and the
+    signed symbol, does not depend on which incompatible row is dropped,
+    and a reduced echelon form with lowest-bit pivots is unique for its
+    signed span, so the rows are those of re-echeloning any generating
+    set of the post state.
     """
-    group.require_valid()
-    if e.is_identity_symbol:
-        raise ValueError("cannot measure the identity symbol")
-    if e.n != group.n:
-        raise ValueError("size mismatch")
-    bits = e.interleaved()
-    rest, neg = reduce(group._pivots, bits, e.neg)
+    if force is not None and force not in (0, 1):
+        raise ValueError(f"a forced outcome is 0 or 1, not {force!r}")
+    rest, sign = reduce(rows, bits, neg)
     if not rest:
-        out = 1 if neg else 0
+        out = 1 if sign else 0
         if force is not None and force != out:
-            return force, None, Fraction(0)
-        return out, group, Fraction(1)
+            return force, None, False
+        return out, rows, False
     if force is not None:
         out = force
     elif rng is not None:
         out = rng.randrange(2)
     else:
         raise ValueError("random outcome needs an rng or a forced value")
-    pivots = dict(group._pivots)
-    swapped = _swap_xz(bits, group.n)
-    bad = [p for p, (pb, _) in pivots.items()
-           if (pb & swapped).bit_count() & 1]
+    post = dict(rows)
+    swapped = _swap_xz(bits, sites)
+    bad = [p for p, (pb, _) in post.items() if (pb & swapped).bit_count() & 1]
     if bad:
-        top = max(bad)
-        tb, tneg = pivots.pop(top)
-        for p in bad:
-            if p != top:
-                pb, pneg = pivots[p]
-                pivots[p] = (pb ^ tb, pneg ^ tneg)
-    insert(pivots, bits, e.neg ^ (out != 0))
-    return out, Group._from_reduced(group.n, pivots, group), Fraction(1, 2)
+        _fold_top(post, bad)
+    insert(post, bits, neg ^ (out != 0))
+    return out, post, True
+
+
+def flip_signs(rows: dict, flips: int) -> None:
+    """Conjugate the reduced rows of a state by a product of symbol flips,
+    in place.  ``flips`` is the flips' interleaved symbol with its x and z
+    columns swapped: a flip negates exactly the symbols incompatible with
+    it, the rows that overlap ``flips`` an odd number of times."""
+    for p, (bits, neg) in rows.items():
+        if (bits & flips).bit_count() & 1:
+            rows[p] = (bits, not neg)
+
+
+def trace_site(rows: dict, site: int) -> None:
+    """Trace ``site`` out of the reduced rows of a valid state, in place,
+    in O(rank) row operations; the rows keep their width.
+
+    For each of the site's two symbol columns in turn, the row with the
+    highest pivot among those holding the column is XORed into the
+    others that hold it and removed (:func:`_fold_top`).  The first
+    removed row holds the x column and the second only the z column, and
+    no remaining row holds either, so an element of the span is trivial
+    on the site exactly when it combines neither removed row: the rows
+    left span the subgroup trivial on the site, which is the marginal on
+    the others.
+    """
+    for col in (1 << 2 * site, 2 << 2 * site):
+        holders = [p for p, (pb, _) in rows.items() if pb & col]
+        if holders:
+            _fold_top(rows, holders)
+
+
+def measure_element(group: Group, e: Element, *, rng=None, force: int | None = None):
+    """Measure one signed observable on a state group.
+
+    Returns (outcome_bit, post_group, probability); outcome 0 means the
+    post state contains ``e`` itself, outcome 1 its negation.  A forced
+    outcome that contradicts a deterministic value yields probability 0;
+    a forced outcome other than 0 or 1 raises ``ValueError``.
+
+    ``group`` is checked for validity; for a group the engine derived, that
+    is a remembered result.  The update is :func:`measure_rows` on the
+    group's reduced rows, whose result is valid and reduced, so the post
+    group is built from it as it is.
+    """
+    group.require_valid()
+    if e.is_identity_symbol:
+        raise ValueError("cannot measure the identity symbol")
+    if e.n != group.n:
+        raise ValueError("size mismatch")
+    out, rows, random = measure_rows(group._pivots, e.interleaved(), e.neg,
+                                     group.n, rng=rng, force=force)
+    if rows is None:
+        return out, None, Fraction(0)
+    if not random:
+        return out, group, Fraction(1)
+    return out, Group._from_reduced(group.n, rows, group), Fraction(1, 2)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,52 @@ indexed by a quarter-turn angle in Z_4 (0: X, 1: Y, 2: -X, 3: -Y).
 Outcome corrections are folded into later measurement angles (the
 default) or applied physically after every outcome (a debug mode); the
 two must agree branch by branch.
+
+A pattern runs on its live frontier rather than on the whole graph
+state.  The argument is the standardisation of the measurement calculus
+(Danos-Kashefi-Panangaden, arXiv:0704.1263), written out for the toy
+theory:
+
+* *Deferring a cz is exact.*  A cz conjugates symbols with no sign: it
+  adds the x bit of each endpoint to the z bit of the other.  So all cz
+  factors commute with each other, and a cz on sites a, b commutes with
+  every measurement of a single site other than a and b.  Split the
+  product of every edge's cz as C_pending C_done.  If the whole-graph
+  state is C_pending applied to a state s, and no pending edge touches
+  the site measured next, then measuring it on the whole-graph state
+  gives the outcome probabilities of measuring it on s, and the post
+  state is C_pending applied to the post state of s.  By induction over
+  the measurements, the run may keep s alone.  A vertex is therefore
+  prepared and entangled only when it or a neighbour is measured.  At
+  that point every edge between two such live vertices runs, so each
+  measured vertex has all of its edges done.  A non-input site that is
+  not yet live is still in its product state +X, and is left out of the
+  rows until it becomes live.  Input sites hold the input state from
+  the start, but an edge between two of them waits until both are live,
+  like every other edge.
+
+* *Dropping a measured site is an exact trace.*  After measuring the
+  single-site symbol s at u, the state holds +s or -s, so every row is
+  I or s at u, and the state is a product of that site and the rest.
+  No pending cz touches u.  Tracing u out (:func:`dynamics.trace_site`)
+  therefore loses nothing that a later step or the output can see.  The
+  rank follows the live frontier, not the whole graph.
+
+* *A physical Pauli passes through the pending cz's.*  A correction P
+  acts on C_pending |s>, and P C_pending = C_pending P', where P' is P
+  conjugated through the pending cz's.  For a symbol flip X_j, P' is
+  X_j times Z on every neighbour of j across a pending edge; a Z flip
+  commutes with every cz.  Of P', the part on prepared sites flips the
+  signs of the rows it anticommutes with (:func:`dynamics.flip_signs`),
+  as :meth:`dynamics.Permutation.conjugate` does for a Pauli.  The part on
+  a measured site acts on a traced-out factor and is dropped; such a
+  site has no pending edge left.  A site w not yet prepared is left
+  alone: an X there fixes its +X, and P' holds no Z there.  The
+  correction of u is X on K = g(u) and Z on Odd(K) minus u.  Every edge
+  of w is pending, so pushing X_K through them puts a Z on w once per
+  neighbour of w in K, an odd number of times exactly when w is in
+  Odd(K).  That cancels the Z the correction already has on w (u is
+  live, so u is not w).
 """
 
 from __future__ import annotations
@@ -13,8 +59,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .algebra import Element, Group, echelon
-from .dynamics import Permutation, measure_element, partial_trace
+from .algebra import Element, Group, echelon, insert
+from .dynamics import (Permutation, flip_signs, measure_element,
+                       measure_rows, partial_trace, trace_site)
 
 QUARTER_SYMBOL = {0: ("X", False), 1: ("Y", False), 2: ("X", True), 3: ("Y", True)}
 
@@ -127,31 +174,46 @@ def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
 
     Each layer assigns every unprocessed vertex u for which some set K of
     processed non-inputs has u as the only unprocessed vertex in its odd
-    neighborhood.  The layer's matrix (a row per unprocessed vertex w:
-    the candidates adjacent to w) is brought to reduced echelon form
-    once, tagging each row with the mask of input rows it combines.  The
-    right-hand side of u is the unit vector at u, so on a reduced row it
-    is bit u of that row's tag: u is solvable when no dependent row
-    combines u, and K is the set of pivots whose rows combine u.  This is
-    the particular solution, clear on the free columns, of solving each
-    u's system alone, so the flow is the same.
+    neighborhood.  Only the boundary takes part: the processed
+    non-inputs that still have an unprocessed neighbour, kept up to date
+    as layers are added.  The layer's matrix has a row per unprocessed
+    neighbour of the boundary (the candidates adjacent to it) and a
+    column per boundary vertex, both in node order.  Any other
+    unprocessed vertex has a zero row, which can solve nothing and
+    changes no other row, and any other candidate a zero column, so
+    leaving them out changes neither the pivots nor the solutions.
+
+    The matrix is brought to reduced echelon form once, tagging each row
+    with the mask of input rows it combines.  The right-hand side of u is
+    the unit vector at u, so on a reduced row it is bit u of that row's
+    tag: u is solvable when no dependent row combines u, and K is the set
+    of pivots whose rows combine u.  This is the particular solution,
+    clear on the free columns, of solving each u's system alone, so the
+    flow is the same.
 
     Returns (g, layer) with layer 0 holding the outputs.  Raises
     ValueError when no gflow exists, unless ``best_effort`` is set, in
-    which case stuck vertices get empty correction sets (their outcomes
-    are simply not corrected).
+    which case the first stuck vertex in node order gets an empty
+    correction set (its outcome is simply not corrected).
     """
     nodes = graph.nodes
     adjacency = graph.adjacency
     inputs = set(graph.inputs)
+    position = {v: i for i, v in enumerate(nodes)}.__getitem__
     g: dict = {}
     layer = {v: 0 for v in graph.outputs}
     processed = set(graph.outputs)
+    boundary: set = set()
+    added = processed
+    first = 0   # every node before it is processed
     depth = 0
     while len(processed) < len(nodes):
         depth += 1
-        corr = [v for v in nodes if v in processed and v not in inputs]
-        unproc = [v for v in nodes if v not in processed]
+        boundary.update(v for v in added if v not in inputs)
+        boundary = {c for c in boundary if not adjacency[c] <= processed}
+        corr = sorted(boundary, key=position)
+        unproc = sorted({w for c in corr for w in adjacency[c]
+                         if w not in processed}, key=position)
         column = {c: 1 << i for i, c in enumerate(corr)}
         pivots, zero_tags = echelon(
             (sum(column[c] for c in adjacency[w] if c in column), 1 << j)
@@ -168,12 +230,14 @@ def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
         if not found:
             if not best_effort:
                 raise ValueError("graph admits no gflow")
-            u = unproc[0]
-            found[u] = frozenset()
+            while nodes[first] in processed:
+                first += 1
+            found[nodes[first]] = frozenset()
         for u, K in found.items():
             g[u] = K
             layer[u] = depth
         processed.update(found)
+        added = found
     return g, layer
 
 
@@ -214,12 +278,15 @@ class Pattern:
         return find_gflow(self.graph)
 
     def measured_order(self, layer) -> list:
-        order = [v for v in self.graph.nodes if v in self.angles]
+        """The measured vertices, latest layer first, in node order within
+        a layer (the sort is stable)."""
+        outputs = set(self.graph.outputs)
         missing = [v for v in self.graph.nodes
-                   if v not in self.angles and v not in self.graph.outputs]
+                   if v not in self.angles and v not in outputs]
         if missing:
             raise ValueError(f"non-output vertices without angles: {missing}")
-        return sorted(order, key=lambda v: (-layer[v], self.graph.nodes.index(v)))
+        return sorted((v for v in self.graph.nodes if v in self.angles),
+                      key=lambda v: -layer[v])
 
 
 def _entangled(n: int, gens: Iterable[Element], edges: Iterable) -> Group:
@@ -246,29 +313,36 @@ def _entangled(n: int, gens: Iterable[Element], edges: Iterable) -> Group:
     return Group(n, entangled)._mark_valid()
 
 
-def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
-    """Entangled initial state: inputs as given, the rest at +X, cz edges.
+def _input_elements(graph: OpenGraph, input_group: Group | None,
+                    idx: Mapping) -> list[Element]:
+    """The input state's generators placed on the input sites of the
+    whole register: all inputs at +X when ``input_group`` is None.
 
     A valid input group makes the product state valid.  An input group
     needs a graph with inputs.
     """
+    if not graph.inputs:
+        if input_group is not None:
+            raise ValueError("an input state needs a graph with inputs")
+        return []
+    k = len(graph.inputs)
+    if input_group is None:
+        input_group = Group(k, [Element.single(k, i, "X") for i in range(k)])
+    if input_group.n != k:
+        raise ValueError("input state size mismatch")
+    input_group.require_valid()
+    sites = [idx[v] for v in graph.inputs]
+    return [e.embed(len(idx), sites) for e in input_group.canonical]
+
+
+def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
+    """Entangled initial state: inputs as given, the rest at +X, cz edges."""
     nodes = list(graph.nodes)
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     gens = [Element.single(n, idx[v], "X")
             for v in nodes if v not in graph.inputs]
-    if graph.inputs:
-        if input_group is None:
-            input_group = Group(len(graph.inputs),
-                                [Element.single(len(graph.inputs), i, "X")
-                                 for i in range(len(graph.inputs))])
-        if input_group.n != len(graph.inputs):
-            raise ValueError("input state size mismatch")
-        input_group.require_valid()
-        gens += [e.embed(n, [idx[v] for v in graph.inputs])
-                 for e in input_group.canonical]
-    elif input_group is not None:
-        raise ValueError("an input state needs a graph with inputs")
+    gens += _input_elements(graph, input_group, idx)
     return _entangled(n, gens, ((idx[u], idx[v]) for u, v in graph.edges))
 
 
@@ -299,61 +373,172 @@ def walk(root, depth: int, step):
         stack.extend((k + 1, child) for child in reversed(step(k, node)))
 
 
-class _PatternRun:
-    """The fixed part of running a pattern: flow, order, corrections.
+# the interleaved row (bits on site 0, sign) of each quarter's element
+_QUARTER_ROWS = tuple((angle_element(1, 0, q).interleaved(),
+                       QUARTER_SYMBOL[q][1]) for q in range(4))
 
-    Pending corrections are bit masks over vertex indices, so a branch
-    state (group, sx, sz, outcomes, probability) is immutable and
-    branches share their prefixes.
+
+def _spread(mask: int) -> int:
+    """The x columns of the interleaved row of the sites in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= low * low    # bit s squared is bit 2s
+        mask ^= low
+    return out
+
+
+class _PatternRun:
+    """A pattern's run on its live frontier (see the module docstring).
+
+    The schedule is fixed by the measurement order alone: before the k-th
+    measured vertex u, the sites of u and its neighbours that are not
+    yet live become live, the non-inputs among them are prepared at +X,
+    and every edge whose endpoints are both live and that has not run
+    yet runs; after it, u is traced out.  So the per-step data (the
+    site, the angle, the sites to prepare, the cz's to apply and the
+    corrections that outcome 1 books) is computed once.
+
+    A branch state is ``(rows, sx, sz)``: the reduced rows
+    ``{pivot: (bits, sign)}`` of the live and input sites, n sites wide,
+    and the X and Z flips that adapt later angles, as bit masks over
+    vertex indices.  A state's rows are its own: :meth:`step` consumes
+    them, so a state is stepped once, and two outcomes get two copies.
     """
 
     def __init__(self, pattern: Pattern, input_group: Group | None,
                  physical: bool):
         graph = pattern.graph
         self.idx = idx = {v: i for i, v in enumerate(graph.nodes)}
-        self.n = len(graph.nodes)
+        self.n = n = len(graph.nodes)
         g, layer = pattern.resolved_flow()
         self.order = pattern.measured_order(layer)
-        self.state = graph_state(graph, input_group)
+        rows, _ = echelon((e.interleaved(), e.neg)
+                          for e in _input_elements(graph, input_group, idx))
+        self.root = (rows, 0, 0)
         self.pattern = pattern
         self.physical = physical
-        self.fixes = correction_masks(graph, g, idx, self.order)
         self.quantum_outputs = [v for v in graph.outputs
                                 if v not in pattern.angles]
+        fixes = correction_masks(graph, g, idx, self.order)
 
-    def element(self, u, sx: int, sz: int) -> Element:
-        """The measured element of ``u``, adapted to pending corrections."""
-        i = self.idx[u]
-        q = self.pattern.angles[u]
+        pending = [0] * n   # neighbours across edges that have not run
+        for u, v in graph.edges:
+            pending[idx[u]] |= 1 << idx[v]
+            pending[idx[v]] |= 1 << idx[u]
+        live = dropped = 0
+        prepared = sum(1 << idx[v] for v in graph.inputs)
+
+        def make_live(sites):
+            """(sites to prepare, cz's, cz mask) that make ``sites`` live.
+            A cz is (x bit of a, z bits of a's neighbours across the new
+            edges); the mask holds the x bits of every endpoint."""
+            nonlocal live, prepared
+            new = [s for s in sites if not live >> s & 1]
+            for s in new:
+                live |= 1 << s
+            prep = [s for s in new if not prepared >> s & 1]
+            for s in prep:
+                prepared |= 1 << s
+            gain = {}
+            for a in new:
+                m = pending[a] & live
+                while m:
+                    low = m & -m
+                    m ^= low
+                    b = low.bit_length() - 1
+                    pending[a] ^= low
+                    pending[b] ^= 1 << a
+                    gain[a] = gain.get(a, 0) | 2 << 2 * b
+                    gain[b] = gain.get(b, 0) | 2 << 2 * a
+            cz = tuple((1 << 2 * a, z) for a, z in gain.items())
+            return prep, cz, sum(x for x, _ in cz)
+
+        self.steps = []
+        for u in self.order:
+            i = idx[u]
+            entangle = make_live([i] + [idx[w] for w in graph.adjacency[u]])
+            dropped |= 1 << i
+            # outcome 1 books the flips (x, z) on later angles, or, in
+            # physical mode, flips the row signs that P' flips
+            x, z = fixes[u]
+            if physical:
+                m = x
+                while m:
+                    low = m & -m
+                    m ^= low
+                    z ^= pending[low.bit_length() - 1]
+                assert not z & ~prepared, "a Z reaches an unprepared site"
+                held = prepared & ~dropped
+                fix = _spread(x & held) << 1 | _spread(z & held)
+            else:
+                fix = (x, z)
+            self.steps.append((i, pattern.angles[u], entangle, fix))
+        self.final = make_live(range(n))
+
+    @staticmethod
+    def _entangle(rows: dict, entangle) -> dict:
+        """``rows`` after preparing new sites at +X and applying new cz's.
+        A cz adds, with no sign, each endpoint's x bit to the other's z
+        bit; the rows it changes are taken out and inserted again."""
+        prep, cz, mask = entangle
+        moved = [(1 << 2 * s, False) for s in prep]
+        if mask:
+            moved += [rows.pop(p) for p in
+                      [p for p, (bits, _) in rows.items() if bits & mask]]
+        for bits, neg in moved:
+            for x, z in cz:
+                if bits & x:
+                    bits ^= z
+            insert(rows, bits, neg)
+        return rows
+
+    def step(self, k: int, state: tuple, forces, rng=None) -> list:
+        """[(outcome, child state, random)] of measuring the k-th vertex
+        once per entry of ``forces``: a forced outcome, or None to draw a
+        random one from ``rng``.  A forced outcome that cannot occur gives
+        no child.  ``state`` is consumed."""
+        rows, sx, sz = state
+        site, quarter, entangle, fix = self.steps[k]
+        rows = self._entangle(rows, entangle)
         if not self.physical:
-            q = adapt_quarter(q, (sx >> i) & 1, (sz >> i) & 1)
-        return angle_element(self.n, i, q)
+            quarter = adapt_quarter(quarter, sx >> site & 1, sz >> site & 1)
+        bits, neg = _QUARTER_ROWS[quarter % 4]
+        measured = [measure_rows(rows, bits << 2 * site, neg, self.n,
+                                 rng=rng, force=force) for force in forces]
+        children = []
+        for out, post, random in measured:
+            if post is None:
+                continue
+            trace_site(post, site)
+            csx, csz = sx, sz
+            if out and self.physical:
+                flip_signs(post, fix)
+            elif out:
+                csx, csz = sx ^ fix[0], sz ^ fix[1]
+            children.append((out, (post, csx, csz), random))
+        return children
 
-    def correct(self, u, out: int, state: Group, sx: int, sz: int):
-        """(state, sx, sz) after outcome ``out`` of ``u``."""
-        if not out:
-            return state, sx, sz
-        x, z = self.fixes[u]
-        if not self.physical:
-            return state, sx ^ x, sz ^ z
-        if x or z:
-            state = Permutation.pauli(self.n, x, z).conjugate(state)
-        return state, sx, sz
-
-    def result(self, state: Group, sx: int, sz: int, outcomes: dict,
-               prob: Fraction) -> dict:
+    def result(self, state: tuple, outcomes: dict, halvings: int) -> dict:
+        """The API result of a finished branch of probability
+        2**-halvings; ``state`` is consumed."""
         idx = self.idx
         quantum_outputs = self.quantum_outputs
-        if not self.physical and quantum_outputs:
-            mask = sum(1 << idx[v] for v in quantum_outputs)
-            if (sx | sz) & mask:
-                state = Permutation.pauli(self.n, sx & mask,
-                                          sz & mask).conjugate(state)
-        output_state = (partial_trace(state, [idx[v] for v in quantum_outputs])
-                        if quantum_outputs else None)
+        output_state = None
+        if quantum_outputs:
+            rows, sx, sz = state
+            rows = self._entangle(rows, self.final)
+            if not self.physical:
+                mask = sum(1 << idx[v] for v in quantum_outputs)
+                flip_signs(rows, _spread(sx & mask) << 1
+                            | _spread(sz & mask))
+            state = Group(self.n, [Element.from_interleaved(self.n, *row)
+                                   for row in rows.values()])._mark_valid()
+            output_state = partial_trace(state,
+                                         [idx[v] for v in quantum_outputs])
         return {
             "outcomes": outcomes,
-            "probability": prob,
+            "probability": Fraction(1, 1 << halvings),
             "output": {v: outcomes[v] for v in self.pattern.graph.outputs
                        if v in outcomes},
             "output_state": output_state,
@@ -366,47 +551,60 @@ def run_pattern(pattern: Pattern, input_group: Group | None = None, *,
     """Execute a pattern; returns outcomes, output state, and probability.
 
     ``forced`` pins measurement outcomes (probability then reflects the
-    branch weight); ``physical`` applies corrections as permutations
-    instead of folding them into later angles.
+    branch weight); each key must be a measured vertex and each value 0
+    or 1.  ``physical`` applies corrections as permutations instead of
+    folding them into later angles.
+
+    The run is the live-frontier run of the module docstring: a vertex
+    is prepared and entangled just before it or a neighbour is measured,
+    a measured vertex is traced out at once, and a physical correction
+    is pushed through the cz's that have not run.  Each step is exact,
+    so the outcomes, the probability and the output state are those of
+    measuring the whole graph state in the same order, and a random
+    outcome draws one ``rng.randrange(2)`` as it would there.
     """
     run = _PatternRun(pattern, input_group, physical)
-    state, sx, sz = run.state, 0, 0
+    forced = dict(forced or {})
+    measured = set(run.order)
+    for v, bit in forced.items():
+        if v not in measured:
+            raise ValueError(f"forced outcome for {v!r}, which is not "
+                             "a measured vertex")
+        if bit not in (0, 1):
+            raise ValueError(f"forced outcome of {v!r} is 0 or 1, "
+                             f"not {bit!r}")
+    state = run.root
     outcomes = {}
-    prob = Fraction(1)
-    for u in run.order:
-        force = forced.get(u) if forced is not None else None
-        out, state, p = measure_element(state, run.element(u, sx, sz),
-                                        rng=rng, force=force)
-        prob *= p
-        if prob == 0:
+    halvings = 0
+    for k, u in enumerate(run.order):
+        children = run.step(k, state, (forced.get(u),), rng)
+        if not children:
             return {"outcomes": None, "probability": Fraction(0),
                     "output": None, "output_state": None}
-        outcomes[u] = out
-        state, sx, sz = run.correct(u, out, state, sx, sz)
-    return run.result(state, sx, sz, outcomes, prob)
+        (outcomes[u], state, random), = children
+        halvings += random
+    return run.result(state, outcomes, halvings)
 
 
 def enumerate_branches(pattern: Pattern, input_group: Group | None = None,
                        physical: bool = False) -> list[dict]:
     """All outcome branches with nonzero probability.
 
-    The branch tree is walked depth first, branching only where an
-    outcome is random.  Branches are listed by their outcome bits read
-    as an integer, the first measured vertex being bit 0.
+    The branch tree is walked depth first, with :meth:`_PatternRun.step`
+    forcing each outcome in turn, so it branches only where an outcome
+    is random.  Branches are listed by their outcome bits read as an
+    integer, the first measured vertex being bit 0.
     """
     run = _PatternRun(pattern, input_group, physical)
     order = run.order
 
     def step(k, node):
-        state, sx, sz, outcomes, prob = node
+        state, outcomes, halvings = node
         u = order[k]
-        children = []
-        for out, post, p in live_outcomes(state, run.element(u, sx, sz)):
-            post, csx, csz = run.correct(u, out, post, sx, sz)
-            children.append((post, csx, csz, {**outcomes, u: out}, prob * p))
-        return children
+        return [(child, {**outcomes, u: out}, halvings + random)
+                for out, child, random in run.step(k, state, (0, 1))]
 
-    leaves = walk((run.state, 0, 0, {}, Fraction(1)), len(order), step)
+    leaves = walk((run.root, {}, 0), len(order), step)
     results = sorted(
         (run.result(*leaf) for leaf in leaves),
         key=lambda res: sum(res["outcomes"][v] << i

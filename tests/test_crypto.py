@@ -106,6 +106,30 @@ def test_saturating_phi_matches_the_hand_update(rng):
                                                2 * nb).canonical
 
 
+def test_saturating_pair_with_shuffled_blocks(rng):
+    # site i of sigma is b_sites[i] whatever order the blocks list
+    assert saturating_purification_groups(
+        Group.parse("+ZI"), [0, 1], [3, 2], 4)[1] == Group.parse(
+            "+ZIII\n+IXXI\n+IZZI\n+IIIZ")
+    for _ in range(300):
+        nb = rng.randint(1, 3)
+        sigma = random_group(rng, nb, rng.randint(0, nb))
+        sites = rng.sample(range(2 * nb), 2 * nb)
+        a_sites, b_sites = sites[:nb], sites[nb:]
+        psi, phi = saturating_purification_groups(sigma, a_sites, b_sites,
+                                                  2 * nb)
+        assert phi.canonical == _reference_phi(sigma, a_sites, b_sites,
+                                               2 * nb).canonical
+        order = sorted(range(nb), key=b_sites.__getitem__)
+        assert partial_trace(phi, b_sites) == Group(
+            nb, [e.restrict(order) for e in sigma.canonical])
+        assert partial_trace(psi, b_sites) == Group(nb, [])
+        assert trace_distance(Distribution.from_group(psi),
+                              Distribution.from_group(phi)) == trace_distance(
+            Distribution.from_group(Group(nb, [])),
+            Distribution.from_group(sigma))
+
+
 def test_bc_perfect_cheat(rng):
     # committing party flips between two equivalent-marginal encodings
     s0 = Group.parse("+XX\n+ZZ").require_valid()

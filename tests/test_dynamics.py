@@ -8,7 +8,8 @@ from toystab.algebra import Element, Group
 from toystab.dynamics import (CTRL_KINDS, NAMED_PERMS, PERM_ID, PERMS,
                               Measurement, Permutation, erase, generalized_map,
                               measure_element, partial_trace, purify,
-                              relate_purifications, synthesize_symplectic)
+                              relate_purifications, synthesize_symplectic,
+                              trace_site)
 from toystab.oracle import Distribution, group_from_distribution, measure_observable
 
 from conftest import random_element, random_group, random_permutation
@@ -103,6 +104,15 @@ def test_measure_incompatible_updates_state():
                                        force=force)
         assert p == HALF and out == force
         assert post == Group(1, [Element.single(1, 0, "X", bool(force))])
+
+
+@pytest.mark.parametrize("state, symbol", [("+Z", "+X"), ("+Z", "+Z"),
+                                           ("+Z", "-Z")])
+def test_measure_rejects_a_forced_outcome_other_than_a_bit(state, symbol):
+    # random, deterministic 0 and deterministic 1 outcomes alike
+    for force in (5, -1, 2):
+        with pytest.raises(ValueError, match="is 0 or 1"):
+            measure_element(_state(state), Element.parse(symbol), force=force)
 
 
 def test_measure_matches_oracle(rng):
@@ -276,6 +286,17 @@ def test_incremental_measurement_matches_rebuild(data):
     seed = data.draw(st.integers(0, 2**32))
     _same_post(measure_element(g, e, rng=random.Random(seed)),
                _reference_measure_element(g, e, rng=random.Random(seed)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_trace_site_matches_erase(data):
+    # the in-place trace of one site gives the reduced rows of erasing it
+    g = data.draw(_large_valid_groups())
+    site = data.draw(st.integers(0, g.n - 1))
+    rows = dict(g._pivots)
+    trace_site(rows, site)
+    assert rows == erase(g, [site])._pivots
 
 
 _FLIP_IDS = {PERM_ID[NAMED_PERMS[w]] for w in "IXYZ"}

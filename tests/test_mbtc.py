@@ -1,15 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toystab.algebra import Element, Group, matrix_diag
-from toystab.dynamics import NAMED_PERMS, PERMS, PERM_ID, Permutation
+from toystab import mbtc
+from toystab.algebra import Element, Group, echelon, matrix_diag
+from toystab.dynamics import (NAMED_PERMS, PERMS, PERM_ID, Permutation,
+                              measure_element, partial_trace)
 from toystab.mbtc import (GatePattern, OpenGraph, Pattern, adapt_quarter,
-                          angle_element, enumerate_branches, find_gflow,
-                          gate_patterns, graph_state, run_pattern,
-                          verify_gflow)
+                          angle_element, correction_masks,
+                          enumerate_branches, find_gflow, gate_patterns,
+                          graph_state, live_outcomes, run_pattern,
+                          verify_gflow, walk)
 
 from conftest import random_group
 
@@ -287,18 +291,115 @@ def test_adapted_equals_physical_everywhere():
         assert a == p
 
 
+# -- the whole-graph run, kept as the reference --------------------------------
+
+class _WholeGraphRun:
+    """The earlier execution: entangle the whole graph state, then
+    measure it vertex by vertex.  Pending corrections are bit masks over
+    vertex indices."""
+
+    def __init__(self, pattern, input_group, physical):
+        graph = pattern.graph
+        self.idx = idx = {v: i for i, v in enumerate(graph.nodes)}
+        self.n = len(graph.nodes)
+        g, layer = pattern.resolved_flow()
+        self.order = pattern.measured_order(layer)
+        self.state = graph_state(graph, input_group)
+        self.pattern = pattern
+        self.physical = physical
+        self.fixes = correction_masks(graph, g, idx, self.order)
+        self.quantum_outputs = [v for v in graph.outputs
+                                if v not in pattern.angles]
+
+    def element(self, u, sx, sz):
+        i = self.idx[u]
+        q = self.pattern.angles[u]
+        if not self.physical:
+            q = adapt_quarter(q, (sx >> i) & 1, (sz >> i) & 1)
+        return angle_element(self.n, i, q)
+
+    def correct(self, u, out, state, sx, sz):
+        if not out:
+            return state, sx, sz
+        x, z = self.fixes[u]
+        if not self.physical:
+            return state, sx ^ x, sz ^ z
+        if x or z:
+            state = Permutation.pauli(self.n, x, z).conjugate(state)
+        return state, sx, sz
+
+    def result(self, state, sx, sz, outcomes, prob):
+        idx = self.idx
+        quantum_outputs = self.quantum_outputs
+        if not self.physical and quantum_outputs:
+            mask = sum(1 << idx[v] for v in quantum_outputs)
+            if (sx | sz) & mask:
+                state = Permutation.pauli(self.n, sx & mask,
+                                          sz & mask).conjugate(state)
+        output_state = (partial_trace(state, [idx[v] for v in quantum_outputs])
+                        if quantum_outputs else None)
+        return {
+            "outcomes": outcomes,
+            "probability": prob,
+            "output": {v: outcomes[v] for v in self.pattern.graph.outputs
+                       if v in outcomes},
+            "output_state": output_state,
+        }
+
+
+def reference_run(pattern, input_group=None, *, rng=None, forced=None,
+                  physical=False):
+    """The earlier run_pattern, on the whole graph state."""
+    run = _WholeGraphRun(pattern, input_group, physical)
+    state, sx, sz = run.state, 0, 0
+    outcomes = {}
+    prob = Fraction(1)
+    for u in run.order:
+        force = forced.get(u) if forced is not None else None
+        out, state, p = measure_element(state, run.element(u, sx, sz),
+                                        rng=rng, force=force)
+        prob *= p
+        if prob == 0:
+            return {"outcomes": None, "probability": Fraction(0),
+                    "output": None, "output_state": None}
+        outcomes[u] = out
+        state, sx, sz = run.correct(u, out, state, sx, sz)
+    return run.result(state, sx, sz, outcomes, prob)
+
+
+def reference_enumeration(pattern, input_group=None, physical=False):
+    """The earlier enumerate_branches, on the whole graph state."""
+    run = _WholeGraphRun(pattern, input_group, physical)
+    order = run.order
+
+    def step(k, node):
+        state, sx, sz, outcomes, prob = node
+        u = order[k]
+        children = []
+        for out, post, p in live_outcomes(state, run.element(u, sx, sz)):
+            post, csx, csz = run.correct(u, out, post, sx, sz)
+            children.append((post, csx, csz, {**outcomes, u: out}, prob * p))
+        return children
+
+    leaves = walk((run.state, 0, 0, {}, Fraction(1)), len(order), step)
+    return sorted((run.result(*leaf) for leaf in leaves),
+                  key=lambda res: sum(res["outcomes"][v] << i
+                                      for i, v in enumerate(order)))
+
+
 # -- the branch walker against brute force ------------------------------------
 
 def reference_branches(pattern, input_group=None, physical=False):
-    """Brute force: one forced run per outcome vector, first measured
-    vertex as bit 0, keeping the branches of nonzero probability."""
+    """Brute force: one forced whole-graph run per outcome vector, first
+    measured vertex as bit 0, keeping the branches of nonzero
+    probability."""
     g, layer = pattern.resolved_flow()
     order = pattern.measured_order(layer)
     results = []
     for bits in range(1 << len(order)):
         forced = {v: (bits >> i) & 1 for i, v in enumerate(order)}
-        res = run_pattern(pattern, input_group, forced=forced,
-                          physical=physical)
+        res = reference_run(pattern, input_group, forced=forced,
+                            physical=physical)
         if res["probability"]:
             results.append(res)
     return results
@@ -322,6 +423,133 @@ def test_enumerate_branches_matches_brute_force():
                 want = reference_branches(gp.pattern, g, physical=physical)
                 assert _branch_rows(got) == _branch_rows(want), \
                     (name, str(g), physical)
+
+
+def _result_row(res):
+    return (res["outcomes"] and list(res["outcomes"].items()),
+            res["probability"], res["output"] and list(res["output"].items()),
+            None if res["output_state"] is None
+            else res["output_state"].canonical)
+
+
+@st.composite
+def _flow_patterns(draw):
+    """(pattern, input group or None): an open graph with a gflow on
+    n <= 14 shuffled labels, edges in random orientations (one between
+    two inputs when asked for), every output measured now and then."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    link_inputs = draw(st.booleans())
+    while True:
+        n = rng.randint(1, 14)
+        labels = rng.sample(range(1000), n)
+        inputs = rng.sample(labels, rng.randint(0, min(n, 5)))
+        density = rng.random()
+        edges = {frozenset(e): e for e in itertools.combinations(labels, 2)
+                 if rng.random() < density}
+        if link_inputs and len(inputs) > 1:
+            edges.setdefault(frozenset(inputs[:2]), tuple(inputs[:2]))
+        outputs = rng.sample(labels, rng.randint(0, n))
+        graph = OpenGraph(tuple(labels),
+                          tuple(e if rng.random() < 0.5 else e[::-1]
+                                for e in edges.values()),
+                          tuple(inputs), tuple(outputs))
+        try:
+            find_gflow(graph)
+        except ValueError:
+            continue
+        break
+    k = len(inputs)
+    input_group = (random_group(rng, k, draw(st.integers(0, k)))
+                   if k and draw(st.booleans()) else None)
+    angles = {v: rng.randrange(4) for v in labels
+              if v not in outputs or rng.random() < 0.3}
+    return Pattern(graph, angles), input_group
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flow_patterns(), st.booleans(), st.integers(0, 2**32))
+def test_frontier_run_matches_whole_graph_run(case, physical, seed):
+    pattern, input_group = case
+    rng = random.Random(seed)
+    every = {v: rng.randrange(2) for v in pattern.angles}
+    some = {v: b for v, b in every.items() if rng.random() < 0.5}
+    for forced in (every, some, None):
+        got, want = (run(pattern, input_group, rng=random.Random(seed),
+                         forced=forced, physical=physical)
+                     for run in (run_pattern, reference_run))
+        assert _result_row(got) == _result_row(want)
+    if len(pattern.angles) <= 8:
+        got = enumerate_branches(pattern, input_group, physical=physical)
+        want = reference_enumeration(pattern, input_group, physical=physical)
+        assert list(map(_result_row, got)) == list(map(_result_row, want))
+
+
+def _labelled_grid(rng, side):
+    """side x side grid on shuffled labels, inputs in the first column,
+    outputs in the last."""
+    labels = rng.sample(range(1 << 30), side * side)
+    at = {(r, c): labels[c * side + r] for r in range(side)
+          for c in range(side)}
+    edges = [(at[r, c], at[r, c + 1]) for r in range(side)
+             for c in range(side - 1)]
+    edges += [(at[r, c], at[r + 1, c]) for r in range(side - 1)
+              for c in range(side)]
+    return OpenGraph(tuple(labels), tuple(edges),
+                     inputs=tuple(at[r, 0] for r in range(side)),
+                     outputs=tuple(at[r, side - 1] for r in range(side)))
+
+
+@pytest.mark.parametrize("shape, seed, physical", [
+    ("line", 1024, False), ("grid", 1, False), ("grid", 2, True),
+    ("grid", 3, False), ("grid", 4, True)])
+def test_frontier_run_matches_on_large_patterns(shape, seed, physical):
+    rng = random.Random(seed)
+    graph = OpenGraph.line(seed) if shape == "line" else _labelled_grid(rng, 8)
+    angles = {v: rng.randrange(4) for v in graph.nodes
+              if v not in graph.outputs}
+    k = len(graph.inputs)
+    input_group = random_group(rng, k, rng.randint(0, k))
+    pattern = Pattern(graph, angles, flow=find_gflow(graph))
+    got, want = (run(pattern, input_group, rng=random.Random(seed),
+                     physical=physical)
+                 for run in (run_pattern, reference_run))
+    assert _result_row(got) == _result_row(want)
+    assert got["output_state"].rank == input_group.rank
+
+
+def test_frontier_rank_does_not_grow_with_the_pattern(monkeypatch):
+    # the rows are those of the live frontier, so a longer line measures
+    # on no more rows than a shorter one
+    measure_rows = mbtc.measure_rows
+    peaks = []
+
+    def spy(rows, *args, **kwargs):
+        peaks[-1] = max(peaks[-1], len(rows))
+        return measure_rows(rows, *args, **kwargs)
+
+    monkeypatch.setattr(mbtc, "measure_rows", spy)
+    for n in (256, 1024):
+        graph = OpenGraph.line(n)
+        angles = {v: v % 4 for v in range(n - 1)}
+        for physical in (False, True):
+            peaks.append(0)
+            run_pattern(Pattern(graph, angles), _state("+Y"),
+                        rng=random.Random(n), physical=physical)
+    assert peaks == [2, 2, 2, 2]
+
+
+def test_forced_outcome_must_be_a_bit():
+    pattern = Pattern(OpenGraph.line(2), {0: 0})
+    for bit in (2, -1, "1"):
+        with pytest.raises(ValueError, match="is 0 or 1"):
+            run_pattern(pattern, _state("+Z"), forced={0: bit})
+
+
+def test_forced_outcome_must_name_a_measured_vertex():
+    pattern = Pattern(OpenGraph.line(2), {0: 0})
+    for vertex in (1, 7):   # the unmeasured output, a vertex not in the graph
+        with pytest.raises(ValueError, match="not a measured vertex"):
+            run_pattern(pattern, _state("+Z"), forced={0: 0, vertex: 0})
 
 
 # -- gflow against the per-vertex reference -----------------------------------
@@ -384,6 +612,45 @@ def reference_gflow(graph, *, best_effort=False):
     return g, layer
 
 
+def whole_layer_gflow(graph, *, best_effort=False):
+    """The earlier find_gflow: one elimination per layer over every
+    unprocessed vertex and every processed non-input."""
+    nodes = graph.nodes
+    adjacency = graph.adjacency
+    inputs = set(graph.inputs)
+    g = {}
+    layer = {v: 0 for v in graph.outputs}
+    processed = set(graph.outputs)
+    depth = 0
+    while len(processed) < len(nodes):
+        depth += 1
+        corr = [v for v in nodes if v in processed and v not in inputs]
+        unproc = [v for v in nodes if v not in processed]
+        column = {c: 1 << i for i, c in enumerate(corr)}
+        pivots, zero_tags = echelon(
+            (sum(column[c] for c in adjacency[w] if c in column), 1 << j)
+            for j, w in enumerate(unproc))
+        dependent = 0
+        for comb in zero_tags:
+            dependent |= comb
+        found = {}
+        for j, u in enumerate(unproc):
+            if (dependent >> j) & 1:
+                continue
+            x = sum(p for p, (_, comb) in pivots.items() if (comb >> j) & 1)
+            found[u] = frozenset(c for c in corr if x & column[c])
+        if not found:
+            if not best_effort:
+                raise ValueError("graph admits no gflow")
+            u = unproc[0]
+            found[u] = frozenset()
+        for u, K in found.items():
+            g[u] = K
+            layer[u] = depth
+        processed.update(found)
+    return g, layer
+
+
 def _gflow_or_error(graph, find, best_effort):
     try:
         g, layer = find(graph, best_effort=best_effort)
@@ -432,6 +699,20 @@ def test_find_gflow_matches_reference():
                 verify_gflow(graph, dict(got[0]), dict(got[1]))
     # graphs with and without a gflow both occur
     assert 100 < failed < len(graphs) - 100
+
+
+def test_find_gflow_matches_whole_layer_peeling():
+    # the boundary-only layers against the earlier whole-layer ones, on
+    # graphs too large for the per-vertex reference
+    rng = random.Random(404)
+    graphs = [_random_open_graph(rng) for _ in range(300)]
+    graphs += [OpenGraph.line(256), _labelled_grid(rng, 8),
+               _labelled_grid(rng, 12)]
+    for graph in graphs:
+        for best_effort in (False, True):
+            assert (_gflow_or_error(graph, find_gflow, best_effort)
+                    == _gflow_or_error(graph, whole_layer_gflow,
+                                       best_effort)), (graph, best_effort)
 
 
 def test_open_graph_adjacency_keeps_equality_and_hash():
