@@ -267,9 +267,12 @@ class Group:
     its post-measurement group, and ``dynamics.Permutation.conjugate``
     when its input is already known valid.  Both build their result with
     the trusted constructor :meth:`_from_reduced`, straight from updated
-    reduced rows.  ``bvc.Bob.prepare`` marks its product of single-site
-    elements on distinct sites valid, and ``mbtc``'s cz rule, which
-    entangles a valid product state, builds its graph state as valid.
+    reduced rows.  ``bvc.Bob.outcomes`` builds one the same way from the
+    rows of the exact walk, only to hand it to a deviation's
+    ``before_measure`` hook.  ``bvc.Bob.prepare`` marks its product of
+    single-site elements on distinct sites valid, and ``mbtc``'s cz rule,
+    which entangles a valid product state, builds its graph state as
+    valid.
     Every other group is checked on its first :meth:`violations` or
     :meth:`require_valid`.
     """
@@ -313,14 +316,17 @@ class Group:
         return cls(n, ())
 
     @classmethod
-    def _from_reduced(cls, n: int, pivots: dict, base: "Group") -> "Group":
+    def _from_reduced(cls, n: int, pivots: dict,
+                      base: "Group | None" = None) -> "Group":
         """The valid group of reduced rows ``{pivot: (bits, sign)}``, taken
-        as they are: for rows derived from the known-valid ``base`` by an
+        as they are: for rows derived from a known-valid state by an
         operation that keeps validity and the reduced form.  A row that is
-        the very row object of ``base`` keeps its canonical element.  The
-        generators are the canonical rows."""
-        kept = dict(zip(sorted(base._pivots), base.canonical))
-        old = base._pivots
+        the very row object of ``base``, when given, keeps its canonical
+        element.  The generators are the canonical rows."""
+        kept, old = {}, {}
+        if base is not None:
+            kept = dict(zip(sorted(base._pivots), base.canonical))
+            old = base._pivots
         self = cls.__new__(cls)
         self.n = n
         self._pivots = pivots

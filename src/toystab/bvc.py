@@ -12,6 +12,16 @@ Angle encodings: the *quarter* encoding indexes the equator family
 (0: X, 1: Y, 2: -X, 3: -Y); the *formula* encoding used on the wire
 keeps the sign in the low bit and the basis in the high bit.  The two
 are related by swapping bits, a swap that is its own inverse.
+
+A sampled round holds Bob's state as a group and measures it with
+:func:`dynamics.measure_element`.  Exact analysis (``exact_pfail``,
+``server_view_distribution`` and ``honest_output_support``) walks every
+pad configuration and live outcome branch on the packed reduced rows
+``{pivot: (bits, sign)}`` of Bob's whole state instead, one
+:func:`dynamics.measure_rows` step per branch (``_walk_rounds``).  Every
+branch probability is 1 or 1/2 and every pad weight a power of two, so a
+weight is carried as an integer count of halvings, and a ``Fraction`` is
+built only for a result.
 """
 
 from __future__ import annotations
@@ -19,14 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import Element, Group
-from .dynamics import Permutation, erase, measure_element
-from .mbtc import (OpenGraph, Pattern, _entangled, adapt_quarter,
-                   angle_element, correction_masks, find_gflow, live_outcomes,
-                   walk)
+from .dynamics import Permutation, erase, measure_element, measure_rows
+from .mbtc import (_QUARTER_ROWS, OpenGraph, Pattern, _check_forced,
+                   _entangled, adapt_quarter, angle_element,
+                   correction_masks, find_gflow, walk)
 
 
 def formula_from_quarter(q: int) -> int:
@@ -66,7 +77,10 @@ class Deviation:
     Sampled rounds call each hook once per event.  Exact analysis calls
     ``after_entangle`` once per pad configuration and ``before_measure``
     once per prefix and blinding bit (see ``_walk_rounds``), sharing the
-    result between branches, so it assumes deterministic hooks.
+    result between branches, so it assumes deterministic hooks.  The
+    exact walk holds Bob's state as reduced rows: it hands
+    ``before_measure`` those rows built as a valid group, and checks the
+    group the hook returns before it measures it.
     """
 
     after_entangle: Callable | None = None   # (state) -> state
@@ -133,13 +147,38 @@ class Bob:
         out, post, p = measure_element(state, e, rng=rng, force=force)
         return self._report(site, out), post, p
 
-    def outcomes(self, state: Group, site: int, angle: int) -> list:
-        """[(reported outcome, post state, probability)] of every outcome
-        that can occur."""
+    def outcomes(self, rows: dict, n: int, site: int, angle: int) -> list:
+        """[(reported outcome, post rows, random)] of every outcome that
+        can occur, on the reduced rows ``{pivot: (bits, sign)}`` of a valid
+        state on ``n`` systems.  ``random`` tells a probability of 1/2 from
+        one of 1.  The rows are left as they are, and the post rows of a
+        deterministic outcome are ``rows`` itself.
+
+        A ``before_measure`` hook is given the rows built as a group, and
+        the state it returns is checked before it is measured.
+        """
         quarter = quarter_from_formula(angle)
-        state, e = self._observable(state, site, quarter)
-        return [(self._report(site, out), post, p)
-                for out, post, p in live_outcomes(state, e)]
+        dev = self.deviation
+        if dev and dev.before_measure:
+            rows = _held_rows(dev.before_measure(
+                site, quarter, Group._from_reduced(n, rows)), n)
+        bits, neg = _QUARTER_ROWS[quarter]
+        bits <<= 2 * site
+        children = []
+        for force in (0, 1):
+            out, post, random = measure_rows(rows, bits, neg, n, force=force)
+            if post is not None:
+                children.append((self._report(site, out), post, random))
+        return children
+
+
+def _held_rows(state: Group, n: int) -> dict:
+    """The reduced rows of a state Bob holds, checked as the sampled
+    round's measurement checks it."""
+    state.require_valid()
+    if state.n != n:
+        raise ValueError("size mismatch")
+    return state._pivots
 
 
 def extremal_deviation(site: int) -> Deviation:
@@ -248,6 +287,13 @@ class _Plan:
             raise ValueError("delegated rounds take no quantum inputs")
         nodes = list(graph.nodes)
         self.site = idx = {v: i for i, v in enumerate(nodes)}
+        if trap is not None and trap not in idx:
+            raise ValueError(f"trap {trap!r} is not a vertex")
+        missing = [v for v in nodes if v not in angles]
+        if missing:
+            raise ValueError(f"vertices without angles: {missing}; a "
+                             "delegated round measures every vertex, "
+                             "outputs included")
         comp = [v for v in nodes if v not in dummies and v != trap]
         sub = graph.induced(comp)
         pattern = Pattern(sub, {v: angles[v] for v in comp})
@@ -319,6 +365,8 @@ def _run_round(graph: OpenGraph, angles: Mapping, *, prep: Mapping,
     """
     dummies = {v for v in graph.nodes if "dummy" in prep[v]}
     plan = _Plan(graph, angles, dummies, trap, blinded)
+    if forced:
+        _check_forced(forced, plan.order)
     bob = Bob(deviation)
     state = bob.entangle(bob.prepare([prep[v] for v in graph.nodes]),
                          plan.edges)
@@ -394,18 +442,31 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
 # exact analysis
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _dyadic(k: int) -> Fraction:
+    """2 ** -k, the weight of ``k`` halvings."""
+    return Fraction(1, 1 << k)
+
+
 def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
     """Every live round with pads ``prep``, the blinding bit of each
-    measured vertex running over ``rvalues``.
+    measured vertex running over ``rvalues``, as ``(halvings, result)``:
+    the round's probability is 2 ** -halvings.
 
-    The rounds are the leaves of one depth-first walk.  Bob prepares and
-    entangles once, calling the deviation's ``after_entangle`` once;
-    then at each measured vertex, in Alice's order, the walk branches on
-    the blinding bit r and on the outcomes Bob can get, calling
-    ``before_measure`` once per prefix and r.  Branches share their
-    prefix states, and dead outcomes are never visited.  Exact analysis
-    thus assumes deterministic hooks: a hook that draws randomness, such
-    as ``fuzzer_deviation``, is for Monte Carlo estimates only.
+    The rounds are the leaves of one depth-first walk over the reduced
+    rows ``{pivot: (bits, sign)}`` of Bob's whole state.  Bob prepares
+    and entangles once, calling the deviation's ``after_entangle`` once,
+    and the entangled state is checked once.  Then at each measured
+    vertex, in Alice's order, the walk branches on the blinding bit r and
+    on the outcomes Bob can get (:meth:`Bob.outcomes`).  Each child's
+    rows come from one :func:`dynamics.measure_rows` step, which leaves
+    its parent's rows as they are, so branches share their prefix rows; a
+    random outcome adds one halving to the branch, and dead outcomes are
+    never visited.  A group is built only to hand the state to a
+    ``before_measure`` hook, called once per prefix and r.  Exact
+    analysis thus assumes deterministic hooks: a hook that draws
+    randomness, such as ``fuzzer_deviation``, is for Monte Carlo
+    estimates only.
 
     Walking ``rvalues=(0,)`` alone loses nothing that Alice decodes when
     the deviation does not read the instruction.  Flipping r turns the
@@ -423,45 +484,57 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
     bob = Bob(deviation)
     state = bob.entangle(bob.prepare([prep[v] for v in plan.graph.nodes]),
                          plan.edges)
+    n = len(plan.site)
     theta = plan.thetas(prep)
 
     def step(k, node):
-        state, prob, rec = node
+        rows, halvings, rec = node
         u = plan.order[k]
+        site = plan.site[u]
         children = []
         for r in rvalues:
             wire, ops = plan.instruct(u, rec, theta, r)
-            for o, post, p in bob.outcomes(state, plan.site[u], wire):
-                children.append(
-                    (post, prob * p, plan.receive(u, rec, wire, ops, o, r)))
+            for o, post, random in bob.outcomes(rows, n, site, wire):
+                children.append((post, halvings + random,
+                                 plan.receive(u, rec, wire, ops, o, r)))
         return children
 
-    for _, prob, rec in walk((state, Fraction(1), _Transcript()),
-                             len(plan.order), step):
-        yield plan.result(rec, prob)
+    root = (_held_rows(state, n), 0, _Transcript())
+    for _, halvings, rec in walk(root, len(plan.order), step):
+        yield halvings, plan.result(rec, _dyadic(halvings))
 
 
 def _enumerate_rounds(pattern: Pattern, *, trap=None, deviation=None,
-                      rvalues=(0, 1)):
+                      rvalues=(0, 1), padded: bool = True):
     """Yield (weight, RoundResult) over pads and live outcome branches.
 
-    The weight is the pads' probability times the branch's; the flow is
-    found once, and the walker runs once per pad configuration.  With
-    ``rvalues=(0,)`` the blinding bits are left out of the weight, so
-    each round stands for its whole class under r (see ``_walk_rounds``).
+    The weight is the pads' probability times the branch's, 2 ** -k for
+    an integer k; the flow is found once, and the walker runs once per
+    pad configuration.  ``rvalues`` is ``(0, 1)`` or ``(0,)``; with
+    ``(0,)`` the blinding bits are left out of the weight, so each round
+    stands for its whole class under r (see ``_walk_rounds``).  With
+    ``padded`` false, only the zero pads (every angle pad and dummy bit
+    0) are walked, and the weight is the branch's alone.
     """
     graph = pattern.graph
     dummies = sorted(graph.neighbors(trap)) if trap is not None else []
-    padded = [v for v in graph.nodes if v not in dummies]
+    pads = [v for v in graph.nodes if v not in dummies]
     plan = _Plan(graph, pattern.angles, dummies, trap)
-    pad_weight = Fraction(1, 4 ** len(padded) * 2 ** len(dummies)
-                          * len(rvalues) ** len(plan.order))
-    for thetas in product(range(4), repeat=len(padded)):
-        for dbits in product(range(2), repeat=len(dummies)):
-            prep = {v: {"angle": t} for v, t in zip(padded, thetas)}
-            prep.update({d: {"dummy": b} for d, b in zip(dummies, dbits)})
-            for res in _walk_rounds(plan, prep, deviation, rvalues):
-                yield pad_weight * res.probability, res
+    if padded:
+        # uniform pads: two halvings per angle pad, one per dummy bit and
+        # one per walked blinding bit
+        pad_halvings = (2 * len(pads) + len(dummies)
+                        + (len(rvalues) - 1) * len(plan.order))
+        configurations = product(product(range(4), repeat=len(pads)),
+                                 product(range(2), repeat=len(dummies)))
+    else:
+        pad_halvings = 0
+        configurations = [((0,) * len(pads), (0,) * len(dummies))]
+    for thetas, dbits in configurations:
+        prep = {v: {"angle": t} for v, t in zip(pads, thetas)}
+        prep.update({d: {"dummy": b} for d, b in zip(dummies, dbits)})
+        for halvings, res in _walk_rounds(plan, prep, deviation, rvalues):
+            yield _dyadic(pad_halvings + halvings), res
 
 
 def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
@@ -469,13 +542,8 @@ def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
 
     Walks the outcome tree once, with zero pads and blinding bits.
     """
-    graph = pattern.graph
-    dummies = graph.neighbors(trap) if trap is not None else set()
-    plan = _Plan(graph, pattern.angles, dummies, trap)
-    prep = {v: ({"dummy": 0} if v in dummies else {"angle": 0})
-            for v in graph.nodes}
-    return frozenset(res.output
-                     for res in _walk_rounds(plan, prep, None, (0,)))
+    return frozenset(res.output for _, res in _enumerate_rounds(
+        pattern, trap=trap, rvalues=(0,), padded=False))
 
 
 def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
@@ -486,19 +554,25 @@ def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
     deterministic.  The blinding bits are walked only for a deviation
     that ``reads_instruction``: otherwise they cannot move the verdict
     or the decoded output.
+
+    A round's weight is 2 ** -k, where k counts two halvings per angle
+    pad and one per dummy bit, blinding bit and random outcome, so k is
+    at most 4n on n vertices.  Each trap's failures are therefore summed
+    as integer numerators over 2 ** 4n, with one ``Fraction`` per trap.
     """
     graph = pattern.graph
     rvalues = (0, 1) if deviation.reads_instruction else (0,)
+    top = 1 << 4 * len(graph.nodes)
     total = Fraction(0)
     for trap in graph.nodes:
         honest = (None if deviation.assume_corrupted
                   else honest_output_support(pattern, trap))
+        hits = 0
         for w, res in _enumerate_rounds(pattern, trap=trap,
                                         deviation=deviation, rvalues=rvalues):
-            if not res.accept:
-                continue
-            if deviation.assume_corrupted or res.output not in honest:
-                total += w
+            if res.accept and (honest is None or res.output not in honest):
+                hits += top // w.denominator
+        total += Fraction(hits, top)
     return total / len(graph.nodes)
 
 
@@ -542,15 +616,20 @@ def server_view_distribution(pattern: Pattern) -> dict:
     over every pad configuration and live branch of a trap-free round.
 
     The walk fixes every blinding bit to 0, and each round then shares
-    its weight evenly among the transcripts of its r-class.
+    its weight evenly among the transcripts of its r-class.  On n
+    vertices a round's weight is 2 ** -k with k at most 3n (two halvings
+    per angle pad, one per random outcome), and its n blinding bits split
+    it into shares of 2 ** -(k + n).  The shares are summed as integer
+    numerators over 2 ** 4n, with one ``Fraction`` per transcript.
     """
-    dist: dict = {}
+    top = 1 << 4 * len(pattern.graph.nodes)
+    nums: dict = {}
     for w, res in _enumerate_rounds(pattern, rvalues=(0,)):
-        share = w / 2 ** len(res.raw)
+        share = top // (w.denominator << len(res.raw))
         for key in _r_class(res):
-            dist[key] = dist.get(key, Fraction(0)) + share
-    assert sum(dist.values()) == 1
-    return dist
+            nums[key] = nums.get(key, 0) + share
+    assert sum(nums.values()) == top
+    return {key: Fraction(num, top) for key, num in nums.items()}
 
 
 def _r_class(res: RoundResult):

@@ -60,8 +60,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import Element, Group, echelon, insert
-from .dynamics import (Permutation, flip_signs, measure_element,
-                       measure_rows, partial_trace, trace_site)
+from .dynamics import (Permutation, flip_signs, measure_rows, partial_trace,
+                       trace_site)
 
 QUARTER_SYMBOL = {0: ("X", False), 1: ("Y", False), 2: ("X", True), 3: ("Y", True)}
 
@@ -346,17 +346,6 @@ def graph_state(graph: OpenGraph, input_group: Group | None = None) -> Group:
     return _entangled(n, gens, ((idx[u], idx[v]) for u, v in graph.edges))
 
 
-def live_outcomes(state: Group, e: Element) -> list:
-    """(outcome, post, probability) for each outcome of measuring ``e``
-    that can occur; a deterministic outcome leaves the state as it was."""
-    out, post, p = measure_element(state, e, force=0)
-    if p == 0:
-        return [(1, state, Fraction(1))]
-    if p == 1:
-        return [(out, post, p)]
-    return [(out, post, p), measure_element(state, e, force=1)]
-
-
 def walk(root, depth: int, step):
     """Leaves of a depth-first branch tree, first branch first.
 
@@ -545,6 +534,19 @@ class _PatternRun:
         }
 
 
+def _check_forced(forced: Mapping, order) -> None:
+    """Raise unless every key of ``forced`` is a vertex of the measurement
+    ``order`` and every value is 0 or 1."""
+    measured = set(order)
+    for v, bit in forced.items():
+        if v not in measured:
+            raise ValueError(f"forced outcome for {v!r}, which is not "
+                             "a measured vertex")
+        if bit not in (0, 1):
+            raise ValueError(f"forced outcome of {v!r} is 0 or 1, "
+                             f"not {bit!r}")
+
+
 def run_pattern(pattern: Pattern, input_group: Group | None = None, *,
                 rng=None, forced: Mapping | None = None,
                 physical: bool = False) -> dict:
@@ -565,14 +567,7 @@ def run_pattern(pattern: Pattern, input_group: Group | None = None, *,
     """
     run = _PatternRun(pattern, input_group, physical)
     forced = dict(forced or {})
-    measured = set(run.order)
-    for v, bit in forced.items():
-        if v not in measured:
-            raise ValueError(f"forced outcome for {v!r}, which is not "
-                             "a measured vertex")
-        if bit not in (0, 1):
-            raise ValueError(f"forced outcome of {v!r} is 0 or 1, "
-                             f"not {bit!r}")
+    _check_forced(forced, run.order)
     state = run.root
     outcomes = {}
     halvings = 0

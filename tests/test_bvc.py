@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from toystab import bvc
 from toystab.algebra import Element, Group
 from toystab.dynamics import Permutation
-from toystab.mbtc import OpenGraph, Pattern, angle_element, run_pattern
+from toystab.mbtc import OpenGraph, Pattern, angle_element, run_pattern, walk
+
+from test_mbtc import live_outcomes
 
 HALF = Fraction(1, 2)
 
@@ -415,9 +417,9 @@ def test_r_class_matches_full_walk_per_pad(angles):
     for thetas in product(range(4), repeat=len(angles)):
         prep = {v: {"angle": t} for v, t in enumerate(thetas)}
         full, mirrored = Counter(), Counter()
-        for res in bvc._walk_rounds(plan, prep, None, (0, 1)):
+        for _, res in bvc._walk_rounds(plan, prep, None, (0, 1)):
             full[res.deltas, res.raw] += res.probability
-        for res in bvc._walk_rounds(plan, prep, None, (0,)):
+        for _, res in bvc._walk_rounds(plan, prep, None, (0,)):
             for key in bvc._r_class(res):
                 mirrored[key] += res.probability
         assert mirrored == full, thetas
@@ -435,3 +437,283 @@ def test_instruction_reading_deviation_sees_both_blinding_bits():
     # vertex before it goes deeper: quarters q and q ^ 2 at one site
     (site0, q0), (site1, q1) = seen[:2]
     assert site1 == site0 and q1 == q0 ^ 2
+
+
+# -- the row walk against the earlier group walk ------------------------------
+
+def reference_outcomes(bob, state, site, angle):
+    """The earlier ``Bob.outcomes``: [(reported outcome, post state,
+    probability)] of every outcome that can occur, on a group."""
+    quarter = bvc.quarter_from_formula(angle)
+    state, e = bob._observable(state, site, quarter)
+    return [(bob._report(site, out), post, p)
+            for out, post, p in live_outcomes(state, e)]
+
+
+def reference_walk(plan, prep, deviation, rvalues):
+    """The earlier ``_walk_rounds``: the same depth-first walk, holding
+    Bob's state as a group and each branch's weight as a Fraction."""
+    bob = bvc.Bob(deviation)
+    state = bob.entangle(bob.prepare([prep[v] for v in plan.graph.nodes]),
+                         plan.edges)
+    theta = plan.thetas(prep)
+
+    def step(k, node):
+        state, prob, rec = node
+        u = plan.order[k]
+        children = []
+        for r in rvalues:
+            wire, ops = plan.instruct(u, rec, theta, r)
+            for o, post, p in reference_outcomes(bob, state, plan.site[u],
+                                                 wire):
+                children.append(
+                    (post, prob * p, plan.receive(u, rec, wire, ops, o, r)))
+        return children
+
+    for _, prob, rec in walk((state, Fraction(1), bvc._Transcript()),
+                             len(plan.order), step):
+        yield plan.result(rec, prob)
+
+
+DEVIATION_KINDS = ("honest", "flip-all", "pauli", "factors", "instruction",
+                   "extremal")
+_PERM_NAMES = ("I", "X", "Y", "Z", "H")
+
+
+@st.composite
+def _deviations(draw, n):
+    kind = draw(st.sampled_from(DEVIATION_KINDS))
+    site = st.integers(0, n - 1)
+    if kind == "honest":
+        return bvc.Deviation()
+    if kind == "flip-all":
+        return bvc.flip_all_deviation()
+    if kind == "pauli":
+        return bvc.pauli_deviation(draw(st.dictionaries(
+            site, st.sampled_from(("X", "Y", "Z")), min_size=1)))
+    if kind == "factors":
+        local = st.builds(lambda s, p: {"site": s + 1, "perm": p},
+                          site, st.integers(0, 23))
+        factor = local
+        if n > 1:
+            pair = st.lists(site, min_size=2, max_size=2, unique=True)
+            factor = st.one_of(local, st.builds(
+                lambda kind, sites: {kind: [s + 1 for s in sites]},
+                st.sampled_from(("cz", "cx", "cy")), pair))
+        return bvc.deviation_from_factors(
+            draw(st.lists(factor, min_size=1, max_size=4)))
+    if kind == "instruction":
+        table = draw(st.dictionaries(
+            st.tuples(site, st.integers(0, 3)), st.sampled_from(_PERM_NAMES)))
+        return bvc.instruction_conditioned_deviation(
+            lambda s, q: table.get((s, q)))
+    return bvc.extremal_deviation(draw(site))
+
+
+@st.composite
+def _rounds(draw):
+    """A line or a small graph on n <= 5 vertices with an angle on each,
+    a trap (or none), pads for it, a deviation and the blinding bits."""
+    n = draw(st.integers(1, 5))
+    nodes = tuple(range(n))
+    if draw(st.booleans()):
+        edges = tuple((i, i + 1) for i in range(n - 1))
+    else:
+        pairs = [(a, b) for a in nodes for b in nodes if a < b]
+        edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))
+                      if pairs else [])
+    outputs = tuple(draw(st.lists(st.sampled_from(nodes), unique=True)))
+    graph = OpenGraph(nodes, edges, outputs=outputs)
+    angles = dict(enumerate(draw(st.lists(st.integers(0, 3), min_size=n,
+                                          max_size=n))))
+    trap = draw(st.one_of(st.none(), st.sampled_from(nodes)))
+    dummies = graph.neighbors(trap) if trap is not None else set()
+    prep = {v: ({"dummy": draw(st.integers(0, 1))} if v in dummies
+                else {"angle": draw(st.integers(0, 3))}) for v in nodes}
+    plan = bvc._Plan(graph, angles, dummies, trap)
+    rvalues = draw(st.sampled_from([(0,), (0, 1)]))
+    return plan, prep, draw(_deviations(n)), rvalues
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rounds())
+def test_row_walk_matches_group_walk(case):
+    plan, prep, deviation, rvalues = case
+    got = list(bvc._walk_rounds(plan, prep, deviation, rvalues))
+    want = list(reference_walk(plan, prep, deviation, rvalues))
+    assert [res for _, res in got] == want
+    for halvings, res in got:
+        assert res.probability == Fraction(1, 2 ** halvings)
+
+
+def test_row_walk_matches_group_walk_on_every_pad():
+    # every pad, trap and deviation of a 3-node line, both walks
+    pattern = line_pattern(3, (1, 3, 2))
+    graph = pattern.graph
+    deviations = deviation_family() + [bvc.extremal_deviation(site)
+                                       for site in graph.nodes]
+    for trap in (None,) + graph.nodes:
+        dummies = graph.neighbors(trap) if trap is not None else set()
+        plan = bvc._Plan(graph, pattern.angles, dummies, trap)
+        pads = [v for v in graph.nodes if v not in dummies]
+        for thetas in product(range(4), repeat=len(pads)):
+            prep = {v: {"dummy": 1} for v in dummies}
+            prep.update({v: {"angle": t} for v, t in zip(pads, thetas)})
+            for dev in deviations:
+                for rvalues in ((0,), (0, 1)):
+                    got = [res for _, res in bvc._walk_rounds(
+                        plan, prep, dev, rvalues)]
+                    assert got == list(reference_walk(plan, prep, dev,
+                                                      rvalues))
+
+
+def test_before_measure_hook_sees_the_held_state():
+    # the hook is given Bob's state built from the rows, and what it
+    # returns is what gets measured
+    seen = []
+
+    def hook(site, quarter, state):
+        seen.append(state)
+        return Permutation.local(state.n, site, "Z").conjugate(state)
+
+    dev = bvc.Deviation(before_measure=hook)
+    plan = bvc._Plan(PAT3.graph, PAT3.angles, set(), None)
+    prep = {v: {"angle": 0} for v in PAT3.graph.nodes}
+    got = [res for _, res in bvc._walk_rounds(plan, prep, dev, (0,))]
+    assert got == list(reference_walk(plan, prep, dev, (0,)))
+    assert seen and all(state._known_valid for state in seen)
+    assert all(Group(s.n, s.generators).violations() == [] for s in seen)
+
+
+def test_hook_output_is_checked():
+    bad = bvc.Deviation(before_measure=lambda site, q, state: Group.parse(
+        "+ZII\n+ZII"))
+    plan = bvc._Plan(PAT3.graph, PAT3.angles, set(), None)
+    prep = {v: {"angle": 0} for v in PAT3.graph.nodes}
+    with pytest.raises(ValueError, match="linearly dependent"):
+        list(bvc._walk_rounds(plan, prep, bad, (0,)))
+    wide = bvc.Deviation(after_entangle=lambda state: Group.parse("+ZZZZ"))
+    with pytest.raises(ValueError, match="size mismatch"):
+        list(bvc._walk_rounds(plan, prep, wide, (0,)))
+
+
+# -- integer weights against Fraction sums ------------------------------------
+
+def fraction_pfail(pattern, deviation):
+    """The earlier exact_pfail: Fraction weights summed leaf by leaf."""
+    rvalues = (0, 1) if deviation.reads_instruction else (0,)
+    total = Fraction(0)
+    for trap in pattern.graph.nodes:
+        honest = bvc.honest_output_support(pattern, trap)
+        for w, res in bvc._enumerate_rounds(pattern, trap=trap,
+                                            deviation=deviation,
+                                            rvalues=rvalues):
+            if res.accept and (deviation.assume_corrupted
+                               or res.output not in honest):
+                total += w
+    return total / len(pattern.graph.nodes)
+
+
+def fraction_view(pattern):
+    """The earlier server_view_distribution: Fraction shares per key."""
+    dist = {}
+    for w, res in bvc._enumerate_rounds(pattern, rvalues=(0,)):
+        share = w / 2 ** len(res.raw)
+        for key in bvc._r_class(res):
+            dist[key] = dist.get(key, Fraction(0)) + share
+    return dist
+
+
+GRAPHS = (
+    line_pattern(1, (3,)),
+    line_pattern(2, (1, 2)),
+    line_pattern(4, (1, 1, 2, 3)),
+    Pattern(OpenGraph((0, 1, 2), ((0, 1), (1, 2), (0, 2)), outputs=(2,)),
+            {0: 1, 1: 0, 2: 3}),
+    Pattern(OpenGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)),
+                      outputs=(1, 3)), {0: 2, 1: 1, 2: 0, 3: 1}),
+    Pattern(OpenGraph((0, 1, 2, 3), ((0, 1), (2, 3))), {0: 0, 1: 3, 2: 1,
+                                                        3: 2}),
+)
+
+
+@pytest.mark.parametrize("pattern", GRAPHS)
+def test_integer_pfail_matches_fraction_sum(pattern):
+    nodes = pattern.graph.nodes
+    deviations = deviation_family()[:2] + [
+        bvc.pauli_deviation({nodes[0]: "Y"}),
+        bvc.deviation_from_factors([{"site": len(nodes), "perm": "H"}]),
+        bvc.instruction_conditioned_deviation(
+            lambda site, q: "X" if q in (1, 2) else None),
+    ] + [bvc.extremal_deviation(site) for site in range(len(nodes))]
+    for dev in deviations:
+        got = bvc.exact_pfail(pattern, dev)
+        assert type(got) is Fraction
+        assert got == fraction_pfail(pattern, dev)
+
+
+@pytest.mark.parametrize("pattern", GRAPHS)
+def test_integer_view_matches_fraction_sum(pattern):
+    got = bvc.server_view_distribution(pattern)
+    want = fraction_view(pattern)
+    assert got == want and list(got) == list(want)
+    assert all(type(w) is Fraction for w in got.values())
+
+
+@pytest.mark.parametrize("trap", (None, 0, 1, 2))
+@pytest.mark.parametrize("rvalues", ((0,), (0, 1)))
+def test_enumerated_weights_are_pad_times_branch(trap, rvalues):
+    # the weight in halvings is the earlier pad weight times the branch's
+    graph = PAT3.graph
+    dummies = graph.neighbors(trap) if trap is not None else set()
+    measured = len(graph.nodes) - len(dummies)
+    pad_weight = Fraction(1, 4 ** (len(graph.nodes) - len(dummies))
+                          * 2 ** len(dummies) * len(rvalues) ** measured)
+    total = Fraction(0)
+    for w, res in bvc._enumerate_rounds(PAT3, trap=trap, rvalues=rvalues):
+        assert w == pad_weight * res.probability
+        total += w
+    assert total == 1
+
+
+# -- bad inputs ----------------------------------------------------------------
+
+def test_trap_must_be_a_vertex():
+    with pytest.raises(ValueError, match="trap 7 is not a vertex"):
+        bvc.run_verified(PAT3, rng=random.Random(0), trap=7)
+    with pytest.raises(ValueError, match="trap 9 is not a vertex"):
+        bvc.honest_output_support(PAT3, 9)
+
+
+def test_every_vertex_needs_an_angle():
+    # outputs included: a delegated round measures every vertex
+    pattern = Pattern(PAT3.graph, {0: 0, 1: 1})
+    for call in (lambda: bvc.run_delegated(pattern, rng=random.Random(0)),
+                 lambda: bvc.run_blind(pattern, rng=random.Random(0)),
+                 lambda: bvc.run_verified(pattern, rng=random.Random(0),
+                                          trap=0),
+                 lambda: bvc.exact_pfail(pattern, bvc.Deviation()),
+                 lambda: bvc.server_view_distribution(pattern)):
+        with pytest.raises(ValueError, match=r"vertices without angles: \[2\]"):
+            call()
+
+
+@pytest.mark.parametrize("forced, message", [
+    ({9: 0}, "forced outcome for 9, which is not a measured vertex"),
+    ({1: 2}, "forced outcome of 1 is 0 or 1, not 2"),
+    ({0: 0, 2: -1}, "forced outcome of 2 is 0 or 1, not -1"),
+])
+def test_sampled_rounds_check_forced_outcomes(forced, message):
+    for runner in (bvc.run_delegated, bvc.run_blind):
+        with pytest.raises(ValueError, match=message):
+            runner(PAT3, rng=random.Random(0), forced=forced)
+
+
+def test_forcing_a_dummy_is_rejected():
+    # the trap's neighbours are prepared in Z and never measured
+    with pytest.raises(ValueError, match="forced outcome for 1, which is "
+                       "not a measured vertex"):
+        bvc.run_verified(PAT3, rng=random.Random(0), trap=0, forced={1: 0})
+    res = bvc.run_verified(PAT3, rng=random.Random(0), trap=0,
+                           forced={2: 1})
+    assert [u for u, _ in res.deltas] == [2, 0] and res.raw[0] == 1

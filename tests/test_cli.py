@@ -298,6 +298,34 @@ def test_bvc_rejects_bad_counts(run):
     assert "sample-rounds" in err
 
 
+def _bvc_pattern(tmp_path, **spec):
+    path = tmp_path / "bvc.json"
+    path.write_text(json.dumps({"graph": {"nodes": [0, 1, 2],
+                                          "edges": [[0, 1], [1, 2]]},
+                                "outputs": [2], **spec}))
+    return str(path)
+
+
+_BVC_MODES = (("--mode", "delegated"), ("--mode", "blind"),
+              ("--mode", "verified", "--exact"),
+              ("--mode", "verified", "--trials", "5"))
+
+
+@pytest.mark.parametrize("mode", _BVC_MODES)
+def test_bvc_output_needs_an_angle(run, tmp_path, mode):
+    path = _bvc_pattern(tmp_path, angles={"0": 0, "1": 1})
+    err = run("bvc", "simulate", "--pattern", path, *mode, expect=2)
+    assert err == ("error: vertices without angles: [2]; a delegated round "
+                   "measures every vertex, outputs included\n")
+
+
+@pytest.mark.parametrize("mode", _BVC_MODES)
+def test_bvc_pattern_with_inputs_rejected(run, tmp_path, mode):
+    path = _bvc_pattern(tmp_path, inputs=[0], angles={"0": 0, "1": 1, "2": 0})
+    err = run("bvc", "simulate", "--pattern", path, *mode, expect=2)
+    assert err == "error: delegated rounds take no quantum inputs\n"
+
+
 def test_selftest(run):
     rep = run("selftest")
     assert rep["ok"]

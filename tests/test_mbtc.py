@@ -12,8 +12,7 @@ from toystab.dynamics import (NAMED_PERMS, PERMS, PERM_ID, Permutation,
 from toystab.mbtc import (GatePattern, OpenGraph, Pattern, adapt_quarter,
                           angle_element, correction_masks,
                           enumerate_branches, find_gflow, gate_patterns,
-                          graph_state, live_outcomes, run_pattern,
-                          verify_gflow, walk)
+                          graph_state, run_pattern, verify_gflow, walk)
 
 from conftest import random_group
 
@@ -345,6 +344,18 @@ class _WholeGraphRun:
                        if v in outcomes},
             "output_state": output_state,
         }
+
+
+def live_outcomes(state, e):
+    """The earlier ``mbtc.live_outcomes``: (outcome, post, probability)
+    for each outcome of measuring ``e`` that can occur; a deterministic
+    outcome leaves the state as it was."""
+    out, post, p = measure_element(state, e, force=0)
+    if p == 0:
+        return [(1, state, Fraction(1))]
+    if p == 1:
+        return [(out, post, p)]
+    return [(out, post, p), measure_element(state, e, force=1)]
 
 
 def reference_run(pattern, input_group=None, *, rng=None, forced=None,
