@@ -267,12 +267,21 @@ class Group:
     its post-measurement group, and ``dynamics.Permutation.conjugate``
     when its input is already known valid.  Both build their result with
     the trusted constructor :meth:`_from_reduced`, straight from updated
-    reduced rows.  ``bvc.Bob.outcomes`` builds one the same way from the
-    rows of the exact walk, only to hand it to a deviation's
-    ``before_measure`` hook.  ``bvc.Bob.prepare`` marks its product of
-    single-site elements on distinct sites valid, and ``mbtc``'s cz rule,
-    which entangles a valid product state, builds its graph state as
-    valid.
+    reduced rows.  Four more builders use it on rows they derive with an
+    operation that keeps validity:
+
+    * ``mbtc._entangled`` (``graph_state`` and ``bvc.Bob.entangle``): a
+      valid product state after the cz rule;
+    * ``bvc.Bob.entangled_rows``: the pads' entangled state, built
+      straight into rows with the cz rule, as a group only to hand it to
+      a deviation's ``after_entangle`` hook;
+    * ``bvc.Bob.outcomes``: the exact walk's rows, only to hand them to a
+      ``before_measure`` hook;
+    * ``bvc.extremal_deviation``'s swap-in: a valid state's rows with one
+      site traced out and +X inserted there.
+
+    ``bvc.Bob.prepare`` marks its product of single-site elements on
+    distinct sites valid.
     Every other group is checked on its first :meth:`violations` or
     :meth:`require_valid`.
     """

@@ -18,10 +18,12 @@ A sampled round holds Bob's state as a group and measures it with
 ``server_view_distribution`` and ``honest_output_support``) walks every
 pad configuration and live outcome branch on the packed reduced rows
 ``{pivot: (bits, sign)}`` of Bob's whole state instead, one
-:func:`dynamics.measure_rows` step per branch (``_walk_rounds``).  Every
-branch probability is 1 or 1/2 and every pad weight a power of two, so a
-weight is carried as an integer count of halvings, and a ``Fraction`` is
-built only for a result.
+:func:`dynamics.measure_rows` step per branch (``_walk_rounds``).  Each
+pad configuration's entangled state is built straight into those rows
+(:meth:`Bob.entangled_rows`), and a group is built only to hand the
+state to a deviation's hook.  Every branch probability is 1 or 1/2 and
+every pad weight a power of two, so a weight is carried as an integer
+count of halvings, and a ``Fraction`` is built only for a result.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import Element, Group
-from .dynamics import Permutation, erase, measure_element, measure_rows
+from .algebra import Element, Group, echelon, insert
+from .dynamics import Permutation, measure_element, measure_rows, trace_site
 from .mbtc import (_QUARTER_ROWS, OpenGraph, Pattern, _check_forced,
-                   _entangled, adapt_quarter, angle_element,
-                   correction_masks, find_gflow, walk)
+                   _cz_gains, _cz_row, _entangled, adapt_quarter,
+                   angle_element, correction_masks, find_gflow, walk)
 
 
 def formula_from_quarter(q: int) -> int:
@@ -78,9 +80,10 @@ class Deviation:
     ``after_entangle`` once per pad configuration and ``before_measure``
     once per prefix and blinding bit (see ``_walk_rounds``), sharing the
     result between branches, so it assumes deterministic hooks.  The
-    exact walk holds Bob's state as reduced rows: it hands
-    ``before_measure`` those rows built as a valid group, and checks the
-    group the hook returns before it measures it.
+    exact walk holds Bob's state as reduced rows: it hands each hook
+    those rows built as a valid group (for ``after_entangle``, the
+    entangled state of the pads), and checks the group the hook returns
+    before it walks on.
     """
 
     after_entangle: Callable | None = None   # (state) -> state
@@ -126,6 +129,35 @@ class Bob:
         if dev and dev.after_entangle:
             state = dev.after_entangle(state)
         return state
+
+    def entangled_rows(self, states, edges) -> dict:
+        """The reduced rows ``{pivot: (bits, sign)}`` of
+        ``self.entangle(self.prepare(states), edges)``, built straight
+        from the pads with one echelon and no group.
+
+        A system i with pad quarter q is the row of its angle element,
+        ``x_i | (q & 1)·z_i`` with sign ``q >> 1``, and the cz rule
+        (:func:`mbtc._cz_row`) adds the z columns of i's neighbours to
+        it; a dummy is ``±z_i``, which the cz's leave alone.  A
+        deviation's ``after_entangle`` hook is handed these rows built as
+        a group, and the state it returns is checked as :meth:`outcomes`
+        checks a ``before_measure`` hook's.
+        """
+        n = len(states)
+        gains = _cz_gains(edges)
+        pads = []
+        for i, spec in enumerate(states):
+            if "dummy" in spec:
+                bits, neg = 2, bool(spec["dummy"])
+            else:
+                bits, neg = _QUARTER_ROWS[quarter_from_formula(spec["angle"])]
+            pads.append((_cz_row(bits << 2 * i, gains), neg))
+        rows, _ = echelon(pads)
+        dev = self.deviation
+        if dev and dev.after_entangle:
+            rows = _held_rows(
+                dev.after_entangle(Group._from_reduced(n, rows)), n)
+        return rows
 
     def _observable(self, state: Group, site: int, quarter: int):
         dev = self.deviation
@@ -182,11 +214,22 @@ def _held_rows(state: Group, n: int) -> dict:
 
 
 def extremal_deviation(site: int) -> Deviation:
-    """Discard the system at ``site`` and substitute a fresh +X system."""
+    """Discard the system at ``site`` and substitute a fresh +X system.
+
+    The swap-in works on the state's reduced rows: the site is traced
+    out (:func:`dynamics.trace_site`), which leaves no row touching it,
+    and a +X row is inserted there.  The new row is compatible with the
+    others and independent of them, so the result is built as valid.
+    """
 
     def swap_in(state: Group) -> Group:
-        cleared = erase(state, [site])
-        return cleared.extended(Element.single(state.n, site, "X"))
+        n = state.n
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for n={n}")
+        rows = dict(state.require_valid()._pivots)
+        trace_site(rows, site)
+        insert(rows, 1 << 2 * site, False)
+        return Group._from_reduced(n, rows, state)
 
     return Deviation(after_entangle=swap_in, assume_corrupted=True)
 
@@ -426,6 +469,7 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
                  rbits=None, forced=None, deviation=None) -> RoundResult:
     """Blind round with a trap vertex; its neighbors become dummies."""
     graph = pattern.graph
+    _require_vertex(graph)
     if trap is None:
         trap = graph.nodes[rng.randrange(len(graph.nodes))]
     dummies = graph.neighbors(trap)
@@ -454,9 +498,12 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
     the round's probability is 2 ** -halvings.
 
     The rounds are the leaves of one depth-first walk over the reduced
-    rows ``{pivot: (bits, sign)}`` of Bob's whole state.  Bob prepares
-    and entangles once, calling the deviation's ``after_entangle`` once,
-    and the entangled state is checked once.  Then at each measured
+    rows ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts
+    from the entangled state of the pads, built straight into rows
+    (:meth:`Bob.entangled_rows`).  The deviation's ``after_entangle``
+    hook, when there is one, is called once, on those rows built as a
+    group, and the state it returns is checked once; without it no group
+    is built before the walk.  Then at each measured
     vertex, in Alice's order, the walk branches on the blinding bit r and
     on the outcomes Bob can get (:meth:`Bob.outcomes`).  Each child's
     rows come from one :func:`dynamics.measure_rows` step, which leaves
@@ -482,8 +529,6 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
     ``reads_instruction`` needs the full ``(0, 1)`` walk.
     """
     bob = Bob(deviation)
-    state = bob.entangle(bob.prepare([prep[v] for v in plan.graph.nodes]),
-                         plan.edges)
     n = len(plan.site)
     theta = plan.thetas(prep)
 
@@ -499,7 +544,8 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
                                  plan.receive(u, rec, wire, ops, o, r)))
         return children
 
-    root = (_held_rows(state, n), 0, _Transcript())
+    root = (bob.entangled_rows([prep[v] for v in plan.graph.nodes],
+                               plan.edges), 0, _Transcript())
     for _, halvings, rec in walk(root, len(plan.order), step):
         yield halvings, plan.result(rec, _dyadic(halvings))
 
@@ -546,6 +592,18 @@ def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
         pattern, trap=trap, rvalues=(0,), padded=False))
 
 
+def _require_vertex(graph: OpenGraph) -> None:
+    if not graph.nodes:
+        raise ValueError("a verified round needs at least one vertex")
+
+
+def trap_bound(pattern: Pattern) -> Fraction:
+    """1 - 1/(2n), the bound on the failure probability of a verified
+    round on n vertices against any deviation."""
+    _require_vertex(pattern.graph)
+    return 1 - Fraction(1, 2 * len(pattern.graph.nodes))
+
+
 def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
     """P(accept and the computation was corrupted), trap uniform.
 
@@ -561,6 +619,7 @@ def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
     as integer numerators over 2 ** 4n, with one ``Fraction`` per trap.
     """
     graph = pattern.graph
+    _require_vertex(graph)
     rvalues = (0, 1) if deviation.reads_instruction else (0,)
     top = 1 << 4 * len(graph.nodes)
     total = Fraction(0)
@@ -590,9 +649,10 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
 def estimate_pfail(pattern: Pattern, deviation: Deviation, *, rng,
                    trials: int) -> dict:
     """Monte Carlo failure estimate with a Wilson 95% interval."""
+    graph = pattern.graph
+    _require_vertex(graph)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    graph = pattern.graph
     honest = {} if deviation.assume_corrupted else \
         {t: honest_output_support(pattern, t) for t in graph.nodes}
     fails = 0
@@ -621,13 +681,24 @@ def server_view_distribution(pattern: Pattern) -> dict:
     per angle pad, one per random outcome), and its n blinding bits split
     it into shares of 2 ** -(k + n).  The shares are summed as integer
     numerators over 2 ** 4n, with one ``Fraction`` per transcript.
+
+    Every transcript of an r-class gets the same total, so a round's
+    share is summed once, under the class's representative: each wire's
+    low bit XOR its raw outcome, which no blinding bit moves.  Each class
+    is expanded at the end from the first round seen in it, so the
+    transcripts come in the order a round-by-round expansion gives.
     """
     top = 1 << 4 * len(pattern.graph.nodes)
-    nums: dict = {}
+    classes: dict = {}   # representative -> [first round, share]
     for w, res in _enumerate_rounds(pattern, rvalues=(0,)):
         share = top // (w.denominator << len(res.raw))
-        for key in _r_class(res):
-            nums[key] = nums.get(key, 0) + share
+        rep = tuple((u, d ^ o) for (u, d), o in zip(res.deltas, res.raw))
+        if rep in classes:
+            classes[rep][1] += share
+        else:
+            classes[rep] = [res, share]
+    nums = {key: share for res, share in classes.values()
+            for key in _r_class(res)}
     assert sum(nums.values()) == top
     return {key: Fraction(num, top) for key, num in nums.items()}
 

@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bvc, codes, crypto
 from .algebra import Element, Group
@@ -341,8 +342,7 @@ def _cmd_bvc(args) -> dict:
               "deviation": args.deviation}
     rng = random.Random(args.seed)
     if args.mode == "verified":
-        n = len(pattern.graph.nodes)
-        report["bound"] = _rat(1 - Fraction(1, 2 * n))
+        report["bound"] = _rat(bvc.trap_bound(pattern))
         if args.exact:
             dev = deviation or bvc.Deviation()
             report["p_fail"] = _rat(bvc.exact_pfail(pattern, dev))
@@ -397,9 +397,11 @@ def _cmd_selftest(args) -> dict:
 # wiring
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once: it does not read the environment.
+    A ``--seed`` left out parses as None (see :func:`_default_seed`)."""
     top = _Parser(prog="toystab", description=__doc__)
-    default_seed = int(os.environ.get("TOYSTAB_SEED", "0"))
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state", help="validate or print a stabilizer state")
@@ -416,7 +418,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("measure", help="measure one observable")
     p.add_argument("state")
     p.add_argument("observable")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", type=int, choices=[0, 1], default=None)
     p.set_defaults(fn=_cmd_measure)
 
@@ -451,7 +453,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--error", default="X@3", help="W@site, 1-based")
     p.add_argument("--erase", default=None, help="1-based sites to erase")
     p.add_argument("--secret", default=None)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_ec)
 
     p = sub.add_parser("share", help="secret sharing deal/reconstruct")
@@ -459,7 +461,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--players", default="1,2,3",
                    help="1-based share holders (reconstruct)")
     p.add_argument("--secret", default=None)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_share)
 
     p = sub.add_parser("mbtc", help="run a measurement pattern")
@@ -467,7 +469,7 @@ def _build_parser() -> _Parser:
     p.add_argument("pattern", help="pattern JSON file")
     p.add_argument("--input", default=None, help="input state file/text")
     p.add_argument("--branches", choices=["all", "sample"], default="sample")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_mbtc)
 
     p = sub.add_parser("bvc", help="delegated computation simulator")
@@ -483,13 +485,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--sample-rounds", type=int, default=20)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_bvc)
 
     p = sub.add_parser("selftest", help="run the worked single-system fixture")
     p.set_defaults(fn=_cmd_selftest)
 
     return top
+
+
+def _default_seed() -> int:
+    """The seed of a command run without ``--seed``: ``TOYSTAB_SEED``,
+    or 0 when it is unset."""
+    text = os.environ.get("TOYSTAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"TOYSTAB_SEED must be an integer, got {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -499,6 +512,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     try:
+        if "seed" in args and args.seed is None:
+            args.seed = _default_seed()
         report = args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

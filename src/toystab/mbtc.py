@@ -271,6 +271,11 @@ class Pattern:
     angles: Mapping
     flow: tuple | None = None
 
+    def __post_init__(self):
+        extra = [v for v in self.angles if v not in self.graph.adjacency]
+        if extra:
+            raise ValueError(f"angles for vertices that are not nodes: {extra}")
+
     def resolved_flow(self):
         if self.flow is not None:
             verify_gflow(self.graph, *self.flow)
@@ -289,28 +294,40 @@ class Pattern:
                       key=lambda v: -layer[v])
 
 
+def _cz_gains(edges: Iterable) -> tuple:
+    """The cz's on the edges ``(a, b)`` of site indices, as one pair
+    (x column of a, z columns of a's neighbours across them) per
+    endpoint a, in the packed interleaved columns."""
+    gain: dict = {}
+    for a, b in edges:
+        gain[a] = gain.get(a, 0) ^ 2 << 2 * b
+        gain[b] = gain.get(b, 0) ^ 2 << 2 * a
+    return tuple((1 << 2 * a, z) for a, z in gain.items())
+
+
+def _cz_row(bits: int, gains: tuple) -> int:
+    """The interleaved row ``bits`` after the cz's ``gains``
+    (:func:`_cz_gains`).
+
+    This is the one cz rule.  A cz on edge (a, b) adds the x bit of a to
+    the z bit of b and the x bit of b to the z bit of a, with no sign, so
+    a row's z part gains the odd neighbourhood of its x part, and the
+    sign is kept.  The cz factors commute, so their order does not
+    matter.
+    """
+    for x, z in gains:
+        if bits & x:
+            bits ^= z
+    return bits
+
+
 def _entangled(n: int, gens: Iterable[Element], edges: Iterable) -> Group:
     """The group of the valid product state ``gens`` after a cz on each
-    edge ``(a, b)`` of site indices.
-
-    Built straight from the edges: a cz on edge (a, b) adds the X bit of
-    a to the Z bit of b and the X bit of b to the Z bit of a, with no
-    sign, so each generator's Z part gains the odd neighbourhood of its X
-    part.  The cz factors keep validity, so the result is built as valid.
-    """
-    odd = [0] * n
-    for a, b in edges:
-        odd[a] ^= 1 << b
-        odd[b] ^= 1 << a
-    entangled = []
-    for e in gens:
-        z, x = e.z, e.x
-        while x:
-            low = x & -x
-            z ^= odd[low.bit_length() - 1]
-            x ^= low
-        entangled.append(Element(n, e.x, z, e.neg))
-    return Group(n, entangled)._mark_valid()
+    edge ``(a, b)`` of site indices.  The cz factors keep validity, so
+    the result is built as valid."""
+    gains = _cz_gains(edges)
+    rows, _ = echelon((_cz_row(e.interleaved(), gains), e.neg) for e in gens)
+    return Group._from_reduced(n, rows)
 
 
 def _input_elements(graph: OpenGraph, input_group: Group | None,
@@ -419,9 +436,9 @@ class _PatternRun:
         prepared = sum(1 << idx[v] for v in graph.inputs)
 
         def make_live(sites):
-            """(sites to prepare, cz's, cz mask) that make ``sites`` live.
-            A cz is (x bit of a, z bits of a's neighbours across the new
-            edges); the mask holds the x bits of every endpoint."""
+            """(sites to prepare, cz's, cz mask) that make ``sites`` live:
+            the cz's of the new edges (:func:`_cz_gains`), and the x bits
+            of every endpoint."""
             nonlocal live, prepared
             new = [s for s in sites if not live >> s & 1]
             for s in new:
@@ -429,7 +446,7 @@ class _PatternRun:
             prep = [s for s in new if not prepared >> s & 1]
             for s in prep:
                 prepared |= 1 << s
-            gain = {}
+            edges = []
             for a in new:
                 m = pending[a] & live
                 while m:
@@ -438,9 +455,8 @@ class _PatternRun:
                     b = low.bit_length() - 1
                     pending[a] ^= low
                     pending[b] ^= 1 << a
-                    gain[a] = gain.get(a, 0) | 2 << 2 * b
-                    gain[b] = gain.get(b, 0) | 2 << 2 * a
-            cz = tuple((1 << 2 * a, z) for a, z in gain.items())
+                    edges.append((a, b))
+            cz = _cz_gains(edges)
             return prep, cz, sum(x for x, _ in cz)
 
         self.steps = []
@@ -467,19 +483,16 @@ class _PatternRun:
 
     @staticmethod
     def _entangle(rows: dict, entangle) -> dict:
-        """``rows`` after preparing new sites at +X and applying new cz's.
-        A cz adds, with no sign, each endpoint's x bit to the other's z
-        bit; the rows it changes are taken out and inserted again."""
+        """``rows`` after preparing new sites at +X and applying new cz's
+        (:func:`_cz_row`); the rows they change are taken out and inserted
+        again."""
         prep, cz, mask = entangle
         moved = [(1 << 2 * s, False) for s in prep]
         if mask:
             moved += [rows.pop(p) for p in
                       [p for p, (bits, _) in rows.items() if bits & mask]]
         for bits, neg in moved:
-            for x, z in cz:
-                if bits & x:
-                    bits ^= z
-            insert(rows, bits, neg)
+            insert(rows, _cz_row(bits, cz), neg)
         return rows
 
     def step(self, k: int, state: tuple, forces, rng=None) -> list:

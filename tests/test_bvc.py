@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from toystab import bvc
 from toystab.algebra import Element, Group
-from toystab.dynamics import Permutation
+from toystab.dynamics import Permutation, erase
 from toystab.mbtc import OpenGraph, Pattern, angle_element, run_pattern, walk
 
+from conftest import random_group
 from test_mbtc import live_outcomes
 
 HALF = Fraction(1, 2)
@@ -113,6 +114,106 @@ def test_bob_entangles_like_cz_conjugation(case):
     assert state.canonical == _reference_entangled(prep, edges).canonical
     assert state._known_valid
     assert Group(state.n, state.generators).violations() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pads_and_edges())
+def test_pad_rows_match_prepare_and_entangle(case):
+    # the exact walk's state is built straight into rows, the sampled
+    # round's through two groups; both must be the cz-conjugated pads
+    prep, edges = case
+    n = len(prep)
+    bob = bvc.Bob()
+    rows = bob.entangled_rows(prep, edges)
+    assert rows == bob.entangle(bob.prepare(prep), edges)._pivots
+    assert rows == _reference_entangled(prep, edges)._pivots
+    assert all(type(neg) is bool for _, neg in rows.values())
+    assert Group(n, [Element.from_interleaved(n, *row)
+                     for row in rows.values()]).violations() == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pads_and_edges())
+def test_pad_rows_hand_the_hook_the_entangled_state(case):
+    prep, edges = case
+    n = len(prep)
+    seen = []
+    flip = Permutation.local(n, n - 1, "X")
+
+    def hook(state):
+        seen.append(state)
+        return flip.conjugate(state)
+
+    rows = bvc.Bob(bvc.Deviation(after_entangle=hook)).entangled_rows(
+        prep, edges)
+    want = bvc.Bob().entangle(bvc.Bob().prepare(prep), edges)
+    assert len(seen) == 1 and seen[0]._known_valid
+    assert seen[0].canonical == want.canonical
+    assert rows == flip.conjugate(want)._pivots
+
+
+def test_honest_and_flip_all_walks_build_no_group(monkeypatch):
+    built = []
+    real_init = Group.__init__
+    real_from_reduced = Group._from_reduced.__func__
+    monkeypatch.setattr(Group, "__init__", lambda self, *args: built.append(
+        "init") or real_init(self, *args))
+    monkeypatch.setattr(Group, "_from_reduced", classmethod(
+        lambda cls, *args: built.append("rows") or real_from_reduced(
+            cls, *args)))
+    plan = bvc._Plan(PAT3.graph, PAT3.angles, {1}, 0)
+    prep = {0: {"angle": 3}, 1: {"dummy": 1}, 2: {"angle": 2}}
+    for dev in (None, bvc.flip_all_deviation()):
+        assert list(bvc._walk_rounds(plan, prep, dev, (0, 1)))
+    assert built == []
+    list(bvc._walk_rounds(plan, prep, bvc.extremal_deviation(2), (0,)))
+    assert built == ["rows", "rows"]
+
+
+# -- the extremal swap-in on rows against erase + extended --------------------
+
+def reference_swap_in(state, site):
+    """The earlier extremal swap-in: erase the site (partial trace, then
+    embed), then extend the group by +X there."""
+    cleared = erase(state, [site])
+    return cleared.extended(Element.single(state.n, site, "X"))
+
+
+@st.composite
+def _valid_states(draw):
+    """A valid state of any rank on n <= 10 systems."""
+    n = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_group(rng, n, draw(st.integers(0, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_states())
+def test_row_swap_in_matches_erase_then_extend(state):
+    n = state.n
+    before = dict(state._pivots)
+    for site in range(n):
+        got = bvc.extremal_deviation(site).after_entangle(state)
+        want = reference_swap_in(state, site)
+        assert got.canonical == want.canonical
+        assert got._pivots == want._pivots
+        assert got._known_valid
+        assert Group(n, got.generators).violations() == []
+        assert state._pivots == before
+    for site in (-1, n, n + 3):
+        message = f"site {site} out of range for n={n}"
+        for swap_in in (bvc.extremal_deviation(site).after_entangle,
+                        lambda state: reference_swap_in(state, site)):
+            with pytest.raises(ValueError, match=message):
+                swap_in(state)
+
+
+def test_swap_in_rejects_an_invalid_state():
+    bad = Group.parse("+ZI\n+XI")
+    for swap_in in (bvc.extremal_deviation(1).after_entangle,
+                    lambda state: reference_swap_in(state, 1)):
+        with pytest.raises(ValueError, match="incompatible pair"):
+            swap_in(bad)
 
 
 # -- correctness ---------------------------------------------------------------
@@ -677,6 +778,21 @@ def test_enumerated_weights_are_pad_times_branch(trap, rvalues):
 
 
 # -- bad inputs ----------------------------------------------------------------
+
+def test_verified_rounds_need_a_vertex():
+    empty = Pattern(OpenGraph((), ()), {})
+    message = "a verified round needs at least one vertex"
+    for call in (lambda: bvc.exact_pfail(empty, bvc.Deviation()),
+                 lambda: bvc.estimate_pfail(empty, bvc.Deviation(),
+                                            rng=random.Random(0), trials=5),
+                 lambda: bvc.run_verified(empty, rng=random.Random(0)),
+                 lambda: bvc.run_verified(empty, rng=random.Random(0),
+                                          trap=0),
+                 lambda: bvc.trap_bound(empty)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert bvc.trap_bound(PAT3) == Fraction(5, 6)
+
 
 def test_trap_must_be_a_vertex():
     with pytest.raises(ValueError, match="trap 7 is not a vertex"):

@@ -249,6 +249,9 @@ def test_mbtc_run(run, tmp_path):
     ({"graph": {"nodes": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 1]]},
       "outputs": [2], "angles": {"0": 0, "1": 0}},
      "edge (2, 1) is listed twice"),
+    ({"graph": {"nodes": [0, 1], "edges": [[0, 1]]}, "outputs": [1],
+      "angles": {"0": 0, "1": 1, "7": 2}},
+     "angles for vertices that are not nodes: [7]"),
 ])
 def test_mbtc_run_rejects_bad_pattern(run, tmp_path, spec, message):
     pat = tmp_path / "p.json"
@@ -324,6 +327,46 @@ def test_bvc_pattern_with_inputs_rejected(run, tmp_path, mode):
     path = _bvc_pattern(tmp_path, inputs=[0], angles={"0": 0, "1": 1, "2": 0})
     err = run("bvc", "simulate", "--pattern", path, *mode, expect=2)
     assert err == "error: delegated rounds take no quantum inputs\n"
+
+
+@pytest.mark.parametrize("mode", _BVC_MODES)
+def test_bvc_angle_on_a_non_node_rejected(run, tmp_path, mode):
+    path = _bvc_pattern(tmp_path, angles={"0": 0, "1": 1, "2": 0, "7": 2})
+    err = run("bvc", "simulate", "--pattern", path, *mode, expect=2)
+    assert err == "error: angles for vertices that are not nodes: [7]\n"
+
+
+@pytest.mark.parametrize("mode", [("--exact",), ("--trials", "5")])
+def test_bvc_verified_needs_a_vertex(run, tmp_path, mode):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"graph": {"nodes": [], "edges": []},
+                                "angles": {}}))
+    err = run("bvc", "simulate", "--pattern", str(path), "--mode",
+              "verified", *mode, expect=2)
+    assert err == "error: a verified round needs at least one vertex\n"
+
+
+def test_seed_defaults_to_the_environment(run, monkeypatch):
+    # the parser is built once, so each call reads its own environment
+    for seed in ("7", "12"):
+        monkeypatch.setenv("TOYSTAB_SEED", seed)
+        assert run("measure", "+Z", "+X")["seed"] == int(seed)
+        assert run("bvc", "simulate", "--mode", "blind")["seed"] == int(seed)
+    assert run("measure", "+Z", "+X", "--seed", "3")["seed"] == 3
+    monkeypatch.delenv("TOYSTAB_SEED")
+    assert run("measure", "+Z", "+X")["seed"] == 0
+
+
+def test_bad_seed_in_the_environment(run, monkeypatch):
+    monkeypatch.setenv("TOYSTAB_SEED", "abc")
+    for argv in (("measure", "+Z", "+X"), ("ec", "demo"),
+                 ("share", "deal"), ("bvc", "simulate", "--mode", "blind")):
+        err = run(*argv, expect=2)
+        assert err == "error: TOYSTAB_SEED must be an integer, got 'abc'\n"
+    # commands that take no seed, or are given one, ignore it
+    assert run("state", "print", "+Z")["rank"] == 1
+    assert run("selftest")["ok"]
+    assert run("measure", "+Z", "+X", "--seed", "4")["seed"] == 4
 
 
 def test_selftest(run):

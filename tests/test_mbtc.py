@@ -221,6 +221,13 @@ def test_missing_angles_rejected():
         run_pattern(Pattern(graph, {0: 0}))
 
 
+def test_angles_must_name_nodes():
+    graph = OpenGraph.line(2)
+    with pytest.raises(ValueError, match=r"angles for vertices that are not "
+                       r"nodes: \[7, 'a'\]"):
+        Pattern(graph, {0: 0, 7: 2, 1: 1, "a": 0})
+
+
 # -- projector and correction identities --------------------------------------
 
 def _perm_matrix_conj(perm: Permutation, diag):
