@@ -270,18 +270,17 @@ class Group:
     reduced rows.  Four more builders use it on rows they derive with an
     operation that keeps validity:
 
-    * ``mbtc._entangled`` (``graph_state`` and ``bvc.Bob.entangle``): a
-      valid product state after the cz rule;
+    * ``mbtc._entangled`` (``graph_state``): a valid product state after
+      the cz rule;
     * ``bvc.Bob.entangled_rows``: the pads' entangled state, built
       straight into rows with the cz rule, as a group only to hand it to
-      a deviation's ``after_entangle`` hook;
+      a deviation's ``after_entangle`` hook (and ``bvc._run_round``, on
+      the rows it returns, for a sampled round to measure);
     * ``bvc.Bob.outcomes``: the exact walk's rows, only to hand them to a
       ``before_measure`` hook;
     * ``bvc.extremal_deviation``'s swap-in: a valid state's rows with one
       site traced out and +X inserted there.
 
-    ``bvc.Bob.prepare`` marks its product of single-site elements on
-    distinct sites valid.
     Every other group is checked on its first :meth:`violations` or
     :meth:`require_valid`.
     """

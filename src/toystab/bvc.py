@@ -13,17 +13,19 @@ Angle encodings: the *quarter* encoding indexes the equator family
 keeps the sign in the low bit and the basis in the high bit.  The two
 are related by swapping bits, a swap that is its own inverse.
 
-A sampled round holds Bob's state as a group and measures it with
+Every round starts from the entangled state of its pads, built
+straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
+whole state (:meth:`Bob.entangled_rows`); a group is built from them
+only to hand the state to a deviation's hook.  A sampled round then
+holds the state as a group and measures it with
 :func:`dynamics.measure_element`.  Exact analysis (``exact_pfail``,
 ``server_view_distribution`` and ``honest_output_support``) walks every
-pad configuration and live outcome branch on the packed reduced rows
-``{pivot: (bits, sign)}`` of Bob's whole state instead, one
-:func:`dynamics.measure_rows` step per branch (``_walk_rounds``).  Each
-pad configuration's entangled state is built straight into those rows
-(:meth:`Bob.entangled_rows`), and a group is built only to hand the
-state to a deviation's hook.  Every branch probability is 1 or 1/2 and
-every pad weight a power of two, so a weight is carried as an integer
-count of halvings, and a ``Fraction`` is built only for a result.
+pad configuration and live outcome branch on the rows instead, one
+:func:`dynamics.measure_rows` step per branch (``_walk_rounds``), and
+again builds a group only for a hook.  Every branch probability is 1 or
+1/2 and every pad weight a power of two, so a weight is carried as an
+integer count of halvings, and a ``Fraction`` is built only for a
+result.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import Element, Group, echelon, insert
+from .algebra import Group, echelon, insert
 from .dynamics import Permutation, measure_element, measure_rows, trace_site
 from .mbtc import (_QUARTER_ROWS, OpenGraph, Pattern, _check_forced,
-                   _cz_gains, _cz_row, _entangled, adapt_quarter,
+                   _cz_gains, _cz_row, adapt_quarter,
                    angle_element, correction_masks, find_gflow, walk)
 
 
@@ -79,11 +81,13 @@ class Deviation:
     Sampled rounds call each hook once per event.  Exact analysis calls
     ``after_entangle`` once per pad configuration and ``before_measure``
     once per prefix and blinding bit (see ``_walk_rounds``), sharing the
-    result between branches, so it assumes deterministic hooks.  The
-    exact walk holds Bob's state as reduced rows: it hands each hook
-    those rows built as a valid group (for ``after_entangle``, the
-    entangled state of the pads), and checks the group the hook returns
-    before it walks on.
+    result between branches, so it assumes deterministic hooks.  Both
+    hand ``after_entangle`` the entangled state of the pads, built from
+    reduced rows as a valid group (:meth:`Bob.entangled_rows`), and
+    check that the state it returns is valid and on as many systems.
+    The exact walk holds Bob's state as reduced rows from then on: it
+    hands ``before_measure`` those rows built as a valid group, and
+    checks the group the hook returns the same way before it walks on.
     """
 
     after_entangle: Callable | None = None   # (state) -> state
@@ -108,32 +112,12 @@ class Bob:
     def __init__(self, deviation: Deviation | None = None):
         self.deviation = deviation
 
-    def prepare(self, states) -> Group:
-        """The product state of one single-site element per system, which
-        is valid by construction."""
-        n = len(states)
-        gens = []
-        for i, spec in enumerate(states):
-            if "dummy" in spec:
-                e = Element.single(n, i, "Z", bool(spec["dummy"]))
-            else:
-                e = angle_element(n, i, quarter_from_formula(spec["angle"]))
-            gens.append(e)
-        return Group(n, gens)._mark_valid()
-
-    def entangle(self, state: Group, edges) -> Group:
-        """``state`` after a cz on each edge of site indices, then the
-        deviation's ``after_entangle`` hook."""
-        state = _entangled(state.n, state.require_valid().canonical, edges)
-        dev = self.deviation
-        if dev and dev.after_entangle:
-            state = dev.after_entangle(state)
-        return state
-
     def entangled_rows(self, states, edges) -> dict:
-        """The reduced rows ``{pivot: (bits, sign)}`` of
-        ``self.entangle(self.prepare(states), edges)``, built straight
-        from the pads with one echelon and no group.
+        """The reduced rows ``{pivot: (bits, sign)}`` of the state Bob
+        holds after preparing one system per entry of ``states`` and
+        applying a cz on each edge of site indices, then the deviation's
+        ``after_entangle`` hook.  The rows are built straight from the
+        pads with one echelon and no group.
 
         A system i with pad quarter q is the row of its angle element,
         ``x_i | (q & 1)·z_i`` with sign ``q >> 1``, and the cz rule
@@ -411,8 +395,8 @@ def _run_round(graph: OpenGraph, angles: Mapping, *, prep: Mapping,
     if forced:
         _check_forced(forced, plan.order)
     bob = Bob(deviation)
-    state = bob.entangle(bob.prepare([prep[v] for v in graph.nodes]),
-                         plan.edges)
+    state = Group._from_reduced(len(graph.nodes), bob.entangled_rows(
+        [prep[v] for v in graph.nodes], plan.edges))
     theta = plan.thetas(prep)
     forced = forced or {}
     rec, prob = _Transcript(), Fraction(1)
@@ -650,6 +634,7 @@ def estimate_pfail(pattern: Pattern, deviation: Deviation, *, rng,
                    trials: int) -> dict:
     """Monte Carlo failure estimate with a Wilson 95% interval."""
     graph = pattern.graph
+    # checked here: each trial draws its trap before run_verified does
     _require_vertex(graph)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

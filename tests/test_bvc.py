@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from toystab import bvc
 from toystab.algebra import Element, Group
 from toystab.dynamics import Permutation, erase
-from toystab.mbtc import OpenGraph, Pattern, angle_element, run_pattern, walk
+from toystab.mbtc import (OpenGraph, Pattern, _entangled, angle_element,
+                          run_pattern, walk)
 
 from conftest import random_group
 from test_mbtc import live_outcomes
@@ -85,6 +86,16 @@ def _reference_entangled(prep, edges):
     return perm.conjugate(_reference_prepared(prep))
 
 
+def reference_entangle(prep, edges, deviation=None):
+    """The earlier ``Bob(deviation).entangle(Bob.prepare(prep), edges)``:
+    the product state of the pads as a group, through ``mbtc._entangled``,
+    then the deviation's ``after_entangle`` hook."""
+    state = _entangled(len(prep), _reference_prepared(prep).canonical, edges)
+    if deviation and deviation.after_entangle:
+        state = deviation.after_entangle(state)
+    return state
+
+
 @st.composite
 def _pads_and_edges(draw):
     """Angle pads (any formula integer) and +-Z dummies on n <= 10 systems,
@@ -103,29 +114,27 @@ def _pads_and_edges(draw):
 @settings(max_examples=200, deadline=None)
 @given(_pads_and_edges())
 def test_bob_entangles_like_cz_conjugation(case):
+    # the state a sampled round measures: the pad rows built as a group
     prep, edges = case
+    n = len(prep)
     seen = []
     bob = bvc.Bob(bvc.Deviation(after_entangle=lambda s: seen.append(s) or s))
-    prepared = bob.prepare(prep)
-    assert prepared.canonical == _reference_prepared(prep).canonical
-    assert Group(prepared.n, prepared.generators).violations() == []
-    state = bob.entangle(prepared, edges)
-    assert len(seen) == 1 and seen[0] is state
+    state = Group._from_reduced(n, bob.entangled_rows(prep, edges))
+    assert len(seen) == 1 and seen[0]._known_valid
+    assert seen[0].canonical == state.canonical
     assert state.canonical == _reference_entangled(prep, edges).canonical
-    assert state._known_valid
-    assert Group(state.n, state.generators).violations() == []
+    assert Group(n, state.generators).violations() == []
 
 
 @settings(max_examples=200, deadline=None)
 @given(_pads_and_edges())
 def test_pad_rows_match_prepare_and_entangle(case):
-    # the exact walk's state is built straight into rows, the sampled
-    # round's through two groups; both must be the cz-conjugated pads
+    # the state is built straight into rows; it must be the earlier
+    # two-group build and the cz-conjugated pads
     prep, edges = case
     n = len(prep)
-    bob = bvc.Bob()
-    rows = bob.entangled_rows(prep, edges)
-    assert rows == bob.entangle(bob.prepare(prep), edges)._pivots
+    rows = bvc.Bob().entangled_rows(prep, edges)
+    assert rows == reference_entangle(prep, edges)._pivots
     assert rows == _reference_entangled(prep, edges)._pivots
     assert all(type(neg) is bool for _, neg in rows.values())
     assert Group(n, [Element.from_interleaved(n, *row)
@@ -146,7 +155,7 @@ def test_pad_rows_hand_the_hook_the_entangled_state(case):
 
     rows = bvc.Bob(bvc.Deviation(after_entangle=hook)).entangled_rows(
         prep, edges)
-    want = bvc.Bob().entangle(bvc.Bob().prepare(prep), edges)
+    want = reference_entangle(prep, edges)
     assert len(seen) == 1 and seen[0]._known_valid
     assert seen[0].canonical == want.canonical
     assert rows == flip.conjugate(want)._pivots
@@ -555,8 +564,8 @@ def reference_walk(plan, prep, deviation, rvalues):
     """The earlier ``_walk_rounds``: the same depth-first walk, holding
     Bob's state as a group and each branch's weight as a Fraction."""
     bob = bvc.Bob(deviation)
-    state = bob.entangle(bob.prepare([prep[v] for v in plan.graph.nodes]),
-                         plan.edges)
+    state = reference_entangle([prep[v] for v in plan.graph.nodes],
+                               plan.edges, deviation)
     theta = plan.thetas(prep)
 
     def step(k, node):
@@ -696,6 +705,13 @@ def test_hook_output_is_checked():
     wide = bvc.Deviation(after_entangle=lambda state: Group.parse("+ZZZZ"))
     with pytest.raises(ValueError, match="size mismatch"):
         list(bvc._walk_rounds(plan, prep, wide, (0,)))
+    # a sampled round checks the after_entangle hook's result the same way
+    with pytest.raises(ValueError, match="size mismatch"):
+        bvc.run_blind(PAT3, rng=random.Random(0), deviation=wide)
+    dependent = bvc.Deviation(after_entangle=lambda state: Group.parse(
+        "+ZII\n+ZII"))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        bvc.run_blind(PAT3, rng=random.Random(0), deviation=dependent)
 
 
 # -- integer weights against Fraction sums ------------------------------------
