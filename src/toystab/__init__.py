@@ -9,16 +9,15 @@ gflow, and blind/verified delegated computation.
 """
 
 from .algebra import Element, Group, matrix_diag, solve_gf2
-from .dynamics import (NAMED_PERMS, Measurement, Permutation, erase,
-                       measure_element, partial_trace, purify,
-                       relate_purifications)
+from .dynamics import (NAMED_PERMS, Permutation, erase, measure_element,
+                       partial_trace, purify, relate_purifications)
 from .oracle import DEFAULT_CAP, CapExceeded, Distribution, measure_observable
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Element", "Group", "matrix_diag", "solve_gf2",
-    "Permutation", "Measurement", "NAMED_PERMS",
+    "Permutation", "NAMED_PERMS",
     "measure_element", "partial_trace", "erase", "purify",
     "relate_purifications",
     "Distribution", "measure_observable", "DEFAULT_CAP", "CapExceeded",

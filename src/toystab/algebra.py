@@ -168,24 +168,16 @@ class Element:
         if len(sites) != self.n:
             raise ValueError("site list does not match element size")
         x = z = 0
+        seen = set()
         for i, s in enumerate(sites):
             if not 0 <= s < n:
                 raise ValueError(f"target site {s} out of range")
+            if s in seen:
+                raise ValueError(f"target site {s} listed twice")
+            seen.add(s)
             x |= ((self.x >> i) & 1) << s
             z |= ((self.z >> i) & 1) << s
         return Element(n, x, z, self.neg)
-
-    def restrict(self, sites: Iterable[int]) -> "Element":
-        """Keep only the listed sites (must carry the whole support)."""
-        sites = list(sites)
-        x = z = 0
-        for i, s in enumerate(sites):
-            x |= ((self.x >> s) & 1) << i
-            z |= ((self.z >> s) & 1) << i
-        kept = set(sites)
-        if any(s not in kept for s in self.support):
-            raise ValueError("element acts outside the kept sites")
-        return Element(len(sites), x, z, self.neg)
 
     def __str__(self) -> str:
         return ("-" if self.neg else "+") + "".join(
@@ -262,14 +254,18 @@ class Group:
     checked by :meth:`violations`; construction itself never raises so that
     invalid inputs can be inspected and reported.  A group never changes
     after construction, so its validity is computed at most once and
-    remembered.  Two operations record their result as valid without a
-    check, because they keep validity: ``dynamics.measure_element`` for
-    its post-measurement group, and ``dynamics.Permutation.conjugate``
-    when its input is already known valid.  Both build their result with
-    the trusted constructor :meth:`_from_reduced`, straight from updated
-    reduced rows.  Four more builders use it on rows they derive with an
-    operation that keeps validity:
+    remembered.  The trusted constructor :meth:`_from_reduced` skips the
+    check: it takes reduced rows derived from a known-valid state by an
+    operation that keeps validity.  Its builders are:
 
+    * ``dynamics.measure_element``: the post-measurement rows;
+    * ``dynamics.Permutation.conjugate``: a known-valid input's
+      conjugated rows;
+    * ``dynamics.partial_trace``: the marginal's rows, traced and packed
+      onto the kept sites (``dynamics.marginal_rows``);
+    * ``dynamics.erase``: the rows with the listed sites traced out;
+    * ``mbtc._PatternRun.result``: a finished branch's rows, as the
+      marginal on the quantum outputs;
     * ``mbtc._entangled`` (``graph_state``): a valid product state after
       the cz rule;
     * ``bvc.Bob.entangled_rows``: the pads' entangled state, built
@@ -385,12 +381,6 @@ class Group:
     @property
     def _known_valid(self) -> bool:
         return self._violations == ()
-
-    def _mark_valid(self) -> "Group":
-        """Record this group as valid without checking it: only for a group
-        derived from a known-valid one by an operation that keeps validity."""
-        self._violations = ()
-        return self
 
     # -- structure ---------------------------------------------------
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .algebra import Element, Group, echelon, insert, reduce
 
@@ -67,7 +66,7 @@ class Permutation:
         """``perm`` is a name in NAMED_PERMS, an index into PERMS, or the
         images of the four states."""
         try:
-            if not isinstance(perm, int):
+            if type(perm) is not int:
                 perm = PERM_ID[NAMED_PERMS[perm] if isinstance(perm, str)
                                else tuple(perm)]
         except (KeyError, TypeError):
@@ -243,7 +242,13 @@ class Permutation:
                 raise ValueError(f"factor {item} has control and target "
                                  f"both at site {sites[0]}")
             if kind == "local":
-                factor = cls.local(n, sites[0] - 1, item["perm"])
+                spec = item["perm"]
+                if not (isinstance(spec, str) or type(spec) is int
+                        or (isinstance(spec, list) and len(spec) == 4
+                            and all(type(v) is int for v in spec))):
+                    raise ValueError(f"factor {item} has a malformed perm: a "
+                                     "name, an index or four state images")
+                factor = cls.local(n, sites[0] - 1, spec)
             else:
                 factor = cls.controlled(n, kind, sites[0] - 1, sites[1] - 1)
             perm = perm.then(factor)
@@ -422,77 +427,6 @@ def measure_element(group: Group, e: Element, *, rng=None, force: int | None = N
     return out, Group._from_reduced(group.n, rows, group), Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """A labelled family of state groups acting as a partition of unity."""
-
-    branches: tuple  # of (label, Group)
-
-    def __post_init__(self):
-        if not self.branches:
-            raise ValueError("measurement needs at least one branch")
-        n = self.branches[0][1].n
-        for _, g in self.branches:
-            if g.n != n:
-                raise ValueError("branch size mismatch")
-            g.require_valid()
-
-    @property
-    def n(self) -> int:
-        return self.branches[0][1].n
-
-    def validate_partition(self, cap: int | None = None) -> None:
-        """Oracle check: every ontic state lies in exactly one branch."""
-        from .oracle import check_cap, state_bits
-        check_cap(self.n, cap)
-        for idx in range(4 ** self.n):
-            a, b = state_bits(self.n, idx)
-            hits = [lbl for lbl, g in self.branches
-                    if all(h.eval_bit(a, b) == 0 for h in g.canonical)]
-            if len(hits) != 1:
-                raise ValueError(
-                    f"branches are not a partition of unity at state {idx}: {hits}")
-
-
-def branch_probability(group: Group, branch: Group):
-    """Probability and post state for one measurement branch.
-
-    Computed by sequentially measuring each branch generator with the
-    branch's sign forced; equals the oracle's projector probability.
-    """
-    prob = Fraction(1)
-    state = group
-    for g in branch.canonical:
-        out, state, p = measure_element(state, Element(g.n, g.x, g.z), force=g.neg)
-        prob *= p
-        if prob == 0:
-            return Fraction(0), None
-        # fold the observed sign into the state; measure_element already did
-    return prob, state
-
-
-def measure(group: Group, m: Measurement, rng):
-    """Sample one branch; returns (label, post_group, probability)."""
-    group.require_valid()
-    if m.n != group.n:
-        raise ValueError("size mismatch")
-    outcomes = []
-    for label, branch in m.branches:
-        prob, post = branch_probability(group, branch)
-        outcomes.append((label, post, prob))
-    total = sum(p for _, _, p in outcomes)
-    if total != 1:
-        raise ValueError("branches do not exhaust the state (not a partition)")
-    den = lcm(*{p.denominator for _, _, p in outcomes})
-    r = rng.randrange(den)
-    acc = 0
-    for label, post, p in outcomes:
-        acc += p.numerator * (den // p.denominator)
-        if r < acc:
-            return label, post, p
-    raise AssertionError("unreachable")
-
-
 # --------------------------------------------------------------------------
 # partial trace / purification
 # --------------------------------------------------------------------------
@@ -518,6 +452,33 @@ def _check_sites(n: int, sites: Iterable[int]) -> list[int]:
     return sites
 
 
+def marginal_rows(rows: dict, keep: list[int], sites: int) -> dict:
+    """The reduced rows of the marginal on ``keep`` (distinct sites in
+    ascending order) of the valid state with reduced rows ``rows`` on
+    ``sites`` systems; ``rows`` is left as it is.
+
+    Each site not kept is traced out of a copy (:func:`trace_site`), so
+    the rows left hold no bit outside the kept sites and span the
+    marginal.  The kept sites' column pairs are then packed in ascending
+    order.  Packing keeps the order of the bits and drops only bits clear
+    in every row, so each row's lowest bit stays its lowest and each
+    pivot stays clear in every other row: the packed rows are reduced,
+    keyed by their packed pivots.
+    """
+    rows = dict(rows)
+    kept = set(keep)
+    for s in range(sites):
+        if s not in kept:
+            trace_site(rows, s)
+    out = {}
+    for bits, neg in rows.values():
+        packed = 0
+        for i, s in enumerate(keep):
+            packed |= (bits >> 2 * s & 3) << 2 * i
+        out[packed & -packed] = (packed, neg)
+    return out
+
+
 def partial_trace(group: Group, keep: Iterable[int]) -> Group:
     """Marginal state on the kept sites: the subgroup trivial elsewhere.
 
@@ -526,24 +487,18 @@ def partial_trace(group: Group, keep: Iterable[int]) -> Group:
     """
     group.require_valid()
     keep = sorted(_check_sites(group.n, keep))
-    drop = [s for s in range(group.n) if s not in keep]
-    # echelonize with the dropped columns lowest: the reduced rows clear of
-    # them are those with a pivot above them, and they span the marginal
-    width = 2 * len(drop)
-    pivots, _ = echelon(
-        (_site_bits(g, drop) | _site_bits(g, keep) << width, g.neg)
-        for g in group.canonical)
-    return Group(len(keep), [
-        Element.from_interleaved(len(keep), pivots[p][0] >> width, pivots[p][1])
-        for p in sorted(pivots) if p >> width])
+    return Group._from_reduced(len(keep),
+                               marginal_rows(group._pivots, keep, group.n))
 
 
 def erase(group: Group, sites: Iterable[int]) -> Group:
     """Trace out the listed sites and re-init them to the trivial state."""
-    sites = set(_check_sites(group.n, sites))
-    keep = [s for s in range(group.n) if s not in sites]
-    traced = partial_trace(group, keep)
-    return traced.embed(group.n, keep)
+    sites = _check_sites(group.n, sites)
+    group.require_valid()
+    rows = dict(group._pivots)
+    for s in sites:
+        trace_site(rows, s)
+    return Group._from_reduced(group.n, rows, group)
 
 
 # -- GF(2) symplectic helpers over site-interleaved bit vectors -----------
@@ -803,30 +758,3 @@ def relate_purifications(target: Group, source: Group,
     if fix.conjugate(moved) != target:
         raise RuntimeError("could not relate the purifications")
     return perm.then(fix)
-
-
-# --------------------------------------------------------------------------
-# generalized maps
-# --------------------------------------------------------------------------
-
-def generalized_map(group: Group, ancilla: Group, perm: Permutation,
-                    m: Measurement | None, keep: Sequence[int]):
-    """Append an ancilla, permute, optionally measure, and trace down.
-
-    Returns a list of (label, probability, Group) over measurement
-    branches (a single (None, 1, Group) entry when ``m`` is None).
-    """
-    joint = group.tensor(ancilla) if ancilla is not None else group
-    if perm.n != joint.n:
-        raise ValueError("permutation size mismatch")
-    moved = perm.conjugate(joint)
-    if m is None:
-        return [(None, Fraction(1), partial_trace(moved, keep))]
-    out = []
-    for label, branch in m.branches:
-        prob, post = branch_probability(moved, branch)
-        if prob:
-            out.append((label, prob, partial_trace(post, keep)))
-    if sum(p for _, p, _ in out) != 1:
-        raise ValueError("measurement branches do not sum to one")
-    return out

@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import Element, Group, echelon, insert
-from .dynamics import (Permutation, flip_signs, measure_rows, partial_trace,
+from .dynamics import (Permutation, flip_signs, marginal_rows, measure_rows,
                        trace_site)
 
 QUARTER_SYMBOL = {0: ("X", False), 1: ("Y", False), 2: ("X", True), 3: ("Y", True)}
@@ -534,10 +534,9 @@ class _PatternRun:
                 mask = sum(1 << idx[v] for v in quantum_outputs)
                 flip_signs(rows, _spread(sx & mask) << 1
                             | _spread(sz & mask))
-            state = Group(self.n, [Element.from_interleaved(self.n, *row)
-                                   for row in rows.values()])._mark_valid()
-            output_state = partial_trace(state,
-                                         [idx[v] for v in quantum_outputs])
+            keep = sorted(idx[v] for v in quantum_outputs)
+            output_state = Group._from_reduced(
+                len(keep), marginal_rows(rows, keep, self.n))
         return {
             "outcomes": outcomes,
             "probability": Fraction(1, 1 << halvings),

@@ -162,7 +162,15 @@ def test_solve_gf2():
 def test_restrict_and_support():
     e = Element.parse("+XIZ")
     assert e.support == (0, 2)
-    assert e.restrict([0, 2]) == Element.parse("+XZ")
+
+
+def test_embed_rejects_a_repeated_target_site():
+    e = Element.parse("+XZ")
+    with pytest.raises(ValueError, match="target site 1 listed twice"):
+        e.embed(3, [1, 1])
+    with pytest.raises(ValueError, match="target site 1 listed twice"):
+        Group(2, [e]).embed(3, [1, 1])
+    assert e.embed(3, [2, 0]) == Element.parse("+ZIX")
 
 
 def _reference_interleaved(e):

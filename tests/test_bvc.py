@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from toystab import bvc
 from toystab.algebra import Element, Group
-from toystab.dynamics import Permutation, erase
+from toystab.dynamics import Permutation
 from toystab.mbtc import (OpenGraph, Pattern, _entangled, angle_element,
                           run_pattern, walk)
 
 from conftest import random_group
+from test_dynamics import reference_erase
 from test_mbtc import live_outcomes
 
 HALF = Fraction(1, 2)
@@ -184,7 +185,7 @@ def test_honest_and_flip_all_walks_build_no_group(monkeypatch):
 def reference_swap_in(state, site):
     """The earlier extremal swap-in: erase the site (partial trace, then
     embed), then extend the group by +X there."""
-    cleared = erase(state, [site])
+    cleared = reference_erase(state, [site])
     return cleared.extended(Element.single(state.n, site, "X"))
 
 

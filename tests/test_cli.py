@@ -156,12 +156,24 @@ def test_readme_perm_example_applies(run, tmp_path):
     ([{"cz": [1, 3]}], "site 3 out of range 1..1"),
     ([{"cy": [1, 1]}], "both at site 1"),
     ([{"cw": [1, 2]}], "unknown controlled kind 'cw'"),
+    ([{"site": 1, "perm": True}], "malformed perm"),
+    ([{"site": 1, "perm": 2.0}], "malformed perm"),
+    ([{"site": 1, "perm": [True, 0, 2, 3]}], "malformed perm"),
 ])
 def test_perm_apply_rejects_bad_spec(run, tmp_path, spec, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     err = run("perm", "apply", str(path), "+X", expect=2)
     assert message in err
+
+
+@pytest.mark.parametrize("perm", [True, 2.0, [True, 0, 2, 3]])
+def test_factor_deviation_rejects_a_non_integer_perm(run, tmp_path, perm):
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"site": 1, "perm": perm}]))
+    err = run("bvc", "simulate", "--line", "0,1,0", "--deviation", str(path),
+              expect=2)
+    assert "malformed perm" in err
 
 
 def test_purify(run):

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toystab.algebra import Element, Group
+from toystab.algebra import Element, Group, echelon
 from toystab.dynamics import (CTRL_KINDS, NAMED_PERMS, PERM_ID, PERMS,
-                              Measurement, Permutation, erase, generalized_map,
+                              Permutation, _check_sites, erase, marginal_rows,
                               measure_element, partial_trace, purify,
                               relate_purifications, synthesize_symplectic,
                               trace_site)
@@ -128,28 +128,6 @@ def test_measure_matches_oracle(rng):
             assert p == op
             if p:
                 assert Distribution.from_group(post) == opost
-
-
-def test_measurement_partition_and_sampling(rng):
-    branches = [("+", Group.parse("+Z")), ("-", Group.parse("-Z"))]
-    m = Measurement(tuple(branches))
-    m.validate_partition()
-    label, post, p = None, None, None
-    # sampling from the maximally mixed state picks each cell half the time
-    from toystab.dynamics import measure
-    counts = {"+": 0, "-": 0}
-    r = random.Random(7)
-    for _ in range(200):
-        label, post, p = measure(Group(1, []), m, r)
-        counts[label] += 1
-        assert p == HALF
-    assert counts["+"] > 0 and counts["-"] > 0
-
-
-def test_bad_partition_rejected():
-    m = Measurement((("a", Group.parse("+Z")), ("b", Group.parse("+X"))))
-    with pytest.raises(ValueError):
-        m.validate_partition()
 
 
 # -- validity trusted from measurement and conjugation ----------------------
@@ -296,7 +274,7 @@ def test_trace_site_matches_erase(data):
     site = data.draw(st.integers(0, g.n - 1))
     rows = dict(g._pivots)
     trace_site(rows, site)
-    assert rows == erase(g, [site])._pivots
+    assert rows == reference_erase(g, [site])._pivots
 
 
 _FLIP_IDS = {PERM_ID[NAMED_PERMS[w]] for w in "IXYZ"}
@@ -516,6 +494,63 @@ def test_synthesis_matches_matrix_sweep(data):
 
 # -- trace / purification ----------------------------------------------------
 
+def _site_bits(e, sites):
+    out = 0
+    for i, s in enumerate(sites):
+        out |= (e.x >> s & 1) << 2 * i | (e.z >> s & 1) << 2 * i + 1
+    return out
+
+
+def reference_partial_trace(group, keep):
+    """The earlier partial trace: echelon the canonical elements with the
+    dropped columns lowest; the reduced rows with a pivot above them are
+    clear of them and span the marginal on the kept sites, ascending."""
+    group.require_valid()
+    keep = sorted(_check_sites(group.n, keep))
+    drop = [s for s in range(group.n) if s not in keep]
+    width = 2 * len(drop)
+    pivots, _ = echelon(
+        (_site_bits(g, drop) | _site_bits(g, keep) << width, g.neg)
+        for g in group.canonical)
+    return Group(len(keep), [
+        Element.from_interleaved(len(keep), pivots[p][0] >> width, pivots[p][1])
+        for p in sorted(pivots) if p >> width])
+
+
+def reference_erase(group, sites):
+    """The earlier erase: the partial trace on the other sites, embedded
+    back at them."""
+    sites = set(_check_sites(group.n, sites))
+    keep = [s for s in range(group.n) if s not in sites]
+    return reference_partial_trace(group, keep).embed(group.n, keep)
+
+
+@st.composite
+def _states_and_sites(draw):
+    """A valid state on n <= 8 systems of any rank, and a site list in any
+    order, empty and full included."""
+    n = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_group(rng, n, draw(st.integers(0, n)))
+    sites = draw(st.permutations(range(n)))
+    return g, sites[:draw(st.integers(0, n))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states_and_sites())
+def test_trace_and_erase_match_reference(case):
+    g, sites = case
+    before = dict(g._pivots)
+    for got, want in ((partial_trace(g, sites), reference_partial_trace(g, sites)),
+                      (erase(g, sites), reference_erase(g, sites))):
+        assert (got.n, got.generators, got.canonical, got._pivots) == \
+            (want.n, want.generators, want.canonical, want._pivots)
+        assert got.is_valid == want.is_valid
+    assert marginal_rows(g._pivots, sorted(sites), g.n) == \
+        reference_partial_trace(g, sites)._pivots
+    assert g._pivots == before
+
+
 def test_partial_trace_examples():
     g = _state("+XX\n+ZZ")
     assert partial_trace(g, [0]) == Group(1, [])
@@ -559,7 +594,7 @@ def test_partial_trace_orders_kept_sites():
 
 
 def test_local_perm_rejects_unknown_spec():
-    for spec in ("Q", [0, 1, 2, 2], -1, 24, None):
+    for spec in ("Q", [0, 1, 2, 2], -1, 24, None, True):
         with pytest.raises(ValueError, match="unknown permutation"):
             Permutation.local(1, 0, spec)
     with pytest.raises(ValueError, match="'perm'"):
@@ -619,15 +654,3 @@ def test_relate_purifications_rejects_bad_reference_sites(ref, message):
     pure = _state("+XX\n+ZZ")
     with pytest.raises(ValueError, match=message):
         relate_purifications(pure, pure, ref)
-
-
-def test_generalized_map_runs(rng):
-    # attach an ancilla, entangle, measure it out, keep the system
-    g = _state("+Z")
-    ancilla = _state("+X")
-    perm = Permutation.controlled(2, "cz", 0, 1)
-    m = Measurement((("0", Group.parse("+IX")), ("1", Group.parse("-IX"))))
-    branches = generalized_map(g, ancilla, perm, m, keep=[0])
-    assert sum(p for _, p, _ in branches) == 1
-    for _, p, out in branches:
-        assert out.n == 1

@@ -70,3 +70,21 @@ def test_every_import_is_used():
               for path in SRC.glob("*.py") if path.name != "__init__.py"
               for name, line in _unused_imports(ast.parse(path.read_text()))]
     assert unused == []
+
+
+def test_engine_does_not_import_the_oracle():
+    # the stabilizer-vs-oracle cross-check means something only while the
+    # two share no code
+    imports = []
+    for name in ("algebra.py", "dynamics.py", "mbtc.py", "bvc.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = ([node.module] if node.module
+                           else [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            imports += [f"{name}:{node.lineno} {m}" for m in modules
+                        if "oracle" in m.split(".")]
+    assert imports == []
