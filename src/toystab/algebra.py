@@ -164,17 +164,9 @@ class Element:
 
     def embed(self, n: int, sites: Iterable[int]) -> "Element":
         """Place this element at the given sites of a larger register."""
-        sites = list(sites)
-        if len(sites) != self.n:
-            raise ValueError("site list does not match element size")
+        sites = _embedding(self.n, n, sites)
         x = z = 0
-        seen = set()
         for i, s in enumerate(sites):
-            if not 0 <= s < n:
-                raise ValueError(f"target site {s} out of range")
-            if s in seen:
-                raise ValueError(f"target site {s} listed twice")
-            seen.add(s)
             x |= ((self.x >> i) & 1) << s
             z |= ((self.z >> i) & 1) << s
         return Element(n, x, z, self.neg)
@@ -185,6 +177,22 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({str(self)!r})"
+
+
+def _embedding(size: int, n: int, sites: Iterable[int]) -> list:
+    """``sites`` as a list, checked as the distinct targets in a register
+    of ``n`` systems of the ``size`` systems of an embedded element."""
+    sites = list(sites)
+    if len(sites) != size:
+        raise ValueError("site list does not match element size")
+    seen = set()
+    for s in sites:
+        if not 0 <= s < n:
+            raise ValueError(f"target site {s} out of range")
+        if s in seen:
+            raise ValueError(f"target site {s} listed twice")
+        seen.add(s)
+    return sites
 
 
 def reduce(pivots: dict, bits: int, tag=0) -> tuple:
@@ -423,7 +431,7 @@ class Group:
         return Group(n, gens)
 
     def embed(self, n: int, sites: Iterable[int]) -> "Group":
-        sites = list(sites)
+        sites = _embedding(self.n, n, sites)
         return Group(n, [g.embed(n, sites) for g in self.canonical])
 
     def __eq__(self, other) -> bool:

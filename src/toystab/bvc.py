@@ -19,13 +19,21 @@ whole state (:meth:`Bob.entangled_rows`); a group is built from them
 only to hand the state to a deviation's hook.  A sampled round then
 holds the state as a group and measures it with
 :func:`dynamics.measure_element`.  Exact analysis (``exact_pfail``,
-``server_view_distribution`` and ``honest_output_support``) walks every
-pad configuration and live outcome branch on the rows instead, one
+``server_view_distribution`` and ``honest_output_support``) walks pad
+configurations and live outcome branches on the rows instead, one
 :func:`dynamics.measure_rows` step per branch (``_walk_rounds``), and
 again builds a group only for a hook.  Every branch probability is 1 or
 1/2 and every pad weight a power of two, so a weight is carried as an
 integer count of halvings, and a ``Fraction`` is built only for a
 result.
+
+Which pads are walked depends on what the analysis reads.  Bob's
+transcript depends on every pad, so ``server_view_distribution`` walks
+them all.  Alice's decoded bits do not depend on a pad outside the
+sites a deviation's ``after_entangle`` hook acts on, its declared
+``support`` (see ``exact_pfail``), so ``exact_pfail`` walks only the
+pads and dummy bits of those sites, and ``honest_output_support`` only
+the zero pads.
 """
 
 from __future__ import annotations
@@ -88,12 +96,26 @@ class Deviation:
     The exact walk holds Bob's state as reduced rows from then on: it
     hands ``before_measure`` those rows built as a valid group, and
     checks the group the hook returns the same way before it walks on.
+
+    ``support`` declares the 0-based sites ``after_entangle`` acts on, as
+    a frozenset, or is ``None`` for "anywhere".  The declaration is a
+    promise that the hook commutes with every local permutation of the
+    other sites: applying one before the hook or after it gives the same
+    state.  ``exact_pfail`` relies on it to walk the pads of the support
+    sites alone, and checks only that each site is an int in range.  A
+    support that leaves out a site the hook acts on makes ``exact_pfail``
+    return a wrong probability with no error, because the pad the hook
+    meets there is then always the zero pad.  A deviation without an
+    ``after_entangle`` hook has empty support whatever it declares, and
+    one with a ``before_measure`` hook is always walked over every pad,
+    since that hook sees the padded instructions.
     """
 
     after_entangle: Callable | None = None   # (state) -> state
     before_measure: Callable | None = None   # (site, quarter, state) -> state
     flip_outcome: Callable | None = None     # (site) -> bit
     assume_corrupted: bool = False
+    support: frozenset | None = None         # sites after_entangle acts on
 
     @property
     def reads_instruction(self) -> bool:
@@ -215,7 +237,8 @@ def extremal_deviation(site: int) -> Deviation:
         insert(rows, 1 << 2 * site, False)
         return Group._from_reduced(n, rows, state)
 
-    return Deviation(after_entangle=swap_in, assume_corrupted=True)
+    return Deviation(after_entangle=swap_in, assume_corrupted=True,
+                     support=frozenset({site}))
 
 
 def flip_all_deviation() -> Deviation:
@@ -232,7 +255,7 @@ def pauli_deviation(assignments: Mapping) -> Deviation:
             perm = perm.then(Permutation.local(state.n, site, name))
         return perm.conjugate(state)
 
-    return Deviation(after_entangle=warp)
+    return Deviation(after_entangle=warp, support=frozenset(assignments))
 
 
 def instruction_conditioned_deviation(rule: Callable) -> Deviation:
@@ -535,36 +558,39 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
 
 
 def _enumerate_rounds(pattern: Pattern, *, trap=None, deviation=None,
-                      rvalues=(0, 1), padded: bool = True):
+                      rvalues=(0, 1), support=None):
     """Yield (weight, RoundResult) over pads and live outcome branches.
 
     The weight is the pads' probability times the branch's, 2 ** -k for
     an integer k; the flow is found once, and the walker runs once per
     pad configuration.  ``rvalues`` is ``(0, 1)`` or ``(0,)``; with
     ``(0,)`` the blinding bits are left out of the weight, so each round
-    stands for its whole class under r (see ``_walk_rounds``).  With
-    ``padded`` false, only the zero pads (every angle pad and dummy bit
-    0) are walked, and the weight is the branch's alone.
+    stands for its whole class under r (see ``_walk_rounds``).  With a
+    ``support``, a set of site indices, only the angle pads and dummy bits
+    of those sites are walked, every other one is 0, and the weight
+    counts the walked ones alone; ``None`` walks them all.
     """
     graph = pattern.graph
     dummies = sorted(graph.neighbors(trap)) if trap is not None else []
-    pads = [v for v in graph.nodes if v not in dummies]
     plan = _Plan(graph, pattern.angles, dummies, trap)
-    if padded:
-        # uniform pads: two halvings per angle pad, one per dummy bit and
-        # one per walked blinding bit
-        pad_halvings = (2 * len(pads) + len(dummies)
-                        + (len(rvalues) - 1) * len(plan.order))
-        configurations = product(product(range(4), repeat=len(pads)),
-                                 product(range(2), repeat=len(dummies)))
-    else:
-        pad_halvings = 0
-        configurations = [((0,) * len(pads), (0,) * len(dummies))]
-    for thetas, dbits in configurations:
-        prep = {v: {"angle": t} for v, t in zip(pads, thetas)}
-        prep.update({d: {"dummy": b} for d, b in zip(dummies, dbits)})
-        for halvings, res in _walk_rounds(plan, prep, deviation, rvalues):
-            yield _dyadic(pad_halvings + halvings), res
+    zero = {v: {"dummy": 0} if v in dummies else {"angle": 0}
+            for v in graph.nodes}
+    walked = [v for v in graph.nodes
+              if support is None or plan.site[v] in support]
+    pads = [v for v in walked if v not in dummies]
+    bits = [d for d in dummies if d in walked]
+    # uniform pads: two halvings per angle pad, one per dummy bit and one
+    # per walked blinding bit
+    pad_halvings = (2 * len(pads) + len(bits)
+                    + (len(rvalues) - 1) * len(plan.order))
+    for thetas in product(range(4), repeat=len(pads)):
+        for dbits in product(range(2), repeat=len(bits)):
+            prep = dict(zero)
+            prep.update((v, {"angle": t}) for v, t in zip(pads, thetas))
+            prep.update((d, {"dummy": b}) for d, b in zip(bits, dbits))
+            for halvings, res in _walk_rounds(plan, prep, deviation,
+                                              rvalues):
+                yield _dyadic(pad_halvings + halvings), res
 
 
 def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
@@ -573,7 +599,7 @@ def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
     Walks the outcome tree once, with zero pads and blinding bits.
     """
     return frozenset(res.output for _, res in _enumerate_rounds(
-        pattern, trap=trap, rvalues=(0,), padded=False))
+        pattern, trap=trap, rvalues=(0,), support=frozenset()))
 
 
 def _require_vertex(graph: OpenGraph) -> None:
@@ -588,22 +614,82 @@ def trap_bound(pattern: Pattern) -> Fraction:
     return 1 - Fraction(1, 2 * len(pattern.graph.nodes))
 
 
+def _walked_support(deviation: Deviation, n: int) -> frozenset | None:
+    """The sites whose pads ``exact_pfail`` walks for ``deviation`` on
+    ``n`` vertices, or None for every site.  A declared support is
+    checked whether or not it is used."""
+    support = deviation.support
+    if support is not None:
+        if not isinstance(support, (set, frozenset)):
+            raise ValueError(
+                f"support must be a set of site indices, not {support!r}")
+        for site in support:
+            if type(site) is not int:
+                raise ValueError(f"support site {site!r} is not an int")
+            if not 0 <= site < n:
+                raise ValueError(f"site {site} out of range for n={n}")
+    if deviation.before_measure is not None:
+        return None
+    if deviation.after_entangle is None:
+        return frozenset()
+    return support
+
+
 def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
     """P(accept and the computation was corrupted), trap uniform.
 
-    Exact: every trap, pad configuration and live branch is walked once
-    (see ``_walk_rounds``), so the deviation's hooks must be
-    deterministic.  The blinding bits are walked only for a deviation
-    that ``reads_instruction``: otherwise they cannot move the verdict
-    or the decoded output.
+    Exact: every trap and live branch is walked once (see
+    ``_walk_rounds``), so the deviation's hooks must be deterministic.
+    The blinding bits are walked only for a deviation that
+    ``reads_instruction``: otherwise they cannot move the verdict or the
+    decoded output.  The pads are walked only at the sites of the
+    deviation's ``support``; every other pad is fixed at 0.
 
-    A round's weight is 2 ** -k, where k counts two halvings per angle
-    pad and one per dummy bit, blinding bit and random outcome, so k is
-    at most 4n on n vertices.  Each trap's failures are therefore summed
-    as integer numerators over 2 ** 4n, with one ``Fraction`` per trap.
+    A fixed pad loses nothing, because Alice's decoded bits do not see
+    it.  Let P_q be the local permutation that maps quarter a to a ^ q
+    (local ids 0, 1, 7 and 6 for q = 0..3).
+
+    - An angle pad q prepares P_q(+X).  P_q fixes +Z and -Z and commutes
+      with cz.
+    - A dummy bit b at d prepares X_d^b(+Z), and the cz's turn X_d into
+      X_d Z_N, where Z_N is P_2 on each neighbour of d.
+
+    So the entangled state of any pads is the zero-pad state under one
+    local permutation per site: X_d^b at each dummy d, and P_p at each
+    angle site i, with p = q_i ^ 2z_i, where z_i is the parity of i's -Z
+    dummy neighbours.  ``_Plan.thetas`` folds the same z_i into i's pad,
+    so the wire's quarter is a ^ p ^ 2r for the adapted quarter a.
+    Measuring quarter a ^ p ^ 2r on P_p(state) has the outcomes and
+    probabilities of measuring a ^ 2r, the zero-pad instruction, on the
+    state, and leaves P_p on the post state.  The permutations of other
+    sites commute with the measurement, and X_d acts on a dummy, which is
+    never measured.  By induction over Alice's order, each decoded bit
+    o ^ r, and with it her corrections, verdict and output, has the same
+    branches and halvings as with zero pads.  Only the wire angles and
+    the raw outcomes differ, which is why ``server_view_distribution``
+    still walks every pad.
+
+    An ``after_entangle`` hook acts between the cz's and the first
+    measurement.  The permutations of sites outside its ``support`` pass
+    through it (the contract in ``Deviation``), so the argument holds for
+    them.  The pads and dummy bits of the support are walked.  A dummy
+    outside the support with a neighbour w inside it adds P_2 to w's
+    permutation: (q_w, b = 1) gives the state and wire of (q_w ^ 2,
+    b = 0), so fixing b at 0 only relabels w's walked pads.  A
+    deviation without the hook walks the zero pads alone, the extremal
+    swap-in at most 4 configurations per trap.  A ``before_measure`` hook
+    sees the padded wire, so its deviation walks every pad, as does one
+    whose support is None.
+
+    A round's weight is 2 ** -k, where k counts two halvings per walked
+    angle pad and one per walked dummy bit, blinding bit and random
+    outcome, so k is at most 4n on n vertices.  Each trap's failures are
+    therefore summed as integer numerators over 2 ** 4n, with one
+    ``Fraction`` per trap.
     """
     graph = pattern.graph
     _require_vertex(graph)
+    support = _walked_support(deviation, len(graph.nodes))
     rvalues = (0, 1) if deviation.reads_instruction else (0,)
     top = 1 << 4 * len(graph.nodes)
     total = Fraction(0)
@@ -612,7 +698,8 @@ def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
                   else honest_output_support(pattern, trap))
         hits = 0
         for w, res in _enumerate_rounds(pattern, trap=trap,
-                                        deviation=deviation, rvalues=rvalues):
+                                        deviation=deviation, rvalues=rvalues,
+                                        support=support):
             if res.accept and (honest is None or res.output not in honest):
                 hits += top // w.denominator
         total += Fraction(hits, top)

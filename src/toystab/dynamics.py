@@ -65,17 +65,22 @@ class Permutation:
     def local(cls, n: int, site: int, perm) -> "Permutation":
         """``perm`` is a name in NAMED_PERMS, an index into PERMS, or the
         images of the four states."""
-        try:
-            if type(perm) is not int:
-                perm = PERM_ID[NAMED_PERMS[perm] if isinstance(perm, str)
-                               else tuple(perm)]
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown permutation {perm!r}") from None
-        if not 0 <= perm < len(PERMS):
+        pid = perm
+        if isinstance(perm, str):
+            pid = PERM_ID.get(NAMED_PERMS.get(perm))
+        elif type(perm) is not int:
+            try:
+                images = tuple(perm)
+            except TypeError:
+                images = None
+            # a bool equals an int image but is not one
+            if images is not None and all(type(s) is int for s in images):
+                pid = PERM_ID.get(images)
+        if type(pid) is not int or not 0 <= pid < len(PERMS):
             raise ValueError(f"unknown permutation {perm!r}")
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range")
-        return cls(n, (("local", site, perm),))
+        return cls(n, (("local", site, pid),))
 
     @classmethod
     def controlled(cls, n: int, kind: str, control: int, target: int) -> "Permutation":

@@ -173,6 +173,21 @@ def test_embed_rejects_a_repeated_target_site():
     assert e.embed(3, [2, 0]) == Element.parse("+ZIX")
 
 
+@pytest.mark.parametrize("sites, message", [
+    ([1, 1], "target site 1 listed twice"),
+    ([7, 9], "target site 7 out of range"),
+    ([0], "site list does not match element size"),
+    ([0, 1, 2], "site list does not match element size"),
+])
+def test_embed_checks_the_sites_of_a_trivial_group(sites, message):
+    # a trivial group has no generator to check the list, and must still
+    # reject it as a rank-1 group does
+    for group in (Group(2, []), Group(2, [Element.parse("+XZ")])):
+        with pytest.raises(ValueError, match=message):
+            group.embed(3, sites)
+    assert Group(2, []).embed(3, [2, 0]) == Group(3, [])
+
+
 def _reference_interleaved(e):
     out = 0
     for i in range(e.n):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -340,6 +341,17 @@ def test_trap_bound_exact_five_nodes():
             == Fraction(9, 10)
 
 
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_trap_bound_exact_six_to_eight_nodes(n):
+    # reachable because the pads outside the swap-in's site are deferred
+    pattern = line_pattern(n, (0, 1, 0, 2, 3, 1, 0, 0)[:n])
+    assert bvc.exact_pfail(pattern, bvc.Deviation()) == 0
+    assert bvc.exact_pfail(pattern, bvc.flip_all_deviation()) == 0
+    for site in range(n):
+        assert bvc.exact_pfail(pattern, bvc.extremal_deviation(site)) \
+            == bvc.trap_bound(pattern) == 1 - Fraction(1, 2 * n)
+
+
 def test_monte_carlo_agrees_with_exact():
     dev = bvc.extremal_deviation(1)
     exact = bvc.exact_pfail(PAT3, dev)
@@ -506,6 +518,8 @@ def full_walk_view(pattern):
 @pytest.mark.parametrize("angles", [(0, 1, 0), (2, 3, 1), (0, 1, 0, 2),
                                     (1, 1, 2, 3)])
 def test_reduced_pfail_matches_full_walk(angles):
+    # the full walk walks every blinding bit and every pad, so this checks
+    # both of exact_pfail's reductions
     pattern = line_pattern(len(angles), angles)
     deviations = deviation_family() + [bvc.extremal_deviation(site)
                                        for site in range(len(angles))]
@@ -586,8 +600,8 @@ def reference_walk(plan, prep, deviation, rvalues):
         yield plan.result(rec, prob)
 
 
-DEVIATION_KINDS = ("honest", "flip-all", "pauli", "factors", "instruction",
-                   "extremal")
+DEVIATION_KINDS = ("honest", "flip-all", "pauli", "local-ids", "factors",
+                   "instruction", "extremal")
 _PERM_NAMES = ("I", "X", "Y", "Z", "H")
 
 
@@ -602,6 +616,9 @@ def _deviations(draw, n):
     if kind == "pauli":
         return bvc.pauli_deviation(draw(st.dictionaries(
             site, st.sampled_from(("X", "Y", "Z")), min_size=1)))
+    if kind == "local-ids":
+        return bvc.pauli_deviation(draw(st.dictionaries(
+            site, st.integers(0, 23), min_size=1, max_size=2)))
     if kind == "factors":
         local = st.builds(lambda s, p: {"site": s + 1, "perm": p},
                           site, st.integers(0, 23))
@@ -611,8 +628,14 @@ def _deviations(draw, n):
             factor = st.one_of(local, st.builds(
                 lambda kind, sites: {kind: [s + 1 for s in sites]},
                 st.sampled_from(("cz", "cx", "cy")), pair))
-        return bvc.deviation_from_factors(
-            draw(st.lists(factor, min_size=1, max_size=4)))
+        factors = draw(st.lists(factor, min_size=1, max_size=4))
+        dev = bvc.deviation_from_factors(factors)
+        if draw(st.booleans()):
+            # declare the sites the factors act on, a controlled one too
+            dev = dataclasses.replace(dev, support=frozenset(
+                s - 1 for f in factors
+                for s in ([f["site"]] if "site" in f else [*f.values()][0])))
+        return dev
     if kind == "instruction":
         table = draw(st.dictionaries(
             st.tuples(site, st.integers(0, 3)), st.sampled_from(_PERM_NAMES)))
@@ -622,10 +645,10 @@ def _deviations(draw, n):
 
 
 @st.composite
-def _rounds(draw):
-    """A line or a small graph on n <= 5 vertices with an angle on each,
-    a trap (or none), pads for it, a deviation and the blinding bits."""
-    n = draw(st.integers(1, 5))
+def _patterns(draw, max_n):
+    """A line or a small graph on n <= ``max_n`` vertices, with outputs
+    and an angle on each vertex."""
+    n = draw(st.integers(1, max_n))
     nodes = tuple(range(n))
     if draw(st.booleans()):
         edges = tuple((i, i + 1) for i in range(n - 1))
@@ -634,9 +657,18 @@ def _rounds(draw):
         edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))
                       if pairs else [])
     outputs = tuple(draw(st.lists(st.sampled_from(nodes), unique=True)))
-    graph = OpenGraph(nodes, edges, outputs=outputs)
     angles = dict(enumerate(draw(st.lists(st.integers(0, 3), min_size=n,
                                           max_size=n))))
+    return Pattern(OpenGraph(nodes, edges, outputs=outputs), angles)
+
+
+@st.composite
+def _rounds(draw):
+    """A pattern on n <= 5 vertices, a trap (or none), pads for it, a
+    deviation and the blinding bits."""
+    pattern = draw(_patterns(5))
+    graph, angles = pattern.graph, pattern.angles
+    nodes, n = graph.nodes, len(graph.nodes)
     trap = draw(st.one_of(st.none(), st.sampled_from(nodes)))
     dummies = graph.neighbors(trap) if trap is not None else set()
     prep = {v: ({"dummy": draw(st.integers(0, 1))} if v in dummies
@@ -755,16 +787,41 @@ GRAPHS = (
 )
 
 
-@pytest.mark.parametrize("pattern", GRAPHS)
-def test_integer_pfail_matches_fraction_sum(pattern):
+def _audited(pattern, rng):
+    """Every deviation kind on ``pattern``: the family (on three nodes or
+    more), a Pauli Y and Pauli deviations with random local ids at one and
+    two sites, a factor file with and without a declared support, an
+    instruction rule and the swap-in at every site, each with
+    ``assume_corrupted`` both ways.  The instruction rule walks every pad
+    on both sides of a comparison, so it is taken once."""
     nodes = pattern.graph.nodes
-    deviations = deviation_family()[:2] + [
+    sites = range(len(nodes))
+    family = deviation_family() if len(nodes) >= 3 else deviation_family()[:2]
+    family = [dev for dev in family if not dev.reads_instruction]
+    deviations = family + [
         bvc.pauli_deviation({nodes[0]: "Y"}),
+        bvc.pauli_deviation({rng.choice(sites): rng.randrange(24)}),
+        bvc.pauli_deviation(dict(zip(rng.sample(sites, min(2, len(nodes))),
+                                     (rng.randrange(24), rng.randrange(24))))),
         bvc.deviation_from_factors([{"site": len(nodes), "perm": "H"}]),
         bvc.instruction_conditioned_deviation(
             lambda site, q: "X" if q in (1, 2) else None),
-    ] + [bvc.extremal_deviation(site) for site in range(len(nodes))]
-    for dev in deviations:
+    ] + [bvc.extremal_deviation(site) for site in sites]
+    if len(nodes) > 1:
+        # a hook acting across two sites of its declared support
+        deviations.append(dataclasses.replace(bvc.deviation_from_factors(
+            [{"cx": [2, 1]}, {"site": 2, "perm": "H"}]),
+            support=frozenset({0, 1})))
+    return [dataclasses.replace(dev, assume_corrupted=flag)
+            for dev in deviations
+            for flag in ((False,) if dev.reads_instruction else (False, True))]
+
+
+@pytest.mark.parametrize("pattern", GRAPHS)
+def test_integer_pfail_matches_fraction_sum(pattern):
+    # the reference walks every pad, so this also checks that exact_pfail
+    # loses nothing by walking only the pads of a deviation's support
+    for dev in _audited(pattern, random.Random(len(pattern.graph.edges))):
         got = bvc.exact_pfail(pattern, dev)
         assert type(got) is Fraction
         assert got == fraction_pfail(pattern, dev)
@@ -792,6 +849,133 @@ def test_enumerated_weights_are_pad_times_branch(trap, rvalues):
         assert w == pad_weight * res.probability
         total += w
     assert total == 1
+
+
+# -- pad deferral against the full walk ----------------------------------------
+
+@st.composite
+def _audits(draw):
+    """A pattern on n <= 4 vertices and a deviation of any kind."""
+    pattern = draw(_patterns(4))
+    deviation = draw(_deviations(len(pattern.graph.nodes)))
+    return pattern, dataclasses.replace(deviation,
+                                        assume_corrupted=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_audits())
+def test_deferred_pfail_matches_every_pad_on_drawn_graphs(case):
+    pattern, dev = case
+    assert bvc.exact_pfail(pattern, dev) == fraction_pfail(pattern, dev)
+
+
+def _alice_reads(rounds):
+    """What ``exact_pfail`` reads of each round: its weight in halvings
+    and Alice's decoded bits, verdict and output."""
+    return Counter((halvings, tuple(sorted(res.decoded.items())), res.accept,
+                    res.output) for halvings, res in rounds)
+
+
+def _deferred_prep(plan, prep, support):
+    """The configuration the deferred walk stands ``prep`` for: every pad
+    and dummy bit outside ``support`` zeroed, and the half turn each
+    zeroed -Z dummy gave a measured neighbour in ``support`` moved onto
+    that neighbour's pad (the sign bit of its formula angle)."""
+    inside = {v for v in prep if plan.site[v] in support}
+    out = {v: dict(spec) if v in inside else
+           {"dummy": 0} if "dummy" in spec else {"angle": 0}
+           for v, spec in prep.items()}
+    for d, spec in prep.items():
+        if spec.get("dummy") and d not in inside:
+            for w in plan.graph.adjacency[d]:
+                if w in inside and "angle" in out[w]:
+                    out[w]["angle"] ^= 1
+    return out
+
+
+@pytest.mark.parametrize("pattern", GRAPHS)
+def test_hook_free_rounds_read_the_same_on_every_pad(pattern):
+    # empty support: whatever the pads, Alice reads what the zero pads give
+    graph = pattern.graph
+    for dev in (None, bvc.flip_all_deviation()):
+        for trap in (None,) + graph.nodes:
+            dummies = graph.neighbors(trap) if trap is not None else set()
+            plan = bvc._Plan(graph, pattern.angles, dummies, trap)
+            zero = {v: {"dummy": 0} if v in dummies else {"angle": 0}
+                    for v in graph.nodes}
+            assert _deferred_prep(plan, zero, frozenset()) == zero
+            want = _alice_reads(bvc._walk_rounds(plan, zero, dev, (0,)))
+            pads = [v for v in graph.nodes if v not in dummies]
+            for thetas in product(range(4), repeat=len(pads)):
+                for dbits in product(range(2), repeat=len(dummies)):
+                    prep = {v: {"angle": t} for v, t in zip(pads, thetas)}
+                    prep.update({d: {"dummy": b}
+                                 for d, b in zip(dummies, dbits)})
+                    got = _alice_reads(bvc._walk_rounds(plan, prep, dev,
+                                                        (0,)))
+                    assert got == want, (trap, prep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rounds())
+def test_supported_rounds_read_as_their_deferred_pads(case):
+    # per pad configuration: a hook with a declared support reads as the
+    # configuration it is deferred to
+    plan, prep, deviation, rvalues = case
+    support = bvc._walked_support(deviation, len(plan.site))
+    if support is None:
+        return
+    got = _alice_reads(bvc._walk_rounds(plan, prep, deviation, rvalues))
+    want = _alice_reads(bvc._walk_rounds(
+        plan, _deferred_prep(plan, prep, support), deviation, rvalues))
+    assert got == want
+
+
+def test_walked_support_follows_the_hooks():
+    n = 4
+    hook = bvc.pauli_deviation({}).after_entangle
+    cases = [
+        (bvc.Deviation(), frozenset()),
+        (bvc.flip_all_deviation(), frozenset()),
+        (bvc.Deviation(support=frozenset({1})), frozenset()),
+        (bvc.extremal_deviation(2), frozenset({2})),
+        (bvc.pauli_deviation({0: "X", 3: 17}), frozenset({0, 3})),
+        (bvc.Deviation(after_entangle=hook), None),
+        (bvc.deviation_from_factors([{"site": 1, "perm": "H"}]), None),
+        (bvc.instruction_conditioned_deviation(lambda s, q: None), None),
+        (bvc.Deviation(after_entangle=hook, support=frozenset({1}),
+                       before_measure=lambda s, q, state: state), None),
+    ]
+    for dev, want in cases:
+        assert bvc._walked_support(dev, n) == want
+
+
+@pytest.mark.parametrize("support, message", [
+    (frozenset({3}), "site 3 out of range for n=3"),
+    (frozenset({-1}), "site -1 out of range for n=3"),
+    (frozenset({"1"}), "support site '1' is not an int"),
+    (frozenset({True}), "support site True is not an int"),
+    (frozenset({1.0}), "support site 1.0 is not an int"),
+    ([1], "support must be a set of site indices"),
+    (1, "support must be a set of site indices"),
+])
+def test_declared_support_is_checked(support, message):
+    identity = bvc.pauli_deviation({}).after_entangle
+    for dev in (bvc.Deviation(after_entangle=identity, support=support),
+                bvc.Deviation(support=support),
+                bvc.Deviation(before_measure=lambda s, q, state: state,
+                              support=support)):
+        with pytest.raises(ValueError, match=message):
+            bvc.exact_pfail(PAT3, dev)
+
+
+def test_declared_sites_of_the_built_in_deviations_are_checked():
+    for dev, message in ((bvc.extremal_deviation(3), "site 3 out of range"),
+                         (bvc.extremal_deviation(-1), "site -1 out of range"),
+                         (bvc.pauli_deviation({5: "X"}), "site 5 out of range"),
+                         (bvc.pauli_deviation({"0": "X"}), "'0' is not an int")):
+        with pytest.raises(ValueError, match=message):
+            bvc.exact_pfail(PAT3, dev)
 
 
 # -- bad inputs ----------------------------------------------------------------

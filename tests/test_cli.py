@@ -290,6 +290,20 @@ def test_bvc_simulate_exact(run):
     assert rep["bound"] == {"num": 5, "den": 6}
 
 
+def test_bvc_simulate_exact_on_seven_nodes(run):
+    rep = run("bvc", "simulate", "--line", "0,1,0,2,3,1,0", "--mode",
+              "verified", "--deviation", "extremal:1", "--exact",
+              "--sample-rounds", "0")
+    assert rep["p_fail"] == rep["bound"] == {"num": 13, "den": 14}
+
+
+@pytest.mark.parametrize("site", (3, -1))
+def test_bvc_simulate_exact_rejects_an_extremal_site_out_of_range(run, site):
+    err = run("bvc", "simulate", "--line", "0,1,0", "--mode", "verified",
+              "--deviation", f"extremal:{site}", "--exact", expect=2)
+    assert f"site {site} out of range for n=3" in err
+
+
 def test_bvc_simulate_honest_blind(run):
     rep = run("bvc", "simulate", "--line", "0,1,0", "--mode", "blind",
               "--seed", "4")

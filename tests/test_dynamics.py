@@ -594,9 +594,13 @@ def test_partial_trace_orders_kept_sites():
 
 
 def test_local_perm_rejects_unknown_spec():
-    for spec in ("Q", [0, 1, 2, 2], -1, 24, None, True):
+    for spec in ("Q", [0, 1, 2, 2], -1, 24, None, True,
+                 [True, 0, 2, 3], (1, 0, 2.0, 3), [1, 0, 2, 3, 4], "XZ"):
         with pytest.raises(ValueError, match="unknown permutation"):
             Permutation.local(1, 0, spec)
+    # four int images, given as any sequence, name the permutation
+    assert Permutation.local(1, 0, [1, 0, 2, 3]) \
+        == Permutation.local(1, 0, (1, 0, 2, 3)) == Permutation.local(1, 0, 6)
     with pytest.raises(ValueError, match="'perm'"):
         Permutation.from_json(1, [{"site": 1}])
     with pytest.raises(ValueError, match="'site'"):
