@@ -187,6 +187,8 @@ def _embedding(size: int, n: int, sites: Iterable[int]) -> list:
         raise ValueError("site list does not match element size")
     seen = set()
     for s in sites:
+        if type(s) is not int:
+            raise ValueError(f"target site {s!r} is not an int")
         if not 0 <= s < n:
             raise ValueError(f"target site {s} out of range")
         if s in seen:

@@ -27,19 +27,20 @@ again builds a group only for a hook.  Every branch probability is 1 or
 integer count of halvings, and a ``Fraction`` is built only for a
 result.
 
-Which pads are walked depends on what the analysis reads.  Bob's
-transcript depends on every pad, so ``server_view_distribution`` walks
-them all.  Alice's decoded bits do not depend on a pad outside the
-sites a deviation's ``after_entangle`` hook acts on, its declared
-``support`` (see ``exact_pfail``), so ``exact_pfail`` walks only the
-pads and dummy bits of those sites, and ``honest_output_support`` only
-the zero pads.
+Which pads are walked depends on what the analysis reads.  Alice's
+decoded bits do not depend on a pad outside the sites a deviation's
+``after_entangle`` hook acts on, its declared ``support`` (see
+``exact_pfail``), so ``exact_pfail`` walks only the pads and dummy bits
+of those sites, and ``honest_output_support`` only the zero pads.  Bob's
+transcript depends on every pad, but a pad only turns the instructions
+he is sent, so ``server_view_distribution`` also walks the zero pads
+alone and adds each pad configuration to the wire afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -287,13 +288,14 @@ def fuzzer_deviation(rng, rate: float = 0.5) -> Deviation:
     return Deviation(before_measure=warp)
 
 
-def deviation_from_factors(spec: list) -> Deviation:
-    """User deviation given as a permutation factor list (JSON shape)."""
-
-    def warp(state: Group) -> Group:
-        return Permutation.from_json(state.n, spec).conjugate(state)
-
-    return Deviation(after_entangle=warp)
+def deviation_from_factors(spec: list, n: int) -> Deviation:
+    """User deviation given as a permutation factor list (JSON shape) on
+    ``n`` systems.  The list is parsed here, so a bad one raises
+    ``Permutation.from_json``'s own error, and the deviation declares the
+    sites its factors act on as its ``support``."""
+    perm = Permutation.from_json(n, spec)
+    return Deviation(after_entangle=perm.conjugate,
+                     support=frozenset(perm.sites))
 
 
 # --------------------------------------------------------------------------
@@ -665,9 +667,9 @@ def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
     sites commute with the measurement, and X_d acts on a dummy, which is
     never measured.  By induction over Alice's order, each decoded bit
     o ^ r, and with it her corrections, verdict and output, has the same
-    branches and halvings as with zero pads.  Only the wire angles and
-    the raw outcomes differ, which is why ``server_view_distribution``
-    still walks every pad.
+    branches and halvings as with zero pads.  Only the wire angles
+    differ, by the pads, which is how ``server_view_distribution`` expands
+    the zero-pad walk over every pad.
 
     An ``after_entangle`` hook acts between the cz's and the first
     measurement.  The permutations of sites outside its ``support`` pass
@@ -747,12 +749,27 @@ def server_view_distribution(pattern: Pattern) -> dict:
     """Exact distribution of Bob's transcript (instructions, outcomes),
     over every pad configuration and live branch of a trap-free round.
 
-    The walk fixes every blinding bit to 0, and each round then shares
-    its weight evenly among the transcripts of its r-class.  On n
-    vertices a round's weight is 2 ** -k with k at most 3n (two halvings
-    per angle pad, one per random outcome), and its n blinding bits split
-    it into shares of 2 ** -(k + n).  The shares are summed as integer
-    numerators over 2 ** 4n, with one ``Fraction`` per transcript.
+    The outcome tree is walked once, with zero pads and every blinding
+    bit 0.  Each leaf then stands for one leaf per pad configuration, its
+    pad class, and for 2 ** n transcripts under the blinding bits, its
+    r-class.  The pad class is exact by ``exact_pfail``'s argument with
+    no trap and no hook: without dummies z_i = 0, so the pad q at site i
+    prepares P_q(+X), and nothing acts between the cz's and the first
+    measurement.  Measuring quarter a ^ q ^ 2r on P_q(state) has the
+    outcomes of measuring a ^ 2r on the state, with the same
+    probabilities and in the same order, and leaves P_q on the post
+    state.  By induction over Alice's order, the round with pads theta
+    (formula encoding) has the zero-pad leaves in walk order, with the
+    same raw outcomes and halvings; only each wire ``(u, d)`` becomes
+    ``(u, d ^ theta_u)``, as ``blind_delta`` adds the pad.  The pads are
+    expanded in the order the every-pad walk of ``_enumerate_rounds``
+    takes them, ``product(range(4))`` over the nodes, so the transcripts,
+    their totals and their order are those of that walk.
+
+    On n vertices a leaf's weight is 2 ** -k with k at most n, one
+    halving per random outcome.  The 4 ** n pads and the n blinding bits
+    split it into shares of 2 ** -(k + 3n), summed as integer numerators
+    over 2 ** 4n, with one ``Fraction`` per distinct total.
 
     Every transcript of an r-class gets the same total, so a round's
     share is summed once, under the class's representative: each wire's
@@ -760,29 +777,39 @@ def server_view_distribution(pattern: Pattern) -> dict:
     is expanded at the end from the first round seen in it, so the
     transcripts come in the order a round-by-round expansion gives.
     """
-    top = 1 << 4 * len(pattern.graph.nodes)
+    nodes = pattern.graph.nodes
+    top = 1 << 4 * len(nodes)
+    leaves = []   # (share, zero-pad round, its representative)
+    for w, res in _enumerate_rounds(pattern, rvalues=(0,),
+                                    support=frozenset()):
+        share = top // (w.denominator << 2 * len(nodes) + len(res.raw))
+        leaves.append((share, res, tuple(
+            (u, d ^ o) for (u, d), o in zip(res.deltas, res.raw))))
     classes: dict = {}   # representative -> [first round, share]
-    for w, res in _enumerate_rounds(pattern, rvalues=(0,)):
-        share = top // (w.denominator << len(res.raw))
-        rep = tuple((u, d ^ o) for (u, d), o in zip(res.deltas, res.raw))
-        if rep in classes:
-            classes[rep][1] += share
-        else:
-            classes[rep] = [res, share]
+    for thetas in product(range(4), repeat=len(nodes)):
+        pad = dict(zip(nodes, thetas))
+        for share, res, zero_rep in leaves:
+            rep = tuple((u, b ^ pad[u]) for u, b in zero_rep)
+            if rep in classes:
+                classes[rep][1] += share
+            else:
+                classes[rep] = [replace(res, deltas=tuple(
+                    (u, d ^ pad[u]) for u, d in res.deltas)), share]
     nums = {key: share for res, share in classes.values()
             for key in _r_class(res)}
     assert sum(nums.values()) == top
-    return {key: Fraction(num, top) for key, num in nums.items()}
+    weight = {num: Fraction(num, top) for num in set(nums.values())}
+    return {key: weight[num] for key, num in nums.items()}
 
 
 def _r_class(res: RoundResult):
     """Bob's transcripts of the 2 ** m rounds that differ from ``res``,
     walked with every blinding bit 0, in their blinding bits alone (see
     ``_walk_rounds``): a bit of 1 flips its wire's low formula bit and
-    its raw outcome."""
-    for mask in product((0, 1), repeat=len(res.raw)):
-        yield (tuple((u, d ^ b) for (u, d), b in zip(res.deltas, mask)),
-               tuple(o ^ b for o, b in zip(res.raw, mask)))
+    its raw outcome.  Both products run over the bits in the same order,
+    so they pair up transcript by transcript."""
+    return zip(product(*(((u, d), (u, d ^ 1)) for u, d in res.deltas)),
+               product(*((o, o ^ 1) for o in res.raw)))
 
 
 def view_distance(a: dict, b: dict) -> Fraction:

@@ -318,7 +318,7 @@ def _line_pattern(spec: str) -> Pattern:
     return Pattern(graph, dict(enumerate(angles)))
 
 
-def _parse_deviation(text: str) -> bvc.Deviation | None:
+def _parse_deviation(text: str, n: int) -> bvc.Deviation | None:
     if text == "honest":
         return None
     if text == "flip-all":
@@ -327,7 +327,7 @@ def _parse_deviation(text: str) -> bvc.Deviation | None:
         return bvc.extremal_deviation(int(text.split(":", 1)[1]))
     if os.path.isfile(text):
         with open(text) as fh:
-            return bvc.deviation_from_factors(json.load(fh))
+            return bvc.deviation_from_factors(json.load(fh), n)
     raise ValueError(f"unknown deviation {text!r}")
 
 
@@ -337,7 +337,7 @@ def _cmd_bvc(args) -> dict:
             f"--sample-rounds must be at least 0, got {args.sample_rounds}")
     pattern = (_load_pattern(args.pattern) if args.pattern
                else _line_pattern(args.line))
-    deviation = _parse_deviation(args.deviation)
+    deviation = _parse_deviation(args.deviation, len(pattern.graph.nodes))
     report = {"seed": args.seed, "mode": args.mode,
               "deviation": args.deviation}
     rng = random.Random(args.seed)

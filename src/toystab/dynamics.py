@@ -78,16 +78,14 @@ class Permutation:
                 pid = PERM_ID.get(images)
         if type(pid) is not int or not 0 <= pid < len(PERMS):
             raise ValueError(f"unknown permutation {perm!r}")
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range")
+        _check_sites(n, [site])
         return cls(n, (("local", site, pid),))
 
     @classmethod
     def controlled(cls, n: int, kind: str, control: int, target: int) -> "Permutation":
         if kind not in CTRL_KINDS:
             raise ValueError(f"unknown controlled kind {kind!r}")
-        if control == target or not (0 <= control < n and 0 <= target < n):
-            raise ValueError("bad control/target sites")
+        _check_sites(n, [control, target])
         return cls(n, ((kind, control, target),))
 
     @classmethod
@@ -445,10 +443,13 @@ def _site_bits(e: Element, sites: list[int]) -> int:
 
 
 def _check_sites(n: int, sites: Iterable[int]) -> list[int]:
-    """The sites as a list; raises on a site out of range or repeated."""
+    """The sites as a list; raises on a site that is not an int (a bool
+    equals one but is not one), out of range or repeated."""
     sites = list(sites)
     seen = set()
     for s in sites:
+        if type(s) is not int:
+            raise ValueError(f"site {s!r} is not an int")
         if not 0 <= s < n:
             raise ValueError(f"site {s} out of range for n={n}")
         if s in seen:

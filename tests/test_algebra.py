@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -186,6 +187,16 @@ def test_embed_checks_the_sites_of_a_trivial_group(sites, message):
         with pytest.raises(ValueError, match=message):
             group.embed(3, sites)
     assert Group(2, []).embed(3, [2, 0]) == Group(3, [])
+
+
+@pytest.mark.parametrize("site", [True, 1.0, "1"])
+def test_embed_rejects_a_site_that_is_not_an_int(site):
+    # a bool equals an int site and was read as one
+    e = Element.parse("+XZ")
+    message = re.escape(f"target site {site!r} is not an int")
+    for embed in (e.embed, Group(2, [e]).embed, Group(2, []).embed):
+        with pytest.raises(ValueError, match=message):
+            embed(3, [site, 0])
 
 
 def _reference_interleaved(e):

@@ -301,7 +301,7 @@ def test_flip_all_always_detected():
             assert not res.accept
 
 
-def deviation_family():
+def deviation_family(n=3):
     return [
         bvc.Deviation(),
         bvc.flip_all_deviation(),
@@ -309,7 +309,7 @@ def deviation_family():
         bvc.pauli_deviation({0: "X", 2: "Y"}),
         bvc.instruction_conditioned_deviation(
             lambda site, q: "Z" if q == 1 else None),
-        bvc.deviation_from_factors([{"site": 2, "perm": "H"}]),
+        bvc.deviation_from_factors([{"site": 2, "perm": "H"}], n),
     ]
 
 
@@ -493,6 +493,19 @@ def test_bad_counts_rejected():
 
 # -- the blinding-bit reduction against the full walk -------------------------
 
+GRAPHS = (
+    line_pattern(1, (3,)),
+    line_pattern(2, (1, 2)),
+    line_pattern(4, (1, 1, 2, 3)),
+    Pattern(OpenGraph((0, 1, 2), ((0, 1), (1, 2), (0, 2)), outputs=(2,)),
+            {0: 1, 1: 0, 2: 3}),
+    Pattern(OpenGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)),
+                      outputs=(1, 3)), {0: 2, 1: 1, 2: 0, 3: 1}),
+    Pattern(OpenGraph((0, 1, 2, 3), ((0, 1), (2, 3))), {0: 0, 1: 3, 2: 1,
+                                                        3: 2}),
+)
+
+
 def full_walk_pfail(pattern, deviation):
     """exact_pfail with every blinding bit walked."""
     total = Fraction(0)
@@ -521,8 +534,8 @@ def test_reduced_pfail_matches_full_walk(angles):
     # the full walk walks every blinding bit and every pad, so this checks
     # both of exact_pfail's reductions
     pattern = line_pattern(len(angles), angles)
-    deviations = deviation_family() + [bvc.extremal_deviation(site)
-                                       for site in range(len(angles))]
+    deviations = deviation_family(len(angles)) + [
+        bvc.extremal_deviation(site) for site in range(len(angles))]
     for dev in deviations:
         assert bvc.exact_pfail(pattern, dev) == full_walk_pfail(pattern, dev)
 
@@ -548,6 +561,58 @@ def test_r_class_matches_full_walk_per_pad(angles):
             for key in bvc._r_class(res):
                 mirrored[key] += res.probability
         assert mirrored == full, thetas
+
+
+@pytest.mark.parametrize("pattern", (line_pattern(3, (0, 1, 0)),
+                                     line_pattern(3, (2, 3, 1))) + GRAPHS)
+def test_pad_class_matches_full_walk_per_pad(pattern):
+    # per pad: the padded walk is the zero-pad walk, leaf by leaf, with
+    # each wire turned by its pad and nothing else changed
+    graph = pattern.graph
+    plan = bvc._Plan(graph, pattern.angles, [], None)
+    zero = list(bvc._walk_rounds(plan, {v: {"angle": 0} for v in graph.nodes},
+                                 None, (0,)))
+    for thetas in product(range(4), repeat=len(graph.nodes)):
+        pad = dict(zip(graph.nodes, thetas))
+        want = [(halvings, dataclasses.replace(res, deltas=tuple(
+            (u, d ^ pad[u]) for u, d in res.deltas)))
+                for halvings, res in zero]
+        prep = {v: {"angle": t} for v, t in pad.items()}
+        assert list(bvc._walk_rounds(plan, prep, None, (0,))) == want, pad
+
+
+def test_view_walks_the_outcome_tree_once(monkeypatch):
+    # one zero-pad walk per view, not one walk per pad configuration
+    calls = []
+    entangled_rows = bvc.Bob.entangled_rows
+
+    def counted(self, states, edges):
+        calls.append(tuple(spec["angle"] for spec in states))
+        return entangled_rows(self, states, edges)
+
+    monkeypatch.setattr(bvc.Bob, "entangled_rows", counted)
+    for pattern in GRAPHS:
+        calls.clear()
+        bvc.server_view_distribution(pattern)
+        assert calls == [(0,) * len(pattern.graph.nodes)]
+
+
+@pytest.mark.parametrize("pattern", GRAPHS + (
+    line_pattern(1, (0,)), line_pattern(2, (3, 1)), line_pattern(3, (0, 1, 0)),
+    line_pattern(4, (2, 3, 1, 0))))
+def test_view_is_uniform_over_every_transcript(pattern):
+    # blindness as the paper states it: Bob sees each of the 4 ** n wire
+    # tuples and 2 ** n outcome tuples, in Alice's order, with probability
+    # 1 / 8 ** n whatever the computation
+    n = len(pattern.graph.nodes)
+    order = bvc._Plan(pattern.graph, pattern.angles, [], None).order
+    view = bvc.server_view_distribution(pattern)
+    assert set(view) == {(tuple(zip(order, wires)), raw)
+                         for wires in product(range(4), repeat=n)
+                         for raw in product((0, 1), repeat=n)}
+    assert len(view) == 8 ** n
+    assert set(view.values()) == {Fraction(1, 8 ** n)}
+    assert view == fraction_view(pattern)
 
 
 def test_instruction_reading_deviation_sees_both_blinding_bits():
@@ -629,12 +694,10 @@ def _deviations(draw, n):
                 lambda kind, sites: {kind: [s + 1 for s in sites]},
                 st.sampled_from(("cz", "cx", "cy")), pair))
         factors = draw(st.lists(factor, min_size=1, max_size=4))
-        dev = bvc.deviation_from_factors(factors)
+        dev = bvc.deviation_from_factors(factors, n)
         if draw(st.booleans()):
-            # declare the sites the factors act on, a controlled one too
-            dev = dataclasses.replace(dev, support=frozenset(
-                s - 1 for f in factors
-                for s in ([f["site"]] if "site" in f else [*f.values()][0])))
+            # undeclared sites: the hook is walked over every pad
+            dev = dataclasses.replace(dev, support=None)
         return dev
     if kind == "instruction":
         table = draw(st.dictionaries(
@@ -774,19 +837,6 @@ def fraction_view(pattern):
     return dist
 
 
-GRAPHS = (
-    line_pattern(1, (3,)),
-    line_pattern(2, (1, 2)),
-    line_pattern(4, (1, 1, 2, 3)),
-    Pattern(OpenGraph((0, 1, 2), ((0, 1), (1, 2), (0, 2)), outputs=(2,)),
-            {0: 1, 1: 0, 2: 3}),
-    Pattern(OpenGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)),
-                      outputs=(1, 3)), {0: 2, 1: 1, 2: 0, 3: 1}),
-    Pattern(OpenGraph((0, 1, 2, 3), ((0, 1), (2, 3))), {0: 0, 1: 3, 2: 1,
-                                                        3: 2}),
-)
-
-
 def _audited(pattern, rng):
     """Every deviation kind on ``pattern``: the family (on three nodes or
     more), a Pauli Y and Pauli deviations with random local ids at one and
@@ -796,22 +846,25 @@ def _audited(pattern, rng):
     on both sides of a comparison, so it is taken once."""
     nodes = pattern.graph.nodes
     sites = range(len(nodes))
-    family = deviation_family() if len(nodes) >= 3 else deviation_family()[:2]
+    family = (deviation_family(len(nodes)) if len(nodes) >= 3
+              else deviation_family()[:2])
     family = [dev for dev in family if not dev.reads_instruction]
+    factors = bvc.deviation_from_factors([{"site": len(nodes), "perm": "H"}],
+                                         len(nodes))
     deviations = family + [
         bvc.pauli_deviation({nodes[0]: "Y"}),
         bvc.pauli_deviation({rng.choice(sites): rng.randrange(24)}),
         bvc.pauli_deviation(dict(zip(rng.sample(sites, min(2, len(nodes))),
                                      (rng.randrange(24), rng.randrange(24))))),
-        bvc.deviation_from_factors([{"site": len(nodes), "perm": "H"}]),
+        factors,
+        dataclasses.replace(factors, support=None),
         bvc.instruction_conditioned_deviation(
             lambda site, q: "X" if q in (1, 2) else None),
     ] + [bvc.extremal_deviation(site) for site in sites]
     if len(nodes) > 1:
-        # a hook acting across two sites of its declared support
-        deviations.append(dataclasses.replace(bvc.deviation_from_factors(
-            [{"cx": [2, 1]}, {"site": 2, "perm": "H"}]),
-            support=frozenset({0, 1})))
+        # a hook acting across the two sites it declares
+        deviations.append(bvc.deviation_from_factors(
+            [{"cx": [2, 1]}, {"site": 2, "perm": "H"}], len(nodes)))
     return [dataclasses.replace(dev, assume_corrupted=flag)
             for dev in deviations
             for flag in ((False,) if dev.reads_instruction else (False, True))]
@@ -941,7 +994,9 @@ def test_walked_support_follows_the_hooks():
         (bvc.extremal_deviation(2), frozenset({2})),
         (bvc.pauli_deviation({0: "X", 3: 17}), frozenset({0, 3})),
         (bvc.Deviation(after_entangle=hook), None),
-        (bvc.deviation_from_factors([{"site": 1, "perm": "H"}]), None),
+        (bvc.deviation_from_factors([{"site": 1, "perm": "H"}], n),
+         frozenset({0})),
+        (bvc.deviation_from_factors([{"cy": [4, 2]}], n), frozenset({1, 3})),
         (bvc.instruction_conditioned_deviation(lambda s, q: None), None),
         (bvc.Deviation(after_entangle=hook, support=frozenset({1}),
                        before_measure=lambda s, q, state: state), None),

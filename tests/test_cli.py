@@ -144,7 +144,8 @@ def test_readme_perm_example_applies(run, tmp_path):
     assert rep["output"]["n"] == 2
 
 
-@pytest.mark.parametrize("spec, message", [
+# bad factor lists and the error of each on one system
+BAD_SPECS = [
     ([{"site": 1, "perm": "Q"}], "unknown permutation 'Q'"),
     ([{"site": 1}], "has no 'perm' key"),
     ({"site": 1}, "JSON list of factors"),
@@ -159,12 +160,39 @@ def test_readme_perm_example_applies(run, tmp_path):
     ([{"site": 1, "perm": True}], "malformed perm"),
     ([{"site": 1, "perm": 2.0}], "malformed perm"),
     ([{"site": 1, "perm": [True, 0, 2, 3]}], "malformed perm"),
-])
+]
+
+
+@pytest.mark.parametrize("spec, message", BAD_SPECS)
 def test_perm_apply_rejects_bad_spec(run, tmp_path, spec, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     err = run("perm", "apply", str(path), "+X", expect=2)
     assert message in err
+
+
+@pytest.mark.parametrize("spec, message", BAD_SPECS)
+def test_exact_factor_deviation_rejects_bad_spec(run, tmp_path, spec,
+                                                 message):
+    # the factor file is parsed for the pattern's size before the walk
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    err = run("bvc", "simulate", "--line", "0", "--mode", "verified",
+              "--deviation", str(path), "--exact", expect=2)
+    assert message in err
+
+
+def test_exact_factor_deviation_keeps_one_based_sites(run, tmp_path):
+    # the declared support is 0-based, the file's sites are not
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"site": 4, "perm": "H"}]))
+    err = run("bvc", "simulate", "--line", "0,1,0", "--mode", "verified",
+              "--deviation", str(path), "--exact", expect=2)
+    assert err == "error: site 4 out of range 1..3\n"
+    path.write_text(json.dumps([{"site": 3, "perm": "H"}]))
+    rep = run("bvc", "simulate", "--line", "0,1,0", "--mode", "verified",
+              "--deviation", str(path), "--exact", "--sample-rounds", "0")
+    assert rep["exact"] is True
 
 
 @pytest.mark.parametrize("perm", [True, 2.0, [True, 0, 2, 3]])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -579,6 +580,8 @@ def test_erase_keeps_width():
     ([2], "site 2 out of range"),
     ([-1], "site -1 out of range"),
     ([1, 1], "site 1 listed twice"),
+    ([True], "site True is not an int"),
+    ([0.0], "site 0.0 is not an int"),
 ])
 def test_trace_and_erase_reject_bad_sites(sites, message):
     g = _state("+XX\n+ZZ")
@@ -591,6 +594,17 @@ def test_trace_and_erase_reject_bad_sites(sites, message):
 def test_partial_trace_orders_kept_sites():
     g = _state("+XI\n+IZ")
     assert partial_trace(g, [1, 0]) == partial_trace(g, [0, 1]) == g
+
+
+@pytest.mark.parametrize("site", [True, 1.0, "1"])
+def test_permutation_builders_reject_a_site_that_is_not_an_int(site):
+    # a bool equals an int site and was built into the factor as one
+    message = re.escape(f"site {site!r} is not an int")
+    for build in (lambda: Permutation.local(2, site, "X"),
+                  lambda: Permutation.controlled(3, "cz", site, 2),
+                  lambda: Permutation.controlled(3, "cx", 0, site)):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_local_perm_rejects_unknown_spec():
