@@ -281,9 +281,10 @@ class Group:
     * ``bvc.Bob.entangled_rows``: the pads' entangled state, built
       straight into rows with the cz rule, as a group only to hand it to
       a deviation's ``after_entangle`` hook (and ``bvc._run_round``, on
-      the rows it returns, for a sampled round to measure);
-    * ``bvc.Bob.outcomes``: the exact walk's rows, only to hand them to a
-      ``before_measure`` hook;
+      the rows it returns, for a single sampled round to measure);
+    * ``bvc.Bob.outcomes``: the rows of the exact walk or of a batched
+      round's random descent, only to hand them to a ``before_measure``
+      hook;
     * ``bvc.extremal_deviation``'s swap-in: a valid state's rows with one
       site traced out and +X inserted there.
 

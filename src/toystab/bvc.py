@@ -16,16 +16,23 @@ are related by swapping bits, a swap that is its own inverse.
 Every round starts from the entangled state of its pads, built
 straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
 whole state (:meth:`Bob.entangled_rows`); a group is built from them
-only to hand the state to a deviation's hook.  A sampled round then
-holds the state as a group and measures it with
-:func:`dynamics.measure_element`.  Exact analysis (``exact_pfail``,
-``server_view_distribution`` and ``honest_output_support``) walks pad
-configurations and live outcome branches on the rows instead, one
-:func:`dynamics.measure_rows` step per branch (``_walk_rounds``), and
-again builds a group only for a hook.  Every branch probability is 1 or
-1/2 and every pad weight a power of two, so a weight is carried as an
-integer count of halvings, and a ``Fraction`` is built only for a
-result.
+only to hand the state to a deviation's hook.  Exact analysis
+(``exact_pfail``, ``server_view_distribution`` and
+``honest_output_support``) walks pad configurations and live outcome
+branches on the rows, one :func:`dynamics.measure_rows` step per branch
+(``_walk_rounds``), and again builds a group only for a hook.  Every
+branch probability is 1 or 1/2 and every pad weight a power of two, so a
+weight is carried as an integer count of halvings, and a ``Fraction`` is
+built only for a result.
+
+Sampled rounds come two ways.  A batch of verified rounds
+(:func:`verified_rounds`, behind ``estimate_pfail`` and the CLI's sampled
+accept rate) builds one plan per trap, and each round is a random descent
+of the exact walk on the rows: one child, drawn from the rng, at each
+vertex.  A single round (``run_verified``, ``run_blind`` and
+``run_delegated``) still holds the state as a group and measures it with
+:func:`dynamics.measure_element` until ROADMAP item 1 lands; it is the
+reference the descent is tested against.
 
 Which pads are walked depends on what the analysis reads.  Alice's
 decoded bits do not depend on a pad outside the sites a deviation's
@@ -43,7 +50,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import Group, echelon, insert
@@ -87,7 +94,11 @@ class Deviation:
     he reports at ``site``.  It cannot see the instruction, so a flip
     that depends on the quarter is written as a ``before_measure`` hook.
 
-    Sampled rounds call each hook once per event.  Exact analysis calls
+    Sampled rounds call each hook once per event, batched rounds
+    included: each round of :func:`verified_rounds` calls
+    ``after_entangle`` once, and ``before_measure`` and ``flip_outcome``
+    once per measurement, and shares no call with another round, so a
+    hook may draw randomness there.  Exact analysis calls
     ``after_entangle`` once per pad configuration and ``before_measure``
     once per prefix and blinding bit (see ``_walk_rounds``), sharing the
     result between branches, so it assumes deterministic hooks.  Both
@@ -186,12 +197,15 @@ class Bob:
         out, post, p = measure_element(state, e, rng=rng, force=force)
         return self._report(site, out), post, p
 
-    def outcomes(self, rows: dict, n: int, site: int, angle: int) -> list:
+    def outcomes(self, rows: dict, n: int, site: int, angle: int,
+                 rng=None) -> list:
         """[(reported outcome, post rows, random)] of every outcome that
         can occur, on the reduced rows ``{pivot: (bits, sign)}`` of a valid
-        state on ``n`` systems.  ``random`` tells a probability of 1/2 from
-        one of 1.  The rows are left as they are, and the post rows of a
-        deterministic outcome are ``rows`` itself.
+        state on ``n`` systems; with an ``rng``, of the one outcome a
+        measurement gets, a random one drawn with one ``rng.randrange(2)``.
+        ``random`` tells a probability of 1/2 from one of 1.  The rows are
+        left as they are, and the post rows of a deterministic outcome are
+        ``rows`` itself.
 
         A ``before_measure`` hook is given the rows built as a group, and
         the state it returns is checked before it is measured.
@@ -204,8 +218,9 @@ class Bob:
         bits, neg = _QUARTER_ROWS[quarter]
         bits <<= 2 * site
         children = []
-        for force in (0, 1):
-            out, post, random = measure_rows(rows, bits, neg, n, force=force)
+        for force in (0, 1) if rng is None else (None,):
+            out, post, random = measure_rows(rows, bits, neg, n, rng=rng,
+                                             force=force)
             if post is not None:
                 children.append((self._report(site, out), post, random))
         return children
@@ -325,6 +340,18 @@ class _Transcript(NamedTuple):
     decoded: tuple = ()
 
 
+def _require_delegable(graph: OpenGraph, angles: Mapping) -> None:
+    """Raise unless a delegated round can run on ``graph``: it takes no
+    quantum inputs and measures every vertex, so each needs an angle."""
+    if graph.inputs:
+        raise ValueError("delegated rounds take no quantum inputs")
+    missing = [v for v in graph.nodes if v not in angles]
+    if missing:
+        raise ValueError(f"vertices without angles: {missing}; a "
+                         "delegated round measures every vertex, "
+                         "outputs included")
+
+
 class _Plan:
     """Alice's fixed schedule of a round: the measurement order, the
     unadapted angles, and the corrections an outcome 1 triggers.
@@ -335,17 +362,11 @@ class _Plan:
 
     def __init__(self, graph: OpenGraph, angles: Mapping, dummies, trap,
                  blinded: bool = True):
-        if graph.inputs:
-            raise ValueError("delegated rounds take no quantum inputs")
+        _require_delegable(graph, angles)
         nodes = list(graph.nodes)
         self.site = idx = {v: i for i, v in enumerate(nodes)}
         if trap is not None and trap not in idx:
             raise ValueError(f"trap {trap!r} is not a vertex")
-        missing = [v for v in nodes if v not in angles]
-        if missing:
-            raise ValueError(f"vertices without angles: {missing}; a "
-                             "delegated round measures every vertex, "
-                             "outputs included")
         comp = [v for v in nodes if v not in dummies and v != trap]
         sub = graph.induced(comp)
         pattern = Pattern(sub, {v: angles[v] for v in comp})
@@ -438,7 +459,13 @@ def _run_round(graph: OpenGraph, angles: Mapping, *, prep: Mapping,
     return plan.result(rec, prob)
 
 
+def _require_rng(rng) -> None:
+    if rng is None:
+        raise ValueError("a sampled round needs an rng to draw from")
+
+
 def _sample_pads(graph: OpenGraph, rng, dummies=(), trap=None):
+    _require_rng(rng)
     prep = {}
     rbits = {}
     for v in graph.nodes:
@@ -480,6 +507,7 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
     graph = pattern.graph
     _require_vertex(graph)
     if trap is None:
+        _require_rng(rng)
         trap = graph.nodes[rng.randrange(len(graph.nodes))]
     dummies = graph.neighbors(trap)
     if prep is None or rbits is None:
@@ -489,6 +517,40 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
     return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
                       trap=trap, rng=rng, forced=forced,
                       deviation=deviation)
+
+
+def verified_rounds(pattern: Pattern, *, rng, deviation=None):
+    """An endless iterator of sampled verified rounds, ``(trap,
+    RoundResult)`` each, with the draws of ``run_verified(pattern,
+    rng=rng)`` called once per round: the trap, then the pads and blinding
+    bits, then one ``rng.randrange(2)`` per random outcome.
+
+    Each trap's plan is built the first time the trap is drawn, and each
+    round is a random descent of the exact walk on Bob's rows
+    (``_walk_rounds`` with an rng), with the drawn blinding bits.  The
+    pattern and the rng are checked on the call, before any round.
+    """
+    graph = pattern.graph
+    _require_vertex(graph)
+    _require_delegable(graph, pattern.angles)
+    _require_rng(rng)
+    nodes = graph.nodes
+    plans = {}   # trap -> (dummies, plan)
+
+    def rounds():
+        while True:
+            trap = nodes[rng.randrange(len(nodes))]
+            if trap not in plans:
+                dummies = graph.neighbors(trap)
+                plans[trap] = dummies, _Plan(graph, pattern.angles,
+                                             dummies, trap)
+            dummies, plan = plans[trap]
+            prep, rbits = _sample_pads(graph, rng, dummies=dummies,
+                                       trap=trap)
+            (_, res), = _walk_rounds(plan, prep, deviation, rbits, rng)
+            yield trap, res
+
+    return rounds()
 
 
 # --------------------------------------------------------------------------
@@ -501,10 +563,20 @@ def _dyadic(k: int) -> Fraction:
     return Fraction(1, 1 << k)
 
 
-def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
+def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
     """Every live round with pads ``prep``, the blinding bit of each
     measured vertex running over ``rvalues``, as ``(halvings, result)``:
-    the round's probability is 2 ** -halvings.
+    the round's probability is 2 ** -halvings.  ``rvalues`` is a tuple of
+    the bits walked at every vertex, or a mapping from each vertex to its
+    one drawn bit.
+
+    With an ``rng`` the walk is a random descent: each vertex measures
+    once, drawing a random outcome with one ``rng.randrange(2)`` (see
+    :meth:`Bob.outcomes`), so with one blinding bit per vertex exactly one
+    leaf is yielded, a sampled round.  Its draws and its hook calls, one
+    per event, come in the order of ``_run_round``'s, which measures the
+    same round through groups, so a hook that draws randomness may take
+    part in a descent.
 
     The rounds are the leaves of one depth-first walk over the reduced
     rows ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts
@@ -540,15 +612,19 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues):
     bob = Bob(deviation)
     n = len(plan.site)
     theta = plan.thetas(prep)
+    if isinstance(rvalues, Mapping):
+        rvalues = {u: (rvalues[u],) for u in plan.order}
+    else:
+        rvalues = dict.fromkeys(plan.order, rvalues)
 
     def step(k, node):
         rows, halvings, rec = node
         u = plan.order[k]
         site = plan.site[u]
         children = []
-        for r in rvalues:
+        for r in rvalues[u]:
             wire, ops = plan.instruct(u, rec, theta, r)
-            for o, post, random in bob.outcomes(rows, n, site, wire):
+            for o, post, random in bob.outcomes(rows, n, site, wire, rng):
                 children.append((post, halvings + random,
                                  plan.receive(u, rec, wire, ops, o, r)))
         return children
@@ -721,18 +797,18 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
 
 def estimate_pfail(pattern: Pattern, deviation: Deviation, *, rng,
                    trials: int) -> dict:
-    """Monte Carlo failure estimate with a Wilson 95% interval."""
+    """Monte Carlo failure estimate with a Wilson 95% interval, over
+    ``trials`` rounds of :func:`verified_rounds`."""
     graph = pattern.graph
-    # checked here: each trial draws its trap before run_verified does
-    _require_vertex(graph)
+    rounds = verified_rounds(pattern, rng=rng, deviation=deviation)
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, not {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     honest = {} if deviation.assume_corrupted else \
         {t: honest_output_support(pattern, t) for t in graph.nodes}
     fails = 0
-    for _ in range(trials):
-        trap = graph.nodes[rng.randrange(len(graph.nodes))]
-        res = run_verified(pattern, rng=rng, trap=trap, deviation=deviation)
+    for trap, res in islice(rounds, trials):
         if res.accept and (deviation.assume_corrupted
                            or res.output not in honest[trap]):
             fails += 1

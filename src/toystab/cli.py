@@ -18,6 +18,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from . import bvc, codes, crypto
 from .algebra import Element, Group
@@ -352,10 +353,9 @@ def _cmd_bvc(args) -> dict:
             est = bvc.estimate_pfail(pattern, dev, rng=rng,
                                      trials=args.trials)
             report["p_fail"] = est
-        accepts = 0
-        for _ in range(args.sample_rounds):
-            res = bvc.run_verified(pattern, rng=rng, deviation=deviation)
-            accepts += res.accept
+        rounds = bvc.verified_rounds(pattern, rng=rng, deviation=deviation)
+        accepts = sum(res.accept
+                      for _, res in islice(rounds, args.sample_rounds))
         report["accept_rate"] = {"accepted": accepts,
                                  "rounds": args.sample_rounds,
                                  "is_estimate": True}

@@ -191,7 +191,9 @@ class Permutation:
         incompatible with its symbol, so it keeps the reduced rows and
         flips only their signs.
         """
-        if not (group._known_valid and group.n == self.n):
+        if group.n != self.n:
+            raise ValueError("size mismatch")
+        if not group._known_valid:
             return Group(self.n, [self.conj_element(g) for g in group.canonical])
         pauli = self._pauli_bits()
         if pauli is None:

@@ -2,7 +2,7 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,6 +491,48 @@ def test_bad_counts_rejected():
                            trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, True, "3", None])
+def test_non_int_trials_rejected(trials):
+    with pytest.raises(ValueError, match="trials must be an int"):
+        bvc.estimate_pfail(PAT3, bvc.Deviation(), rng=random.Random(0),
+                           trials=trials)
+
+
+def test_sampled_entry_points_need_an_rng():
+    for call in (lambda: bvc.run_verified(PAT3),
+                 lambda: bvc.run_verified(PAT3, trap=0),
+                 lambda: bvc.run_blind(PAT3),
+                 lambda: bvc.estimate_pfail(PAT3, bvc.Deviation(), rng=None,
+                                            trials=3),
+                 lambda: bvc.verified_rounds(PAT3, rng=None)):
+        with pytest.raises(ValueError, match="a sampled round needs an rng"):
+            call()
+    # nothing to draw: the trap and pads are pinned, and both measured
+    # vertices neighbour only the dummy, so their outcomes are deterministic
+    prep = {0: {"angle": 0}, 1: {"dummy": 1}, 2: {"angle": 3}}
+    rbits = {0: 1, 1: 0, 2: 0}
+    res = bvc.run_verified(PAT3, trap=0, prep=prep, rbits=rbits)
+    assert res.accept is True and res.probability == 1
+    # a random outcome still needs one
+    with pytest.raises(ValueError, match="random outcome needs an rng"):
+        bvc.run_blind(PAT3, prep={v: {"angle": 0} for v in range(3)},
+                      rbits={v: 0 for v in range(3)})
+
+
+def test_verified_rounds_check_the_pattern_on_the_call():
+    # no round is drawn: the errors come before the first next()
+    empty = Pattern(OpenGraph((), (), outputs=()), {})
+    for pattern, message in (
+            (empty, "a verified round needs at least one vertex"),
+            (Pattern(PAT3.graph, {0: 0, 1: 1}),
+             r"vertices without angles: \[2\]"),
+            (Pattern(OpenGraph(PAT3.graph.nodes, PAT3.graph.edges,
+                               inputs=(0,), outputs=(2,)), PAT3.angles),
+             "no quantum inputs")):
+        with pytest.raises(ValueError, match=message):
+            bvc.verified_rounds(pattern, rng=random.Random(0))
+
+
 # -- the blinding-bit reduction against the full walk -------------------------
 
 GRAPHS = (
@@ -808,6 +850,70 @@ def test_hook_output_is_checked():
         "+ZII\n+ZII"))
     with pytest.raises(ValueError, match="linearly dependent"):
         bvc.run_blind(PAT3, rng=random.Random(0), deviation=dependent)
+
+
+# -- batched rounds against single rounds -------------------------------------
+
+@st.composite
+def _batches(draw):
+    """A pattern, a maker of fresh equal deviations, an rng seed and a
+    round count.  A fuzzer's maker seeds each hook rng alike."""
+    pattern = draw(_patterns(5))
+    n = len(pattern.graph.nodes)
+    kind = draw(st.sampled_from(("drawn", "site-flip", "fuzzer")))
+    if kind == "fuzzer":
+        seed = draw(st.integers(0, 1 << 16))
+        rate = draw(st.sampled_from((0.3, 1.0)))
+
+        def make():
+            return bvc.fuzzer_deviation(random.Random(seed), rate)
+    else:
+        if kind == "site-flip":
+            flips = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            dev = bvc.Deviation(flip_outcome=flips.__getitem__)
+        else:
+            dev = draw(_deviations(n))
+
+        def make():
+            return dev
+    return pattern, make, draw(st.integers(0, 1 << 32)), draw(
+        st.integers(1, 25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+def test_batched_rounds_match_single_rounds(case):
+    pattern, make, seed, count = case
+    batch_rng, single_rng = random.Random(seed), random.Random(seed)
+    got = list(islice(bvc.verified_rounds(pattern, rng=batch_rng,
+                                          deviation=make()), count))
+    single = make()
+    want = [bvc.run_verified(pattern, rng=single_rng, deviation=single)
+            for _ in range(count)]
+    # a verified round measures its trap last
+    assert got == [(res.deltas[-1][0], res) for res in want]
+    assert batch_rng.getstate() == single_rng.getstate()
+
+
+def test_batched_rounds_build_one_plan_per_trap(monkeypatch):
+    built = []
+    init = bvc._Plan.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bvc._Plan, "__init__", counted)
+    rounds = list(islice(bvc.verified_rounds(PAT3, rng=random.Random(1)),
+                         200))
+    assert {trap for trap, _ in rounds} == set(PAT3.graph.nodes)
+    assert len(built) <= 3
+    # the Monte Carlo estimate draws its rounds the same way; the extremal
+    # deviation is credited with corrupting, so no honest support is built
+    built.clear()
+    bvc.estimate_pfail(PAT3, bvc.extremal_deviation(1), rng=random.Random(2),
+                       trials=200)
+    assert len(built) <= 3
 
 
 # -- integer weights against Fraction sums ------------------------------------

@@ -323,6 +323,18 @@ def test_controlled_factors_take_the_general_path():
         Element.parse("-XZI"), Element.parse("+ZXZ"), Element.parse("+IZX")]))
 
 
+@pytest.mark.parametrize("group", [
+    Group(2, []), Group.trivial(2).require_valid(), _state("+ZI"),
+    Group(2, [Element.parse("+XX")]), Group(4, [])])
+@pytest.mark.parametrize("perm", [Permutation.identity(3),
+                                  Permutation.local(3, 1, "Z"),
+                                  Permutation.local(3, 0, "H")])
+def test_conjugate_rejects_a_group_of_another_size(group, perm):
+    # trivial groups included: they have no element to catch the mismatch
+    with pytest.raises(ValueError, match="size mismatch"):
+        perm.conjugate(group)
+
+
 # -- the derived symbol action against the hand-coded one it replaced --------
 
 def _reference_signed_diags():
