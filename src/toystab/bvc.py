@@ -464,7 +464,7 @@ def _require_rng(rng) -> None:
         raise ValueError("a sampled round needs an rng to draw from")
 
 
-def _sample_pads(graph: OpenGraph, rng, dummies=(), trap=None):
+def _sample_pads(graph: OpenGraph, rng, dummies=()):
     _require_rng(rng)
     prep = {}
     rbits = {}
@@ -501,19 +501,29 @@ def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
                       rng=rng, forced=forced, deviation=deviation)
 
 
-def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
-                 rbits=None, forced=None, deviation=None) -> RoundResult:
-    """Blind round with a trap vertex; its neighbors become dummies."""
-    graph = pattern.graph
-    _require_vertex(graph)
+def _verified_draws(graph: OpenGraph, rng, trap=None, prep=None,
+                    rbits=None):
+    """``(trap, dummies, prep, rbits)`` of a verified round.  The draws
+    come in this order: the trap, unless pinned, then the pads and
+    blinding bits, unless both are pinned; the round's random outcomes
+    draw after them."""
     if trap is None:
         _require_rng(rng)
         trap = graph.nodes[rng.randrange(len(graph.nodes))]
     dummies = graph.neighbors(trap)
     if prep is None or rbits is None:
-        sampled = _sample_pads(graph, rng, dummies=dummies, trap=trap)
+        sampled = _sample_pads(graph, rng, dummies=dummies)
         prep = prep if prep is not None else sampled[0]
         rbits = rbits if rbits is not None else sampled[1]
+    return trap, dummies, prep, rbits
+
+
+def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
+                 rbits=None, forced=None, deviation=None) -> RoundResult:
+    """Blind round with a trap vertex; its neighbors become dummies."""
+    graph = pattern.graph
+    _require_vertex(graph)
+    trap, _, prep, rbits = _verified_draws(graph, rng, trap, prep, rbits)
     return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
                       trap=trap, rng=rng, forced=forced,
                       deviation=deviation)
@@ -522,8 +532,8 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
 def verified_rounds(pattern: Pattern, *, rng, deviation=None):
     """An endless iterator of sampled verified rounds, ``(trap,
     RoundResult)`` each, with the draws of ``run_verified(pattern,
-    rng=rng)`` called once per round: the trap, then the pads and blinding
-    bits, then one ``rng.randrange(2)`` per random outcome.
+    rng=rng)`` called once per round: ``_verified_draws``, then one
+    ``rng.randrange(2)`` per random outcome.
 
     Each trap's plan is built the first time the trap is drawn, and each
     round is a random descent of the exact walk on Bob's rows
@@ -534,20 +544,15 @@ def verified_rounds(pattern: Pattern, *, rng, deviation=None):
     _require_vertex(graph)
     _require_delegable(graph, pattern.angles)
     _require_rng(rng)
-    nodes = graph.nodes
-    plans = {}   # trap -> (dummies, plan)
+    plans = {}
 
     def rounds():
         while True:
-            trap = nodes[rng.randrange(len(nodes))]
+            trap, dummies, prep, rbits = _verified_draws(graph, rng)
             if trap not in plans:
-                dummies = graph.neighbors(trap)
-                plans[trap] = dummies, _Plan(graph, pattern.angles,
-                                             dummies, trap)
-            dummies, plan = plans[trap]
-            prep, rbits = _sample_pads(graph, rng, dummies=dummies,
-                                       trap=trap)
-            (_, res), = _walk_rounds(plan, prep, deviation, rbits, rng)
+                plans[trap] = _Plan(graph, pattern.angles, dummies, trap)
+            (_, res), = _walk_rounds(plans[trap], prep, deviation, rbits,
+                                     rng)
             yield trap, res
 
     return rounds()
