@@ -36,6 +36,18 @@ def _byte_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
 _SPREAD, _GATHER = _byte_tables()
 
 
+def _interleave(x: int, z: int) -> int:
+    """The bits of ``x`` at the even columns and those of ``z`` at the odd
+    ones: column 2i = x_i, column 2i+1 = z_i."""
+    out = shift = 0
+    while x or z:
+        out |= (_SPREAD[x & 255] | _SPREAD[z & 255] << 1) << shift
+        x >>= 8
+        z >>= 8
+        shift += 16
+    return out
+
+
 @dataclass(frozen=True)
 class Element:
     """One signed element on ``n`` systems.
@@ -139,14 +151,7 @@ class Element:
 
     def interleaved(self) -> int:
         """Symbol bits packed with column 2i = x_i, column 2i+1 = z_i."""
-        x, z = self.x, self.z
-        out = shift = 0
-        while x or z:
-            out |= (_SPREAD[x & 255] | _SPREAD[z & 255] << 1) << shift
-            x >>= 8
-            z >>= 8
-            shift += 16
-        return out
+        return _interleave(self.x, self.z)
 
     @classmethod
     def from_interleaved(cls, n: int, bits: int, neg: bool = False) -> "Element":
@@ -269,8 +274,8 @@ class Group:
     operation that keeps validity.  Its builders are:
 
     * ``dynamics.measure_element``: the post-measurement rows;
-    * ``dynamics.Permutation.conjugate``: a known-valid input's
-      conjugated rows;
+    * ``dynamics.Permutation.conjugate``: a known-valid input's rows,
+      conjugated and echeloned again;
     * ``dynamics.partial_trace``: the marginal's rows, traced and packed
       onto the kept sites (``dynamics.marginal_rows``);
     * ``dynamics.erase``: the rows with the listed sites traced out;

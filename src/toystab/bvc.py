@@ -53,11 +53,11 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import Group, echelon, insert
+from .algebra import Group, insert
 from .dynamics import Permutation, measure_element, measure_rows, trace_site
 from .mbtc import (_QUARTER_ROWS, OpenGraph, Pattern, _check_forced,
-                   _cz_gains, _cz_row, adapt_quarter,
-                   angle_element, correction_masks, find_gflow, walk)
+                   _cz_rows, adapt_quarter, angle_element, correction_masks,
+                   find_gflow, walk)
 
 
 def formula_from_quarter(q: int) -> int:
@@ -155,22 +155,21 @@ class Bob:
 
         A system i with pad quarter q is the row of its angle element,
         ``x_i | (q & 1)·z_i`` with sign ``q >> 1``, and the cz rule
-        (:func:`mbtc._cz_row`) adds the z columns of i's neighbours to
+        (:func:`mbtc._cz_rows`) adds the z columns of i's neighbours to
         it; a dummy is ``±z_i``, which the cz's leave alone.  A
         deviation's ``after_entangle`` hook is handed these rows built as
         a group, and the state it returns is checked as :meth:`outcomes`
         checks a ``before_measure`` hook's.
         """
         n = len(states)
-        gains = _cz_gains(edges)
         pads = []
         for i, spec in enumerate(states):
             if "dummy" in spec:
                 bits, neg = 2, bool(spec["dummy"])
             else:
                 bits, neg = _QUARTER_ROWS[quarter_from_formula(spec["angle"])]
-            pads.append((_cz_row(bits << 2 * i, gains), neg))
-        rows, _ = echelon(pads)
+            pads.append((bits << 2 * i, neg))
+        rows = _cz_rows(pads, edges)
         dev = self.deviation
         if dev and dev.after_entangle:
             rows = _held_rows(

@@ -5,8 +5,8 @@ single-site permutations (all 24 of S4) and controlled single-site
 symbol flips between two sites.  The conjugation action of every factor,
 local or controlled, is derived once from its ontic map
 (``Permutation.apply_bits``), so the stabilizer-level update provably
-matches the ontic oracle.  Conjugation, the symbol-flip fast path and
-symplectic synthesis all use that one derived action.
+matches the ontic oracle.  Conjugation and symplectic synthesis both use
+that one derived action.
 """
 
 from __future__ import annotations
@@ -169,40 +169,19 @@ class Permutation:
         return Element.from_interleaved(self.n,
                                         *self._conj_row(e.interleaved(), e.neg))
 
-    def _pauli_bits(self) -> int | None:
-        """Interleaved symbol of a product of single-site symbol flips,
-        None when some factor is not one."""
-        bits = 0
-        for f in self.factors:
-            s = (_PAULI_SYMBOL.get(f[2])
-                 if f[0] == "local" and 0 <= f[1] < self.n else None)
-            if s is None:
-                return None
-            bits ^= s << 2 * f[1]
-        return bits
-
     def conjugate(self, group: Group) -> Group:
         """The group of conjugated elements; valid exactly when ``group`` is,
         so it is recorded as valid when ``group`` is already known valid.
 
         On a known-valid group the reduced rows are conjugated as packed
-        rows and re-echeloned into the result.  A product of symbol flips
-        maps every row to plus or minus itself, negating the rows
-        incompatible with its symbol, so it keeps the reduced rows and
-        flips only their signs.
+        rows and echeloned again into the result.
         """
         if group.n != self.n:
             raise ValueError("size mismatch")
         if not group._known_valid:
             return Group(self.n, [self.conj_element(g) for g in group.canonical])
-        pauli = self._pauli_bits()
-        if pauli is None:
-            rows, _ = echelon(self._conj_row(*row)
-                              for row in group._pivots.values())
-            return Group._from_reduced(self.n, rows, group)
-        rows = dict(group._pivots)
-        flip_signs(rows, _swap_xz(pauli, self.n))
-        return Group._from_reduced(self.n, rows, group)
+        rows, _ = echelon(self._conj_row(*row) for row in group._pivots.values())
+        return Group._from_reduced(self.n, rows)
 
     # -- serialization -----------------------------------------------
 
@@ -290,14 +269,6 @@ def _derive_table(factor, sites: int) -> tuple:
 _LOCAL_TABLES = tuple(_derive_table(("local", 0, pid), 1)
                       for pid in range(len(PERMS)))
 _CTRL_TABLES = {kind: _derive_table((kind, 0, 1), 2) for kind in CTRL_KINDS}
-
-# the interleaved symbol of each single-site permutation that maps X and Z
-# to plus or minus themselves: it negates X when it has a Z part (the z
-# bit) and Z when it has an X part (the x bit), so exactly the symbols
-# incompatible with it
-_PAULI_SYMBOL = {pid: t[2][1] | t[1][1] << 1
-                 for pid, t in enumerate(_LOCAL_TABLES)
-                 if (t[1][0], t[2][0]) == (1, 2)}
 
 
 def _act(factor, v: int) -> tuple[int, bool]:
@@ -436,11 +407,12 @@ def measure_element(group: Group, e: Element, *, rng=None, force: int | None = N
 # partial trace / purification
 # --------------------------------------------------------------------------
 
-def _site_bits(e: Element, sites: list[int]) -> int:
-    """Interleaved symbol bits of ``e`` on ``sites``, in list order."""
+def _pack(bits: int, sites: list[int]) -> int:
+    """The column pairs of ``sites`` in the interleaved row ``bits``,
+    packed in list order."""
     out = 0
     for i, s in enumerate(sites):
-        out |= ((e.x >> s) & 1) << (2 * i) | ((e.z >> s) & 1) << (2 * i + 1)
+        out |= (bits >> 2 * s & 3) << 2 * i
     return out
 
 
@@ -480,9 +452,7 @@ def marginal_rows(rows: dict, keep: list[int], sites: int) -> dict:
             trace_site(rows, s)
     out = {}
     for bits, neg in rows.values():
-        packed = 0
-        for i, s in enumerate(keep):
-            packed |= (bits >> 2 * s & 3) << 2 * i
+        packed = _pack(bits, keep)
         out[packed & -packed] = (packed, neg)
     return out
 
@@ -691,10 +661,10 @@ def relate_purifications(target: Group, source: Group,
 
     # keep parts reduced with their reference parts carried as tags; a
     # dependent row's tag is the reference symbol of a keep-trivial element
-    src, a_list = echelon((_site_bits(g, keep), _site_bits(g, ref))
-                          for g in source.canonical)
-    tgt, b_list = echelon((_site_bits(g, keep), _site_bits(g, ref))
-                          for g in target.canonical)
+    src, a_list = echelon((_pack(v, keep), _pack(v, ref)) for v in
+                          (g.interleaved() for g in source.canonical))
+    tgt, b_list = echelon((_pack(v, keep), _pack(v, ref)) for v in
+                          (g.interleaved() for g in target.canonical))
     if len(a_list) != len(b_list):
         raise AssertionError("purification ranks disagree")
 

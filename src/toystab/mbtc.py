@@ -41,10 +41,11 @@ theory:
   conjugated through the pending cz's.  For a symbol flip X_j, P' is
   X_j times Z on every neighbour of j across a pending edge; a Z flip
   commutes with every cz.  Of P', the part on prepared sites flips the
-  signs of the rows it anticommutes with (:func:`dynamics.flip_signs`),
-  as :meth:`dynamics.Permutation.conjugate` does for a Pauli.  The part on
-  a measured site acts on a traced-out factor and is dropped; such a
-  site has no pending edge left.  A site w not yet prepared is left
+  signs of the rows it anticommutes with (:func:`dynamics.flip_signs`):
+  a product of symbol flips maps each row to plus or minus itself, so
+  the rows stay reduced.  The part on a measured site acts on a
+  traced-out factor and is dropped; such a site has no pending edge
+  left.  A site w not yet prepared is left
   alone: an X there fixes its +X, and P' holds no Z there.  The
   correction of u is X on K = g(u) and Z on Odd(K) minus u.  Every edge
   of w is pending, so pushing X_K through them puts a Z on w once per
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .algebra import Element, Group, echelon, insert
+from .algebra import Element, Group, _interleave, echelon, insert
 from .dynamics import (Permutation, flip_signs, marginal_rows, measure_rows,
                        trace_site)
 
@@ -321,13 +322,21 @@ def _cz_row(bits: int, gains: tuple) -> int:
     return bits
 
 
+def _cz_rows(rows: Iterable[tuple], edges: Iterable) -> dict:
+    """The reduced rows ``{pivot: (bits, sign)}`` of the interleaved rows
+    ``(bits, sign)`` of a valid product state after a cz on each edge
+    ``(a, b)`` of site indices (:func:`_cz_row`), echeloned once."""
+    gains = _cz_gains(edges)
+    pivots, _ = echelon((_cz_row(bits, gains), neg) for bits, neg in rows)
+    return pivots
+
+
 def _entangled(n: int, gens: Iterable[Element], edges: Iterable) -> Group:
     """The group of the valid product state ``gens`` after a cz on each
     edge ``(a, b)`` of site indices.  The cz factors keep validity, so
     the result is built as valid."""
-    gains = _cz_gains(edges)
-    rows, _ = echelon((_cz_row(e.interleaved(), gains), e.neg) for e in gens)
-    return Group._from_reduced(n, rows)
+    return Group._from_reduced(
+        n, _cz_rows(((e.interleaved(), e.neg) for e in gens), edges))
 
 
 def _input_elements(graph: OpenGraph, input_group: Group | None,
@@ -382,16 +391,6 @@ def walk(root, depth: int, step):
 # the interleaved row (bits on site 0, sign) of each quarter's element
 _QUARTER_ROWS = tuple((angle_element(1, 0, q).interleaved(),
                        QUARTER_SYMBOL[q][1]) for q in range(4))
-
-
-def _spread(mask: int) -> int:
-    """The x columns of the interleaved row of the sites in ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= low * low    # bit s squared is bit 2s
-        mask ^= low
-    return out
 
 
 class _PatternRun:
@@ -475,7 +474,7 @@ class _PatternRun:
                     z ^= pending[low.bit_length() - 1]
                 assert not z & ~prepared, "a Z reaches an unprepared site"
                 held = prepared & ~dropped
-                fix = _spread(x & held) << 1 | _spread(z & held)
+                fix = _interleave(z & held, x & held)
             else:
                 fix = (x, z)
             self.steps.append((i, pattern.angles[u], entangle, fix))
@@ -532,8 +531,7 @@ class _PatternRun:
             rows = self._entangle(rows, self.final)
             if not self.physical:
                 mask = sum(1 << idx[v] for v in quantum_outputs)
-                flip_signs(rows, _spread(sx & mask) << 1
-                            | _spread(sz & mask))
+                flip_signs(rows, _interleave(sz & mask, sx & mask))
             keep = sorted(idx[v] for v in quantum_outputs)
             output_state = Group._from_reduced(
                 len(keep), marginal_rows(rows, keep, self.n))
