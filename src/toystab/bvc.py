@@ -241,7 +241,10 @@ def extremal_deviation(site: int) -> Deviation:
     out (:func:`dynamics.trace_site`), which leaves no row touching it,
     and a +X row is inserted there.  The new row is compatible with the
     others and independent of them, so the result is built as valid.
+    The site must be an int; its range is checked against each state.
     """
+    if type(site) is not int:
+        raise ValueError(f"site {site!r} is not an int")
 
     def swap_in(state: Group) -> Group:
         n = state.n
@@ -477,6 +480,47 @@ def _sample_pads(graph: OpenGraph, rng, dummies=()):
     return prep, rbits
 
 
+def _pad_kind(spec) -> str | None:
+    """'angle' or 'dummy' for a pad of one int angle or a 0 or 1 dummy,
+    None for anything else."""
+    if isinstance(spec, Mapping) and len(spec) == 1:
+        (kind, value), = spec.items()
+        if type(value) is int and (kind == "angle"
+                                   or kind == "dummy" and value in (0, 1)):
+            return kind
+    return None
+
+
+def _pads(graph: OpenGraph, rng, dummies, prep, rbits):
+    """``(prep, rbits)`` of a round whose dummies are ``dummies``: each
+    drawn (:func:`_sample_pads`) unless pinned, and checked when pinned.
+    A pinned ``prep`` gives every vertex exactly one of an int ``angle``
+    or a 0/1 ``dummy``, a dummy exactly at ``dummies``; a pinned
+    ``rbits`` gives every vertex a 0 or 1."""
+    for v in graph.nodes:
+        if prep is not None:
+            kind = _pad_kind(prep.get(v))
+            if kind is None:
+                raise ValueError(f"pad of vertex {v!r} is {prep.get(v)!r}, "
+                                 "not one int 'angle' or a 0 or 1 'dummy'")
+            if (kind == "dummy") != (v in dummies):
+                raise ValueError(
+                    f"vertex {v!r} is pinned with the wrong kind of pad, "
+                    f"{kind!r}: a blind round has no dummies, and the "
+                    "dummies of a verified round are exactly the trap's "
+                    "neighbours")
+        if rbits is not None:
+            r = rbits.get(v)
+            if type(r) is not int or r not in (0, 1):
+                raise ValueError(
+                    f"blinding bit of vertex {v!r} is {r!r}, not 0 or 1")
+    if prep is None or rbits is None:
+        sampled = _sample_pads(graph, rng, dummies=dummies)
+        prep = prep if prep is not None else sampled[0]
+        rbits = rbits if rbits is not None else sampled[1]
+    return prep, rbits
+
+
 def run_delegated(pattern: Pattern, *, rng=None, forced=None,
                   deviation=None) -> RoundResult:
     """Unblinded delegation: Bob sees the true adapted angles."""
@@ -490,12 +534,11 @@ def run_delegated(pattern: Pattern, *, rng=None, forced=None,
 
 def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
               forced=None, deviation=None) -> RoundResult:
-    """Blind delegation: pads chosen by Alice unless pinned explicitly."""
+    """Blind delegation: pads chosen by Alice unless pinned explicitly.
+    A blind round has no dummies, so a pinned ``prep`` gives every vertex
+    an int angle."""
     graph = pattern.graph
-    if prep is None or rbits is None:
-        sampled = _sample_pads(graph, rng)
-        prep = prep if prep is not None else sampled[0]
-        rbits = rbits if rbits is not None else sampled[1]
+    prep, rbits = _pads(graph, rng, (), prep, rbits)
     return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
                       rng=rng, forced=forced, deviation=deviation)
 
@@ -510,16 +553,14 @@ def _verified_draws(graph: OpenGraph, rng, trap=None, prep=None,
         _require_rng(rng)
         trap = graph.nodes[rng.randrange(len(graph.nodes))]
     dummies = graph.neighbors(trap)
-    if prep is None or rbits is None:
-        sampled = _sample_pads(graph, rng, dummies=dummies)
-        prep = prep if prep is not None else sampled[0]
-        rbits = rbits if rbits is not None else sampled[1]
+    prep, rbits = _pads(graph, rng, dummies, prep, rbits)
     return trap, dummies, prep, rbits
 
 
 def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
                  rbits=None, forced=None, deviation=None) -> RoundResult:
-    """Blind round with a trap vertex; its neighbors become dummies."""
+    """Blind round with a trap vertex; its neighbors become dummies, and
+    a pinned ``prep`` prepares exactly them as dummies."""
     graph = pattern.graph
     _require_vertex(graph)
     trap, _, prep, rbits = _verified_draws(graph, rng, trap, prep, rbits)
@@ -789,7 +830,10 @@ def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
-    """Wilson score 95% interval for a binomial proportion."""
+    """Wilson score 95% interval for a binomial proportion of ``k``
+    successes in ``n`` trials."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if n == 0:
         return (0.0, 1.0)
     p = k / n

@@ -273,7 +273,9 @@ class SharingScheme:
         return self.code.encode(secret)
 
     def reconstruct(self, dealt: Group, holders: Iterable[int], *, rng=None) -> Group:
-        holders = sorted(set(holders))
+        """The secret recovered from the shares of ``holders``, distinct
+        0-based sites."""
+        holders = sorted(_check_sites(self.n, holders))
         missing = [s for s in range(self.n) if s not in holders]
         if len(holders) < self.threshold:
             if len(holders) <= self.privacy:

@@ -45,13 +45,12 @@ theory:
   a product of symbol flips maps each row to plus or minus itself, so
   the rows stay reduced.  The part on a measured site acts on a
   traced-out factor and is dropped; such a site has no pending edge
-  left.  A site w not yet prepared is left
-  alone: an X there fixes its +X, and P' holds no Z there.  The
-  correction of u is X on K = g(u) and Z on Odd(K) minus u.  Every edge
-  of w is pending, so pushing X_K through them puts a Z on w once per
-  neighbour of w in K, an odd number of times exactly when w is in
-  Odd(K).  That cancels the Z the correction already has on w (u is
-  live, so u is not w).
+  left.  A site w not yet prepared is left alone: an X there fixes its
+  +X, and P' holds no Z there.  The correction of u is X on K = g(u)
+  and Z on Odd(K) minus u.  Every edge of w is pending, so pushing X_K
+  through them puts a Z on w once per neighbour of w in K, an odd
+  number of times exactly when w is in Odd(K).  That cancels the Z the
+  correction already has on w (u is live, so u is not w).
 """
 
 from __future__ import annotations
@@ -276,6 +275,10 @@ class Pattern:
         extra = [v for v in self.angles if v not in self.graph.adjacency]
         if extra:
             raise ValueError(f"angles for vertices that are not nodes: {extra}")
+        for v, angle in self.angles.items():
+            if type(angle) is not int:
+                raise ValueError(f"angle {angle!r} of vertex {v!r} is not "
+                                 "an int")
 
     def resolved_flow(self):
         if self.flow is not None:

@@ -1195,3 +1195,58 @@ def test_forcing_a_dummy_is_rejected():
     res = bvc.run_verified(PAT3, rng=random.Random(0), trap=0,
                            forced={2: 1})
     assert [u for u, _ in res.deltas] == [2, 0] and res.raw[0] == 1
+
+
+
+_ANGLES = {v: {"angle": v} for v in range(3)}
+_BITS = {v: 0 for v in range(3)}
+
+
+@pytest.mark.parametrize("pinned, message", [
+    ({"prep": {0: {"angle": 0}, 1: {"angle": 1}}}, "pad of vertex 2 is None"),
+    ({"rbits": {0: 0, 1: 0}}, "blinding bit of vertex 2 is None"),
+    ({"prep": {**_ANGLES, 1: {}}}, r"pad of vertex 1 is \{\}"),
+    ({"prep": {**_ANGLES, 1: {"angle": 1.0}}}, "pad of vertex 1 is"),
+    ({"prep": {**_ANGLES, 1: {"angle": True}}}, "pad of vertex 1 is"),
+    ({"prep": {**_ANGLES, 2: {"angle": 0, "dummy": 0}}}, "pad of vertex 2 is"),
+    ({"prep": {**_ANGLES, 2: {"dummy": 0}}},
+     "vertex 2 is pinned with the wrong kind of pad, 'dummy'"),
+    ({"rbits": {**_BITS, 0: 2}}, "blinding bit of vertex 0 is 2, not 0 or 1"),
+    ({"rbits": {**_BITS, 0: True}}, "blinding bit of vertex 0 is True"),
+])
+def test_blind_rounds_check_pinned_pads(pinned, message):
+    # at the parent these raised KeyError or TypeError, ran a vertex as a
+    # dummy, or decoded outcomes 2 and 3; the check holds whether or not
+    # the other half is drawn
+    for other in ({}, {"prep": _ANGLES, "rbits": _BITS}):
+        with pytest.raises(ValueError, match=message):
+            bvc.run_blind(PAT3, rng=random.Random(0), **{**other, **pinned})
+
+
+@pytest.mark.parametrize("prep, rbits, message", [
+    # trap 0 has the one neighbour 1, which must be the one dummy: at the
+    # parent the first case accepted a trap that was not isolated
+    ({**_ANGLES, 2: {"dummy": 0}}, _BITS,
+     "vertex 1 is pinned with the wrong kind of pad, 'angle'"),
+    ({**_ANGLES, 1: {"dummy": 0}, 2: {"dummy": 1}}, _BITS,
+     "vertex 2 is pinned with the wrong kind of pad, 'dummy'"),
+    ({**_ANGLES, 1: {"dummy": 2}}, _BITS, "pad of vertex 1 is"),
+    ({**_ANGLES, 1: {"dummy": False}}, _BITS, "pad of vertex 1 is"),
+    ({**_ANGLES, 1: {"dummy": 0}}, {0: 0, 1: 0}, "blinding bit of vertex 2"),
+])
+def test_verified_rounds_check_pinned_pads(prep, rbits, message):
+    with pytest.raises(ValueError, match=message):
+        bvc.run_verified(PAT3, rng=random.Random(0), trap=0, prep=prep,
+                         rbits=rbits)
+
+
+@pytest.mark.parametrize("site", ["a", 1.0, True, None])
+def test_extremal_site_is_checked_when_built(site):
+    with pytest.raises(ValueError, match=f"site {site!r} is not an int"):
+        bvc.extremal_deviation(site)
+
+
+@pytest.mark.parametrize("k, n", [(-1, 5), (7, 5), (1, 0), (0, -1)])
+def test_wilson_interval_needs_k_between_0_and_n(k, n):
+    with pytest.raises(ValueError, match=f"need 0 <= k <= n, got k={k}, n={n}"):
+        bvc.wilson_interval(k, n)

@@ -160,6 +160,22 @@ def test_undersized_sets_rejected(rng):
         SCHEME.reconstruct(dealt, [0, 1], rng=rng)
 
 
+@pytest.mark.parametrize("holders, message", [
+    ([0, 1, 9], "site 9 out of range for n=5"),
+    ([0, 1, 5], "site 5 out of range for n=5"),
+    ([0, 1, -1], "site -1 out of range for n=5"),
+    ([0, 1, 1, 2], "site 1 listed twice"),
+    ([0, 1, 2.0], "site 2.0 is not an int"),
+    ([0, 1, True], "site True is not an int"),
+])
+def test_holders_that_are_not_sites_rejected(rng, holders, message):
+    # the out-of-range holders once reconstructed the flat state with no
+    # error; a repeated or float holder was taken as its int
+    dealt = SCHEME.deal(_secret("+Z"))
+    with pytest.raises(ValueError, match=message):
+        SCHEME.reconstruct(dealt, holders, rng=rng)
+
+
 def test_intermediate_sets_rejected(rng):
     # sizes strictly between privacy and threshold carry no guarantee
     scheme = SharingScheme(FOUR)

@@ -228,6 +228,14 @@ def test_angles_must_name_nodes():
         Pattern(graph, {0: 0, 7: 2, 1: 1, "a": 0})
 
 
+@pytest.mark.parametrize("angle", ["a", 1.0, True, None])
+def test_angles_must_be_ints(angle):
+    # at the parent the pattern was built, and running it raised TypeError
+    with pytest.raises(ValueError, match=f"angle {angle!r} of vertex 0 is "
+                       "not an int"):
+        Pattern(OpenGraph.line(2), {0: angle})
+
+
 # -- projector and correction identities --------------------------------------
 
 def _perm_matrix_conj(perm: Permutation, diag):
