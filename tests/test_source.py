@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "toystab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toystab"
 
 
 def _private_definitions(tree):
@@ -88,3 +92,20 @@ def test_engine_does_not_import_the_oracle():
             imports += [f"{name}:{node.lineno} {m}" for m in modules
                         if "oracle" in m.split(".")]
     assert imports == []
+
+
+def test_every_tracer_target_resolves():
+    # bench/run.py --trace 1 wraps these names in the imported package, so
+    # a rename there would break it without failing any other test
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, *_ in tracer.TARGETS:
+        importlib.import_module("toystab." + name.split(".")[0])
+    modules = {key: mod for key, mod in sys.modules.items()
+               if key.startswith("toystab.")}
+    for name, path, *_ in tracer.TARGETS:
+        _, _, raw = tracer._resolve(modules, name, path)
+        assert callable(getattr(raw, "__func__", raw)), name
+    tracer.Tracer()   # builds every wrapper, as a traced run does
