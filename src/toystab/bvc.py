@@ -497,23 +497,21 @@ def _pads(graph: OpenGraph, rng, dummies, prep, rbits):
     A pinned ``prep`` gives every vertex exactly one of an int ``angle``
     or a 0/1 ``dummy``, a dummy exactly at ``dummies``; a pinned
     ``rbits`` gives every vertex a 0 or 1."""
-    for v in graph.nodes:
-        if prep is not None:
-            kind = _pad_kind(prep.get(v))
-            if kind is None:
-                raise ValueError(f"pad of vertex {v!r} is {prep.get(v)!r}, "
-                                 "not one int 'angle' or a 0 or 1 'dummy'")
-            if (kind == "dummy") != (v in dummies):
-                raise ValueError(
-                    f"vertex {v!r} is pinned with the wrong kind of pad, "
-                    f"{kind!r}: a blind round has no dummies, and the "
-                    "dummies of a verified round are exactly the trap's "
-                    "neighbours")
-        if rbits is not None:
-            r = rbits.get(v)
-            if type(r) is not int or r not in (0, 1):
-                raise ValueError(
-                    f"blinding bit of vertex {v!r} is {r!r}, not 0 or 1")
+    for v in graph.nodes if prep is not None else ():
+        kind = _pad_kind(prep.get(v))
+        if kind is None:
+            raise ValueError(f"pad of vertex {v!r} is {prep.get(v)!r}, not "
+                             "one int 'angle' or a 0 or 1 'dummy'")
+        if (kind == "dummy") != (v in dummies):
+            raise ValueError(
+                f"vertex {v!r} is pinned with the wrong kind of pad, "
+                f"{kind!r}: a blind round has no dummies, and the dummies "
+                "of a verified round are exactly the trap's neighbours")
+    for v in graph.nodes if rbits is not None else ():
+        r = rbits.get(v)
+        if type(r) is not int or r not in (0, 1):
+            raise ValueError(
+                f"blinding bit of vertex {v!r} is {r!r}, not 0 or 1")
     if prep is None or rbits is None:
         sampled = _sample_pads(graph, rng, dummies=dummies)
         prep = prep if prep is not None else sampled[0]

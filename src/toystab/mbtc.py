@@ -330,7 +330,7 @@ def _cz_rows(rows: Iterable[tuple], edges: Iterable) -> dict:
     ``(bits, sign)`` of a valid product state after a cz on each edge
     ``(a, b)`` of site indices (:func:`_cz_row`), echeloned once."""
     gains = _cz_gains(edges)
-    pivots, _ = echelon((_cz_row(bits, gains), neg) for bits, neg in rows)
+    pivots, _ = echelon([(_cz_row(bits, gains), neg) for bits, neg in rows])
     return pivots
 
 
