@@ -15,15 +15,21 @@ are related by swapping bits, a swap that is its own inverse.
 
 Every round starts from the entangled state of its pads, built
 straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
-whole state (:meth:`Bob.entangled_rows`); a group is built from them
-only to hand the state to a deviation's hook.  Exact analysis
+whole state (:meth:`Bob.entangled_rows`).  The built-in deviations that
+act after the entangling (the extremal swap-in, Pauli and factor-list
+deviations) act on those rows too: each is a trace and a row insert, or
+a permutation of the rows followed by one echelon, and both keep the
+state valid, so their result is walked on unchecked.  A group is built
+only to hand the state to any other hook.  Exact analysis
 (``exact_pfail``, ``server_view_distribution`` and
 ``honest_output_support``) walks pad configurations and live outcome
 branches on the rows, one :func:`dynamics.measure_rows` step per branch
-(``_walk_rounds``), and again builds a group only for a hook.  Every
+(``_walk_rounds``), and again builds a group only for such a hook.  Every
 branch probability is 1 or 1/2 and every pad weight a power of two, so a
 weight is carried as an integer count of halvings, and a ``Fraction`` is
-built only for a result.
+built only for a result.  Alice's record of a branch is a linked list of
+its measurements, shared by the branches that share the prefix, and is
+read into a ``RoundResult`` once per leaf.
 
 Sampled rounds come two ways.  A batch of verified rounds
 (:func:`verified_rounds`, behind ``estimate_pfail`` and the CLI's sampled
@@ -51,7 +57,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .algebra import Group, insert
 from .dynamics import Permutation, measure_element, measure_rows, trace_site
@@ -101,10 +107,20 @@ class Deviation:
     hook may draw randomness there.  Exact analysis calls
     ``after_entangle`` once per pad configuration and ``before_measure``
     once per prefix and blinding bit (see ``_walk_rounds``), sharing the
-    result between branches, so it assumes deterministic hooks.  Both
-    hand ``after_entangle`` the entangled state of the pads, built from
-    reduced rows as a valid group (:meth:`Bob.entangled_rows`), and
-    check that the state it returns is valid and on as many systems.
+    result between branches, so it assumes deterministic hooks.
+
+    The ``after_entangle`` hooks of ``extremal_deviation``,
+    ``pauli_deviation`` and ``deviation_from_factors`` act on Bob's
+    reduced rows: each is a ``_RowHook``, whose action traces a site out
+    and inserts a row that is independent of and compatible with the
+    rest, or conjugates every row by a permutation and echelons them
+    again.  Both map a valid state to a valid state on as many systems,
+    so Bob walks on from the rows they return, and no group is built.
+    Called on a group, such a hook checks that it is valid and returns
+    the group of its rows.  Every other ``after_entangle`` hook is handed
+    the entangled state of the pads, built from reduced rows as a valid
+    group (:meth:`Bob.entangled_rows`), and the state it returns is
+    checked to be valid and on as many systems.
     The exact walk holds Bob's state as reduced rows from then on: it
     hands ``before_measure`` those rows built as a valid group, and
     checks the group the hook returns the same way before it walks on.
@@ -157,9 +173,10 @@ class Bob:
         ``x_i | (q & 1)·z_i`` with sign ``q >> 1``, and the cz rule
         (:func:`mbtc._cz_rows`) adds the z columns of i's neighbours to
         it; a dummy is ``±z_i``, which the cz's leave alone.  A
-        deviation's ``after_entangle`` hook is handed these rows built as
-        a group, and the state it returns is checked as :meth:`outcomes`
-        checks a ``before_measure`` hook's.
+        deviation's ``after_entangle`` hook acts on the rows when it is a
+        ``_RowHook``; any other is handed the rows built as a group, and
+        the state it returns is checked as :meth:`outcomes` checks a
+        ``before_measure`` hook's.
         """
         n = len(states)
         pads = []
@@ -170,10 +187,11 @@ class Bob:
                 bits, neg = _QUARTER_ROWS[quarter_from_formula(spec["angle"])]
             pads.append((bits << 2 * i, neg))
         rows = _cz_rows(pads, edges)
-        dev = self.deviation
-        if dev and dev.after_entangle:
-            rows = _held_rows(
-                dev.after_entangle(Group._from_reduced(n, rows)), n)
+        hook = self.deviation and self.deviation.after_entangle
+        if isinstance(hook, _RowHook):
+            return hook.act(rows, n)
+        if hook:
+            return _held_rows(hook(Group._from_reduced(n, rows)), n)
         return rows
 
     def _observable(self, state: Group, site: int, quarter: int):
@@ -234,28 +252,50 @@ def _held_rows(state: Group, n: int) -> dict:
     return state._pivots
 
 
+class _RowHook:
+    """An ``after_entangle`` hook given by its action on reduced rows.
+
+    ``act(rows, n)`` maps the reduced rows ``{pivot: (bits, sign)}`` of a
+    valid state on ``n`` systems to new reduced rows of a valid state on
+    ``n`` systems, leaving ``rows`` as they are; :meth:`Bob.entangled_rows`
+    walks on from them unchecked.  Called on a group, the hook checks
+    that it is valid and returns the group of the acted rows.  The
+    action belongs to the hook, so a deviation whose ``after_entangle``
+    is replaced never runs it.
+    """
+
+    __slots__ = ("act",)
+
+    def __init__(self, act: Callable):
+        self.act = act
+
+    def __call__(self, state: Group) -> Group:
+        n = state.n
+        return Group._from_reduced(
+            n, self.act(state.require_valid()._pivots, n))
+
+
 def extremal_deviation(site: int) -> Deviation:
     """Discard the system at ``site`` and substitute a fresh +X system.
 
     The swap-in works on the state's reduced rows: the site is traced
     out (:func:`dynamics.trace_site`), which leaves no row touching it,
     and a +X row is inserted there.  The new row is compatible with the
-    others and independent of them, so the result is built as valid.
+    others and independent of them, so the result is a valid state.
     The site must be an int; its range is checked against each state.
     """
     if type(site) is not int:
         raise ValueError(f"site {site!r} is not an int")
 
-    def swap_in(state: Group) -> Group:
-        n = state.n
+    def swap_in(rows: dict, n: int) -> dict:
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for n={n}")
-        rows = dict(state.require_valid()._pivots)
+        rows = dict(rows)
         trace_site(rows, site)
         insert(rows, 1 << 2 * site, False)
-        return Group._from_reduced(n, rows, state)
+        return rows
 
-    return Deviation(after_entangle=swap_in, assume_corrupted=True,
+    return Deviation(after_entangle=_RowHook(swap_in), assume_corrupted=True,
                      support=frozenset({site}))
 
 
@@ -265,15 +305,21 @@ def flip_all_deviation() -> Deviation:
 
 
 def pauli_deviation(assignments: Mapping) -> Deviation:
-    """Apply fixed local permutations (site -> name) after entangling."""
+    """Apply fixed local permutations (site -> name or local id) after
+    entangling.  Each site must be an int; its range and its permutation
+    are checked against each state."""
+    for site in assignments:
+        if type(site) is not int:
+            raise ValueError(f"site {site!r} is not an int")
 
-    def warp(state: Group) -> Group:
-        perm = Permutation.identity(state.n)
+    def warp(rows: dict, n: int) -> dict:
+        perm = Permutation.identity(n)
         for site, name in assignments.items():
-            perm = perm.then(Permutation.local(state.n, site, name))
-        return perm.conjugate(state)
+            perm = perm.then(Permutation.local(n, site, name))
+        return perm._conj_rows(rows)
 
-    return Deviation(after_entangle=warp, support=frozenset(assignments))
+    return Deviation(after_entangle=_RowHook(warp),
+                     support=frozenset(assignments))
 
 
 def instruction_conditioned_deviation(rule: Callable) -> Deviation:
@@ -311,7 +357,13 @@ def deviation_from_factors(spec: list, n: int) -> Deviation:
     ``Permutation.from_json``'s own error, and the deviation declares the
     sites its factors act on as its ``support``."""
     perm = Permutation.from_json(n, spec)
-    return Deviation(after_entangle=perm.conjugate,
+
+    def warp(rows: dict, size: int) -> dict:
+        if size != n:
+            raise ValueError("size mismatch")
+        return perm._conj_rows(rows)
+
+    return Deviation(after_entangle=_RowHook(warp),
                      support=frozenset(perm.sites))
 
 
@@ -330,18 +382,6 @@ class RoundResult:
     alice_ops: int         # count of Alice's mod-4 / bit operations
 
 
-class _Transcript(NamedTuple):
-    """Alice's record of a round so far; pending corrections are bit
-    masks over vertex indices, so branches share their prefixes."""
-
-    sx: int = 0
-    sz: int = 0
-    ops: int = 0
-    deltas: tuple = ()
-    raw: tuple = ()
-    decoded: tuple = ()
-
-
 def _require_delegable(graph: OpenGraph, angles: Mapping) -> None:
     """Raise unless a delegated round can run on ``graph``: it takes no
     quantum inputs and measures every vertex, so each needs an angle."""
@@ -355,11 +395,17 @@ def _require_delegable(graph: OpenGraph, angles: Mapping) -> None:
 
 
 class _Plan:
-    """Alice's fixed schedule of a round: the measurement order, the
-    unadapted angles, and the corrections an outcome 1 triggers.
+    """Alice's fixed schedule of a round: the measurement order, and one
+    step ``(u, site, bit, base, fix)`` per measured vertex in that order.
+    ``site`` is u's site index and ``bit`` its bit in the correction
+    masks, ``base`` u's unadapted quarter, and ``fix`` the corrections an
+    outcome 1 books, ``(x mask, z mask, count of flips)``.
 
-    ``instruct`` and ``receive`` are Alice's per-vertex step, shared by
-    the sampled round and the exact walker.
+    ``instruct`` and ``receive`` are Alice's per-vertex arithmetic,
+    shared by the sampled round and the exact walker.  A round's record
+    is a linked list ``(previous, u, wire, raw outcome, decoded bit)``,
+    one link per measurement, so branches share their prefixes, and
+    ``result`` reads it once, at the end of the round.
     """
 
     def __init__(self, graph: OpenGraph, angles: Mapping, dummies, trap,
@@ -367,18 +413,22 @@ class _Plan:
         _require_delegable(graph, angles)
         nodes = list(graph.nodes)
         self.site = idx = {v: i for i, v in enumerate(nodes)}
-        if trap is not None and trap not in idx:
-            raise ValueError(f"trap {trap!r} is not a vertex")
         comp = [v for v in nodes if v not in dummies and v != trap]
         sub = graph.induced(comp)
         pattern = Pattern(sub, {v: angles[v] for v in comp})
         g, layer = (find_gflow(sub, best_effort=True) if comp else ({}, {}))
         order = pattern.measured_order(layer) if comp else []
         self.order = order + [trap] if trap is not None else order
-        self.base = {v: 0 if v == trap else angles[v] for v in self.order}
+        fixes = correction_masks(sub, g, idx, g)
+        self.steps = []
+        for u in self.order:
+            x, z = fixes.get(u, (0, 0))
+            self.steps.append((u, idx[u], 1 << idx[u],
+                               0 if u == trap else angles[u],
+                               (x, z, x.bit_count() + z.bit_count())))
         self.graph, self.trap, self.blinded = graph, trap, blinded
+        self.dummies = dummies
         self.edges = [(idx[a], idx[b]) for a, b in graph.edges]
-        self.fixes = correction_masks(sub, g, idx, g)
 
     def thetas(self, prep: Mapping) -> dict:
         """Each measured vertex's pad angle (formula encoding), turned by
@@ -393,36 +443,43 @@ class _Plan:
                     zshift[w] ^= 1
         return {u: (prep[u]["angle"] % 4) ^ zshift[u] for u in self.order}
 
-    def instruct(self, u, rec: _Transcript, theta: Mapping, r: int):
-        """(wire angle, Alice's op count) of the instruction for ``u``."""
-        bit = 1 << self.site[u]
-        phi = formula_from_quarter(
-            adapt_quarter(self.base[u], rec.sx & bit, rec.sz & bit))
+    def instruct(self, step: tuple, sx: int, sz: int, theta: Mapping,
+                 r: int):
+        """(wire angle, Alice's op count) of the instruction at ``step``,
+        with the X and Z corrections ``sx`` and ``sz`` pending."""
+        u, _, bit, base, _ = step
+        phi = formula_from_quarter(adapt_quarter(base, sx & bit, sz & bit))
         if not self.blinded:
             return phi, 1
         return blind_delta(phi, theta[u], r), 3
 
-    def receive(self, u, rec: _Transcript, wire: int, ops: int, o: int,
-                r: int) -> _Transcript:
-        """Alice decodes Bob's reply ``o`` and books its corrections."""
+    def receive(self, step: tuple, sx: int, sz: int, ops: int, link,
+                wire: int, o: int, r: int) -> tuple:
+        """Alice decodes Bob's reply ``o`` to ``wire`` and books its
+        corrections: the round's next ``(sx, sz, ops, link)``, from its
+        pending corrections, its op count so far, the instruction's
+        included, and its last link."""
         dec = o ^ r if self.blinded else o
-        ops += 1
-        sx, sz = rec.sx, rec.sz
-        if dec and u in self.fixes:
+        link = (link, step[0], wire, o, dec)
+        if dec:
             # one operation per flip booked
-            x, z = self.fixes[u]
-            sx, sz = sx ^ x, sz ^ z
-            ops += x.bit_count() + z.bit_count()
-        return _Transcript(sx, sz, rec.ops + ops, rec.deltas + ((u, wire),),
-                           rec.raw + (o,), rec.decoded + ((u, dec),))
+            x, z, flips = step[4]
+            return sx ^ x, sz ^ z, ops + 1 + flips, link
+        return sx, sz, ops + 1, link
 
-    def result(self, rec: _Transcript, prob: Fraction) -> RoundResult:
-        decoded = dict(rec.decoded)
+    def result(self, ops: int, link, prob: Fraction) -> RoundResult:
+        """The round whose last link is ``link``."""
+        links = []
+        while link is not None:
+            links.append(link)
+            link = link[0]
+        _, us, wires, raw, decs = zip(*reversed(links)) if links else [()] * 5
+        decoded = dict(zip(us, decs))
         accept = None if self.trap is None else decoded[self.trap] == 0
         output = tuple(sorted((v, decoded[v]) for v in self.graph.outputs
                               if v in decoded))
-        return RoundResult(rec.deltas, rec.raw, decoded, output, accept,
-                           prob, rec.ops)
+        return RoundResult(tuple(zip(us, wires)), raw, decoded, output,
+                           accept, prob, ops)
 
 
 def _run_round(graph: OpenGraph, angles: Mapping, *, prep: Mapping,
@@ -447,18 +504,21 @@ def _run_round(graph: OpenGraph, angles: Mapping, *, prep: Mapping,
         [prep[v] for v in graph.nodes], plan.edges))
     theta = plan.thetas(prep)
     forced = forced or {}
-    rec, prob = _Transcript(), Fraction(1)
-    for u in plan.order:
+    sx = sz = ops = 0
+    link, prob = None, Fraction(1)
+    for step in plan.steps:
+        u, site = step[0], step[1]
         r = rbits[u]
-        wire, ops = plan.instruct(u, rec, theta, r)
+        wire, cost = plan.instruct(step, sx, sz, theta, r)
         if prob:
-            o, state, p = bob.measure(state, plan.site[u], wire, rng=rng,
+            o, state, p = bob.measure(state, site, wire, rng=rng,
                                       force=forced.get(u))
             prob *= p
         else:
             o = forced.get(u, 0)
-        rec = plan.receive(u, rec, wire, ops, o, r)
-    return plan.result(rec, prob)
+        sx, sz, ops, link = plan.receive(step, sx, sz, ops + cost, link,
+                                         wire, o, r)
+    return plan.result(ops, link, prob)
 
 
 def _require_rng(rng) -> None:
@@ -550,9 +610,19 @@ def _verified_draws(graph: OpenGraph, rng, trap=None, prep=None,
     if trap is None:
         _require_rng(rng)
         trap = graph.nodes[rng.randrange(len(graph.nodes))]
-    dummies = graph.neighbors(trap)
+    dummies = _trap_neighbors(graph, trap)
     prep, rbits = _pads(graph, rng, dummies, prep, rbits)
     return trap, dummies, prep, rbits
+
+
+def _trap_neighbors(graph: OpenGraph, trap) -> frozenset:
+    """The trap's neighbours, the dummies of its round.  Raises unless
+    the trap is a vertex of ``graph`` of the vertex's own type: True and
+    1.0 equal the vertex 1 but are not it."""
+    for v in graph.nodes:
+        if type(v) is type(trap) and v == trap:
+            return graph.neighbors(v)
+    raise ValueError(f"trap {trap!r} is not a vertex")
 
 
 def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
@@ -625,11 +695,14 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
     rows ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts
     from the entangled state of the pads, built straight into rows
     (:meth:`Bob.entangled_rows`).  The deviation's ``after_entangle``
-    hook, when there is one, is called once, on those rows built as a
-    group, and the state it returns is checked once; without it no group
-    is built before the walk.  Then at each measured
-    vertex, in Alice's order, the walk branches on the blinding bit r and
-    on the outcomes Bob can get (:meth:`Bob.outcomes`).  Each child's
+    hook, when there is one, acts once: a ``_RowHook`` on the rows, any
+    other hook on the rows built as a group, with the state it returns
+    checked once.  Then at each measured
+    vertex, in Alice's order (``plan.steps``), the walk branches on the
+    blinding bit r and on the outcomes Bob can get (:meth:`Bob.outcomes`).
+    A node holds Bob's rows, the halvings, Alice's pending corrections
+    and op count, and the last link of her record (see ``_Plan``), which
+    is read into a result only at a leaf.  Each child's
     rows come from one :func:`dynamics.measure_rows` step, which leaves
     its parent's rows as they are, so branches share their prefix rows; a
     random outcome adds one halving to the branch, and dead outcomes are
@@ -655,45 +728,61 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
     bob = Bob(deviation)
     n = len(plan.site)
     theta = plan.thetas(prep)
+    steps = plan.steps
     if isinstance(rvalues, Mapping):
-        rvalues = {u: (rvalues[u],) for u in plan.order}
+        rvalues = [(rvalues[step[0]],) for step in steps]
     else:
-        rvalues = dict.fromkeys(plan.order, rvalues)
+        rvalues = [rvalues] * len(steps)
 
     def step(k, node):
-        rows, halvings, rec = node
-        u = plan.order[k]
-        site = plan.site[u]
+        rows, halvings, sx, sz, ops, link = node
+        s = steps[k]
         children = []
-        for r in rvalues[u]:
-            wire, ops = plan.instruct(u, rec, theta, r)
-            for o, post, random in bob.outcomes(rows, n, site, wire, rng):
-                children.append((post, halvings + random,
-                                 plan.receive(u, rec, wire, ops, o, r)))
+        for r in rvalues[k]:
+            wire, cost = plan.instruct(s, sx, sz, theta, r)
+            for o, post, random in bob.outcomes(rows, n, s[1], wire, rng):
+                children.append((post, halvings + random, *plan.receive(
+                    s, sx, sz, ops + cost, link, wire, o, r)))
         return children
 
     root = (bob.entangled_rows([prep[v] for v in plan.graph.nodes],
-                               plan.edges), 0, _Transcript())
-    for _, halvings, rec in walk(root, len(plan.order), step):
-        yield halvings, plan.result(rec, _dyadic(halvings))
+                               plan.edges), 0, 0, 0, 0, None)
+    for _, halvings, _, _, ops, link in walk(root, len(steps), step):
+        yield halvings, plan.result(ops, link, _dyadic(halvings))
+
+
+def _trap_plan(pattern: Pattern, trap) -> _Plan:
+    """The plan of a verified round with ``trap``, or of a trap-free
+    blind round for None."""
+    graph = pattern.graph
+    dummies = (sorted(_trap_neighbors(graph, trap)) if trap is not None
+               else [])
+    return _Plan(graph, pattern.angles, dummies, trap)
 
 
 def _enumerate_rounds(pattern: Pattern, *, trap=None, deviation=None,
                       rvalues=(0, 1), support=None):
+    """Yield (weight, RoundResult) over pads and live outcome branches
+    of the round with ``trap`` (see :func:`_plan_rounds`)."""
+    return _plan_rounds(_trap_plan(pattern, trap), deviation, rvalues,
+                        support)
+
+
+def _plan_rounds(plan: _Plan, deviation=None, rvalues=(0, 1),
+                 support=None):
     """Yield (weight, RoundResult) over pads and live outcome branches.
 
     The weight is the pads' probability times the branch's, 2 ** -k for
-    an integer k; the flow is found once, and the walker runs once per
-    pad configuration.  ``rvalues`` is ``(0, 1)`` or ``(0,)``; with
-    ``(0,)`` the blinding bits are left out of the weight, so each round
-    stands for its whole class under r (see ``_walk_rounds``).  With a
-    ``support``, a set of site indices, only the angle pads and dummy bits
-    of those sites are walked, every other one is 0, and the weight
-    counts the walked ones alone; ``None`` walks them all.
+    an integer k; the flow is found once, in the plan, and the walker
+    runs once per pad configuration.  ``rvalues`` is ``(0, 1)`` or
+    ``(0,)``; with ``(0,)`` the blinding bits are left out of the weight,
+    so each round stands for its whole class under r (see
+    ``_walk_rounds``).  With a ``support``, a set of site indices, only
+    the angle pads and dummy bits of those sites are walked, every other
+    one is 0, and the weight counts the walked ones alone; ``None`` walks
+    them all.
     """
-    graph = pattern.graph
-    dummies = sorted(graph.neighbors(trap)) if trap is not None else []
-    plan = _Plan(graph, pattern.angles, dummies, trap)
+    graph, dummies = plan.graph, plan.dummies
     zero = {v: {"dummy": 0} if v in dummies else {"angle": 0}
             for v in graph.nodes}
     walked = [v for v in graph.nodes
@@ -719,8 +808,12 @@ def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
 
     Walks the outcome tree once, with zero pads and blinding bits.
     """
-    return frozenset(res.output for _, res in _enumerate_rounds(
-        pattern, trap=trap, rvalues=(0,), support=frozenset()))
+    return _honest_support(_trap_plan(pattern, trap))
+
+
+def _honest_support(plan: _Plan) -> frozenset:
+    return frozenset(res.output for _, res in _plan_rounds(
+        plan, rvalues=(0,), support=frozenset()))
 
 
 def _require_vertex(graph: OpenGraph) -> None:
@@ -756,8 +849,19 @@ def _walked_support(deviation: Deviation, n: int) -> frozenset | None:
     return support
 
 
-def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
-    """P(accept and the computation was corrupted), trap uniform.
+def _deviation(deviation) -> Deviation:
+    """``deviation``, with None taken as the honest server."""
+    if deviation is None:
+        return Deviation()
+    if not isinstance(deviation, Deviation):
+        raise ValueError(
+            f"deviation must be a Deviation or None, not {deviation!r}")
+    return deviation
+
+
+def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
+    """P(accept and the computation was corrupted), trap uniform.  A
+    ``deviation`` of None is the honest server.
 
     Exact: every trap and live branch is walked once (see
     ``_walk_rounds``), so the deviation's hooks must be deterministic.
@@ -809,18 +913,18 @@ def exact_pfail(pattern: Pattern, deviation: Deviation) -> Fraction:
     ``Fraction`` per trap.
     """
     graph = pattern.graph
+    deviation = _deviation(deviation)
     _require_vertex(graph)
     support = _walked_support(deviation, len(graph.nodes))
     rvalues = (0, 1) if deviation.reads_instruction else (0,)
     top = 1 << 4 * len(graph.nodes)
     total = Fraction(0)
     for trap in graph.nodes:
+        plan = _trap_plan(pattern, trap)
         honest = (None if deviation.assume_corrupted
-                  else honest_output_support(pattern, trap))
+                  else _honest_support(plan))
         hits = 0
-        for w, res in _enumerate_rounds(pattern, trap=trap,
-                                        deviation=deviation, rvalues=rvalues,
-                                        support=support):
+        for w, res in _plan_rounds(plan, deviation, rvalues, support):
             if res.accept and (honest is None or res.output not in honest):
                 hits += top // w.denominator
         total += Fraction(hits, top)
@@ -841,11 +945,13 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def estimate_pfail(pattern: Pattern, deviation: Deviation, *, rng,
+def estimate_pfail(pattern: Pattern, deviation: Deviation | None, *, rng,
                    trials: int) -> dict:
     """Monte Carlo failure estimate with a Wilson 95% interval, over
-    ``trials`` rounds of :func:`verified_rounds`."""
+    ``trials`` rounds of :func:`verified_rounds`.  A ``deviation`` of None
+    is the honest server."""
     graph = pattern.graph
+    deviation = _deviation(deviation)
     rounds = verified_rounds(pattern, rng=rng, deviation=deviation)
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, not {trials!r}")
@@ -936,5 +1042,5 @@ def _r_class(res: RoundResult):
 
 def view_distance(a: dict, b: dict) -> Fraction:
     keys = set(a) | set(b)
-    return sum(abs(a.get(k, Fraction(0)) - b.get(k, Fraction(0)))
-               for k in keys) / 2
+    return sum((abs(a.get(k, Fraction(0)) - b.get(k, Fraction(0)))
+                for k in keys), Fraction(0)) / 2

@@ -345,12 +345,10 @@ def _cmd_bvc(args) -> dict:
     if args.mode == "verified":
         report["bound"] = _rat(bvc.trap_bound(pattern))
         if args.exact:
-            dev = deviation or bvc.Deviation()
-            report["p_fail"] = _rat(bvc.exact_pfail(pattern, dev))
+            report["p_fail"] = _rat(bvc.exact_pfail(pattern, deviation))
             report["exact"] = True
         else:
-            dev = deviation or bvc.Deviation()
-            est = bvc.estimate_pfail(pattern, dev, rng=rng,
+            est = bvc.estimate_pfail(pattern, deviation, rng=rng,
                                      trials=args.trials)
             report["p_fail"] = est
         rounds = bvc.verified_rounds(pattern, rng=rng, deviation=deviation)

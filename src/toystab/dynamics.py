@@ -163,6 +163,12 @@ class Permutation:
             raise ValueError("a factor acts outside the register")
         return bits, neg
 
+    def _conj_rows(self, rows: dict) -> dict:
+        """The reduced rows of the conjugated state of the reduced rows
+        ``rows``: each row conjugated, then all echeloned again."""
+        pivots, _ = echelon(self._conj_row(*row) for row in rows.values())
+        return pivots
+
     def conj_element(self, e: Element) -> Element:
         if e.n != self.n:
             raise ValueError("size mismatch")
@@ -180,8 +186,7 @@ class Permutation:
             raise ValueError("size mismatch")
         if not group._known_valid:
             return Group(self.n, [self.conj_element(g) for g in group.canonical])
-        rows, _ = echelon(self._conj_row(*row) for row in group._pivots.values())
-        return Group._from_reduced(self.n, rows)
+        return Group._from_reduced(self.n, self._conj_rows(group._pivots))
 
     # -- serialization -----------------------------------------------
 

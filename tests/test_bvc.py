@@ -99,10 +99,10 @@ def reference_entangle(prep, edges, deviation=None):
 
 
 @st.composite
-def _pads_and_edges(draw):
-    """Angle pads (any formula integer) and +-Z dummies on n <= 10 systems,
-    with distinct edges in random orientations."""
-    n = draw(st.integers(1, 10))
+def _pads_and_edges(draw, max_n=10):
+    """Angle pads (any formula integer) and +-Z dummies on n <= ``max_n``
+    systems, with distinct edges in random orientations."""
+    n = draw(st.integers(1, max_n))
     pad = st.one_of(st.integers(-4, 7).map(lambda a: {"angle": a}),
                     st.integers(0, 1).map(lambda d: {"dummy": d}))
     prep = draw(st.lists(pad, min_size=n, max_size=n))
@@ -163,6 +163,91 @@ def test_pad_rows_hand_the_hook_the_entangled_state(case):
     assert rows == flip.conjugate(want)._pivots
 
 
+def _result_or_error(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _row_hook_cases(draw):
+    """Pads and edges on n <= 8 systems, with an extremal site, a Pauli
+    assignment or a factor list that may reach past the register, and
+    the deviation's action on a group computed without its rows."""
+    prep, edges = draw(_pads_and_edges(8))
+    n = len(prep)
+    kind = draw(st.sampled_from(("extremal", "pauli", "factors")))
+    site = st.integers(-1, n)
+    if kind == "extremal":
+        k = draw(site)
+        return prep, edges, bvc.extremal_deviation(k), \
+            lambda state: reference_swap_in(state, k)
+    if kind == "pauli":
+        assignments = draw(st.dictionaries(
+            site, st.one_of(st.sampled_from(_PERM_NAMES), st.integers(0, 24)),
+            max_size=3))
+        perm = lambda m: Permutation(m, sum(
+            (Permutation.local(m, k, name).factors
+             for k, name in assignments.items()), ()))
+        dev = bvc.pauli_deviation(assignments)
+    else:
+        # a factor list parsed for n or n + 1 systems
+        size = draw(st.sampled_from((n, n + 1)))
+        one = st.integers(1, size)
+        local = st.builds(lambda s, p: {"site": s, "perm": p},
+                          one, st.integers(0, 23))
+        factor = local if size == 1 else st.one_of(local, st.builds(
+            lambda kind, sites: {kind: sites},
+            st.sampled_from(("cz", "cx", "cy")),
+            st.lists(one, min_size=2, max_size=2, unique=True)))
+        spec = draw(st.lists(factor, min_size=1, max_size=4))
+        perm = lambda m: Permutation.from_json(size, spec)
+        dev = bvc.deviation_from_factors(spec, size)
+    return prep, edges, dev, lambda state: Group(state.n, [
+        perm(state.n).conj_element(e) for e in state.canonical])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_hook_cases())
+def test_row_hooks_match_their_group_form(case):
+    # Bob runs a built-in hook's row action; the hook called on the group
+    # of the same rows, with its result checked, must give the same rows
+    # or the same error, and so must the action computed element by
+    # element
+    prep, edges, dev, reference = case
+    n = len(prep)
+    rows = bvc.Bob().entangled_rows(prep, edges)
+    before = dict(rows)
+    state = Group._from_reduced(n, rows)
+    got = _result_or_error(lambda: bvc.Bob(dev).entangled_rows(prep, edges))
+    assert got == _result_or_error(
+        lambda: bvc._held_rows(dev.after_entangle(state), n))
+    assert got == _result_or_error(lambda: reference(state)._pivots)
+    assert rows == before
+    if isinstance(got, dict):
+        assert Group(n, [Element.from_interleaved(n, *row)
+                         for row in got.values()]).violations() == []
+
+
+def test_a_replaced_row_hook_runs_the_new_hook():
+    seen = []
+
+    def hook(state):
+        seen.append(state)
+        return state
+
+    dev = dataclasses.replace(bvc.extremal_deviation(1), after_entangle=hook)
+    prep, edges = [{"angle": 1}, {"angle": 2}, {"dummy": 1}], [(0, 1), (1, 2)]
+    assert bvc.Bob(dev).entangled_rows(prep, edges) == \
+        bvc.Bob().entangled_rows(prep, edges)
+    assert len(seen) == 1
+    # an honest server is always accepted, and the deviation is credited
+    # with corrupting; the swap-in would be caught 1/6 of the time
+    assert bvc.exact_pfail(PAT3, dev) == 1
+    assert bvc.exact_pfail(PAT3, bvc.extremal_deviation(1)) == Fraction(5, 6)
+
+
 def test_honest_and_flip_all_walks_build_no_group(monkeypatch):
     built = []
     real_init = Group.__init__
@@ -177,8 +262,11 @@ def test_honest_and_flip_all_walks_build_no_group(monkeypatch):
     for dev in (None, bvc.flip_all_deviation()):
         assert list(bvc._walk_rounds(plan, prep, dev, (0, 1)))
     assert built == []
-    list(bvc._walk_rounds(plan, prep, bvc.extremal_deviation(2), (0,)))
-    assert built == ["rows", "rows"]
+    # the built-in after_entangle hooks act on the rows
+    for dev in (bvc.extremal_deviation(2), bvc.pauli_deviation({0: "Y"}),
+                bvc.deviation_from_factors([{"cx": [1, 3]}], 3)):
+        assert list(bvc._walk_rounds(plan, prep, dev, (0,)))
+    assert built == []
 
 
 # -- the extremal swap-in on rows against erase + extended --------------------
@@ -691,20 +779,19 @@ def reference_walk(plan, prep, deviation, rvalues):
     theta = plan.thetas(prep)
 
     def step(k, node):
-        state, prob, rec = node
-        u = plan.order[k]
+        state, prob, sx, sz, ops, link = node
+        s = plan.steps[k]
         children = []
         for r in rvalues:
-            wire, ops = plan.instruct(u, rec, theta, r)
-            for o, post, p in reference_outcomes(bob, state, plan.site[u],
-                                                 wire):
-                children.append(
-                    (post, prob * p, plan.receive(u, rec, wire, ops, o, r)))
+            wire, cost = plan.instruct(s, sx, sz, theta, r)
+            for o, post, p in reference_outcomes(bob, state, s[1], wire):
+                children.append((post, prob * p, *plan.receive(
+                    s, sx, sz, ops + cost, link, wire, o, r)))
         return children
 
-    for _, prob, rec in walk((state, Fraction(1), bvc._Transcript()),
-                             len(plan.order), step):
-        yield plan.result(rec, prob)
+    root = (state, Fraction(1), 0, 0, 0, None)
+    for _, prob, _, _, ops, link in walk(root, len(plan.order), step):
+        yield plan.result(ops, link, prob)
 
 
 DEVIATION_KINDS = ("honest", "flip-all", "pauli", "local-ids", "factors",
@@ -914,6 +1001,23 @@ def test_batched_rounds_build_one_plan_per_trap(monkeypatch):
     bvc.estimate_pfail(PAT3, bvc.extremal_deviation(1), rng=random.Random(2),
                        trials=200)
     assert len(built) <= 3
+
+
+def test_exact_pfail_builds_one_plan_per_trap(monkeypatch):
+    built = []
+    init = bvc._Plan.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bvc._Plan, "__init__", counted)
+    # the honest support and the enumeration share each trap's plan
+    for dev in (bvc.Deviation(), bvc.pauli_deviation({0: "X"}),
+                bvc.extremal_deviation(1)):
+        built.clear()
+        bvc.exact_pfail(PAT3, dev)
+        assert [args[3] for args in built] == [0, 1, 2]
 
 
 # -- integer weights against Fraction sums ------------------------------------
@@ -1131,12 +1235,14 @@ def test_declared_support_is_checked(support, message):
 
 
 def test_declared_sites_of_the_built_in_deviations_are_checked():
-    for dev, message in ((bvc.extremal_deviation(3), "site 3 out of range"),
-                         (bvc.extremal_deviation(-1), "site -1 out of range"),
-                         (bvc.pauli_deviation({5: "X"}), "site 5 out of range"),
-                         (bvc.pauli_deviation({"0": "X"}), "'0' is not an int")):
+    # a non-int site is rejected when the deviation is built
+    for make, message in (
+            (lambda: bvc.extremal_deviation(3), "site 3 out of range"),
+            (lambda: bvc.extremal_deviation(-1), "site -1 out of range"),
+            (lambda: bvc.pauli_deviation({5: "X"}), "site 5 out of range"),
+            (lambda: bvc.pauli_deviation({"0": "X"}), "'0' is not an int")):
         with pytest.raises(ValueError, match=message):
-            bvc.exact_pfail(PAT3, dev)
+            bvc.exact_pfail(PAT3, make())
 
 
 # -- bad inputs ----------------------------------------------------------------
@@ -1161,6 +1267,47 @@ def test_trap_must_be_a_vertex():
         bvc.run_verified(PAT3, rng=random.Random(0), trap=7)
     with pytest.raises(ValueError, match="trap 9 is not a vertex"):
         bvc.honest_output_support(PAT3, 9)
+
+
+@pytest.mark.parametrize("trap", [True, 1.0, [1], "1", (1,)])
+def test_trap_of_another_type_is_rejected(trap):
+    # True and 1.0 used to run as vertex 1, and [1] raised TypeError
+    for call in (lambda: bvc.honest_output_support(PAT3, trap),
+                 lambda: bvc.run_verified(PAT3, rng=random.Random(0),
+                                          trap=trap)):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            call()
+
+
+@pytest.mark.parametrize("site", ["a", 1.0, True, None])
+def test_pauli_site_is_checked_when_built(site):
+    with pytest.raises(ValueError, match=f"site {site!r} is not an int"):
+        bvc.pauli_deviation({site: "X"})
+
+
+def test_none_is_the_honest_deviation():
+    assert bvc.exact_pfail(PAT3, None) == 0
+    got = bvc.estimate_pfail(PAT3, None, rng=random.Random(4), trials=60)
+    want = bvc.estimate_pfail(PAT3, bvc.Deviation(), rng=random.Random(4),
+                              trials=60)
+    assert got == want and got["fails"] == 0
+
+
+@pytest.mark.parametrize("deviation", ["honest", 0, {}, bvc.Deviation])
+def test_non_deviations_rejected(deviation):
+    message = "deviation must be a Deviation or None"
+    with pytest.raises(ValueError, match=message):
+        bvc.exact_pfail(PAT3, deviation)
+    with pytest.raises(ValueError, match=message):
+        bvc.estimate_pfail(PAT3, deviation, rng=random.Random(0), trials=5)
+
+
+def test_view_distance_is_a_fraction():
+    assert bvc.view_distance({}, {}) == 0
+    assert type(bvc.view_distance({}, {})) is Fraction
+    view = bvc.server_view_distribution(PAT3)
+    assert type(bvc.view_distance(view, view)) is Fraction
+    assert bvc.view_distance(view, {}) == Fraction(1, 2)
 
 
 def test_every_vertex_needs_an_angle():
