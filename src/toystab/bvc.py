@@ -120,10 +120,10 @@ class Deviation:
     the group of its rows.  Every other ``after_entangle`` hook is handed
     the entangled state of the pads, built from reduced rows as a valid
     group (:meth:`Bob.entangled_rows`), and the state it returns is
-    checked to be valid and on as many systems.
-    The exact walk holds Bob's state as reduced rows from then on: it
-    hands ``before_measure`` those rows built as a valid group, and
-    checks the group the hook returns the same way before it walks on.
+    checked to be valid and on as many systems.  The exact walk holds
+    Bob's state as reduced rows from then on: it hands ``before_measure``
+    those rows built as a valid group, and checks the group the hook
+    returns the same way before it walks on.
 
     ``support`` declares the 0-based sites ``after_entangle`` acts on, as
     a frozenset, or is ``None`` for "anywhere".  The declaration is a
@@ -697,16 +697,15 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
     (:meth:`Bob.entangled_rows`).  The deviation's ``after_entangle``
     hook, when there is one, acts once: a ``_RowHook`` on the rows, any
     other hook on the rows built as a group, with the state it returns
-    checked once.  Then at each measured
-    vertex, in Alice's order (``plan.steps``), the walk branches on the
-    blinding bit r and on the outcomes Bob can get (:meth:`Bob.outcomes`).
-    A node holds Bob's rows, the halvings, Alice's pending corrections
-    and op count, and the last link of her record (see ``_Plan``), which
-    is read into a result only at a leaf.  Each child's
-    rows come from one :func:`dynamics.measure_rows` step, which leaves
-    its parent's rows as they are, so branches share their prefix rows; a
-    random outcome adds one halving to the branch, and dead outcomes are
-    never visited.  A group is built only to hand the state to a
+    checked once.  Then at each measured vertex, in Alice's order
+    (``plan.steps``), the walk branches on the blinding bit r and on the
+    outcomes Bob can get (:meth:`Bob.outcomes`).  A node holds Bob's
+    rows, the halvings, Alice's pending corrections and op count, and the
+    last link of her record (see ``_Plan``), which is read into a result
+    only at a leaf.  Each child's rows come from one
+    :func:`dynamics.measure_rows` step, which leaves its parent's rows as
+    they are, so branches share their prefix rows; a random outcome adds
+    one halving to the branch, and dead outcomes are never visited.  A group is built only to hand the state to a
     ``before_measure`` hook, called once per prefix and r.  Exact
     analysis thus assumes deterministic hooks: a hook that draws
     randomness, such as ``fuzzer_deviation``, is for Monte Carlo
@@ -812,6 +811,7 @@ def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
 
 
 def _honest_support(plan: _Plan) -> frozenset:
+    """``honest_output_support`` of the round of ``plan``."""
     return frozenset(res.output for _, res in _plan_rounds(
         plan, rvalues=(0,), support=frozenset()))
 
