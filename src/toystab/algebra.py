@@ -283,15 +283,17 @@ class Group:
       marginal on the quantum outputs;
     * ``mbtc._entangled`` (``graph_state``): a valid product state after
       the cz rule;
-    * ``bvc.Bob.entangled_rows``: the pads' entangled state, built
-      straight into rows with the cz rule, as a group only to hand it to
-      a deviation's ``after_entangle`` hook (and ``bvc._run_round``, on
-      the rows it returns, for a single sampled round to measure);
+    * ``bvc.Bob._entangled_rows``: the pads' entangled state, built
+      straight into rows with a plan's cz's, as a group only to hand it
+      to a deviation's ``after_entangle`` hook that acts on groups;
+    * ``bvc._run_round``: the rows ``bvc.Bob._entangled_rows`` returns,
+      for a single sampled round to measure through groups;
     * ``bvc.Bob.outcomes``: the rows of the exact walk or of a batched
       round's random descent, only to hand them to a ``before_measure``
       hook;
-    * ``bvc.extremal_deviation``'s swap-in: a valid state's rows with one
-      site traced out and +X inserted there.
+    * ``bvc._RowHook``, called on a group: the rows of a built-in
+      ``after_entangle`` hook's action (the extremal swap-in, a Pauli or
+      a factor-list deviation) on a valid state's rows.
 
     Every other group is checked on its first :meth:`violations` or
     :meth:`require_valid`.

@@ -13,6 +13,15 @@ Angle encodings: the *quarter* encoding indexes the equator family
 keeps the sign in the low bit and the basis in the high bit.  The two
 are related by swapping bits, a swap that is its own inverse.
 
+Everything that follows from a pattern and a trap is worked out once, in
+a ``_Plan``: the dummies, which are the trap's neighbours (one trap
+hidden among fixed-basis dummies, after Fitzsimons–Kashefi,
+arXiv:1203.5217), Alice's measurement order and corrections, the cz's
+of the graph, the draws and checks of the pads, and the honest output
+support.  Every round driver takes a plan: ``_run_round`` runs one
+sampled round, ``_walk_rounds`` walks the rounds of one pad
+configuration, and ``_plan_rounds`` walks the pad configurations.
+
 Every round starts from the entangled state of its pads, built
 straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
 whole state (:meth:`Bob.entangled_rows`).  The built-in deviations that
@@ -36,9 +45,18 @@ Sampled rounds come two ways.  A batch of verified rounds
 accept rate) builds one plan per trap, and each round is a random descent
 of the exact walk on the rows: one child, drawn from the rng, at each
 vertex.  A single round (``run_verified``, ``run_blind`` and
-``run_delegated``) still holds the state as a group and measures it with
-:func:`dynamics.measure_element` until ROADMAP item 1 lands; it is the
-reference the descent is tested against.
+``run_delegated``) builds one plan per call and still holds the state as
+a group, measured with :func:`dynamics.measure_element`; it is the
+reference the descent is tested against.  It stays there because of the
+benchmark harness, which keeps a record per op, so that its peak memory
+grows with the op count.  In one pair of 20 s runs each, single rounds
+on the descent took the 8-node ``bvc-mc`` workload from 3139–3230 to
+5114–5216 ops/s, and its ``peak_rss_mb`` from 42.9–44.2 to 51.7–53.9 MiB
+(+21%); a group that builds its elements lazily gave +32% ops/s and
++14.5% memory.  Both exceed the 10% memory bound, as would caching
+the plan, which is a quarter of such a round.  Once the harness keeps a
+fixed-size record (ROADMAP item 1), moving single rounds onto the
+descent changes the body of ``_run_round`` alone.
 
 Which pads are walked depends on what the analysis reads.  Alice's
 decoded bits do not depend on a pad outside the sites a deviation's
@@ -55,15 +73,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 from typing import Callable, Mapping
 
 from .algebra import Group, insert
 from .dynamics import Permutation, measure_element, measure_rows, trace_site
 from .mbtc import (_QUARTER_ROWS, OpenGraph, Pattern, _check_forced,
-                   _cz_rows, adapt_quarter, angle_element, correction_masks,
-                   find_gflow, walk)
+                   _cz_gains, _cz_rows, adapt_quarter, angle_element,
+                   correction_masks, find_gflow, walk)
 
 
 def formula_from_quarter(q: int) -> int:
@@ -167,7 +185,12 @@ class Bob:
         holds after preparing one system per entry of ``states`` and
         applying a cz on each edge of site indices, then the deviation's
         ``after_entangle`` hook.  The rows are built straight from the
-        pads with one echelon and no group.
+        pads with one echelon and no group (:meth:`_entangled_rows`)."""
+        return self._entangled_rows(states, _cz_gains(edges))
+
+    def _entangled_rows(self, states, gains: tuple) -> dict:
+        """:meth:`entangled_rows` with the cz's given as their gains
+        (:func:`mbtc._cz_gains`), which a ``_Plan`` computes once.
 
         A system i with pad quarter q is the row of its angle element,
         ``x_i | (q & 1)·z_i`` with sign ``q >> 1``, and the cz rule
@@ -186,7 +209,7 @@ class Bob:
             else:
                 bits, neg = _QUARTER_ROWS[quarter_from_formula(spec["angle"])]
             pads.append((bits << 2 * i, neg))
-        rows = _cz_rows(pads, edges)
+        rows = _cz_rows(pads, gains)
         hook = self.deviation and self.deviation.after_entangle
         if isinstance(hook, _RowHook):
             return hook.act(rows, n)
@@ -395,29 +418,37 @@ def _require_delegable(graph: OpenGraph, angles: Mapping) -> None:
 
 
 class _Plan:
-    """Alice's fixed schedule of a round: the measurement order, and one
-    step ``(u, site, bit, base, fix)`` per measured vertex in that order.
-    ``site`` is u's site index and ``bit`` its bit in the correction
-    masks, ``base`` u's unadapted quarter, and ``fix`` the corrections an
-    outcome 1 books, ``(x mask, z mask, count of flips)``.
+    """Everything a round takes from its pattern and trap, worked out
+    once: the trap's neighbours, the round's dummies, in node order
+    (:func:`_trap_neighbors`); Alice's measurement order, and one step
+    ``(u, site, bit, base, fix)`` per measured vertex in that order; the
+    cz's of the graph as their gains (:func:`mbtc._cz_gains`); and, on
+    first read, the honest output support.  A trap of None plans a
+    trap-free round, blind unless ``blinded`` is False.  ``site`` is u's
+    site index and ``bit`` its bit in the correction masks, ``base`` u's
+    unadapted quarter, and ``fix`` the corrections an outcome 1 books,
+    ``(x mask, z mask, count of flips)``.
 
-    ``instruct`` and ``receive`` are Alice's per-vertex arithmetic,
-    shared by the sampled round and the exact walker.  A round's record
-    is a linked list ``(previous, u, wire, raw outcome, decoded bit)``,
-    one link per measurement, so branches share their prefixes, and
-    ``result`` reads it once, at the end of the round.
+    ``pads`` draws or checks a round's pads, and ``instruct`` and
+    ``receive`` are Alice's per-vertex arithmetic, shared by the sampled
+    round and the exact walker.  A round's record is a linked list
+    ``(previous, u, wire, raw outcome, decoded bit)``, one link per
+    measurement, so branches share their prefixes, and ``result`` reads
+    it once, at the end of the round.
     """
 
-    def __init__(self, graph: OpenGraph, angles: Mapping, dummies, trap,
-                 blinded: bool = True):
+    def __init__(self, pattern: Pattern, trap=None, blinded: bool = True):
+        graph, angles = pattern.graph, pattern.angles
+        near = _trap_neighbors(graph, trap) if trap is not None else ()
+        self.dummies = dummies = [v for v in graph.nodes if v in near]
         _require_delegable(graph, angles)
         nodes = list(graph.nodes)
         self.site = idx = {v: i for i, v in enumerate(nodes)}
         comp = [v for v in nodes if v not in dummies and v != trap]
         sub = graph.induced(comp)
-        pattern = Pattern(sub, {v: angles[v] for v in comp})
         g, layer = (find_gflow(sub, best_effort=True) if comp else ({}, {}))
-        order = pattern.measured_order(layer) if comp else []
+        order = (Pattern(sub, {v: angles[v] for v in comp})
+                 .measured_order(layer) if comp else [])
         self.order = order + [trap] if trap is not None else order
         fixes = correction_masks(sub, g, idx, g)
         self.steps = []
@@ -427,8 +458,51 @@ class _Plan:
                                0 if u == trap else angles[u],
                                (x, z, x.bit_count() + z.bit_count())))
         self.graph, self.trap, self.blinded = graph, trap, blinded
-        self.dummies = dummies
-        self.edges = [(idx[a], idx[b]) for a, b in graph.edges]
+        self.gains = _cz_gains((idx[a], idx[b]) for a, b in graph.edges)
+
+    @cached_property
+    def honest_support(self) -> frozenset:
+        """The decoded output tuples an honest round can produce: the
+        outcome tree walked once, with zero pads and blinding bits."""
+        return frozenset(res.output for _, res in _plan_rounds(
+            self, rvalues=(0,), support=frozenset()))
+
+    def pads(self, rng, prep=None, rbits=None):
+        """``(prep, rbits)`` of a round: each drawn unless pinned, and
+        checked when pinned.  A pinned ``prep`` gives every vertex exactly
+        one of an int ``angle`` or a 0/1 ``dummy``, a dummy exactly at the
+        dummies; a pinned ``rbits`` gives every vertex a 0 or 1.  The draws
+        come per vertex in node order: a dummy's bit, or an angle and then
+        a blinding bit.  A dummy's blinding bit is 0."""
+        nodes = self.graph.nodes
+        for v in nodes if prep is not None else ():
+            kind = _pad_kind(prep.get(v))
+            if kind is None:
+                raise ValueError(f"pad of vertex {v!r} is {prep.get(v)!r}, "
+                                 "not one int 'angle' or a 0 or 1 'dummy'")
+            if (kind == "dummy") != (v in self.dummies):
+                raise ValueError(
+                    f"vertex {v!r} is pinned with the wrong kind of pad, "
+                    f"{kind!r}: a blind round has no dummies, and the "
+                    "dummies of a verified round are exactly the trap's "
+                    "neighbours")
+        for v in nodes if rbits is not None else ():
+            r = rbits.get(v)
+            if type(r) is not int or r not in (0, 1):
+                raise ValueError(
+                    f"blinding bit of vertex {v!r} is {r!r}, not 0 or 1")
+        if prep is None or rbits is None:
+            _require_rng(rng)
+            drawn, bits = {}, {}
+            for v in nodes:
+                if v in self.dummies:
+                    drawn[v], bits[v] = {"dummy": rng.randrange(2)}, 0
+                else:
+                    drawn[v] = {"angle": rng.randrange(4)}
+                    bits[v] = rng.randrange(2)
+            prep = drawn if prep is None else prep
+            rbits = bits if rbits is None else rbits
+        return prep, rbits
 
     def thetas(self, prep: Mapping) -> dict:
         """Each measured vertex's pad angle (formula encoding), turned by
@@ -482,26 +556,21 @@ class _Plan:
                            accept, prob, ops)
 
 
-def _run_round(graph: OpenGraph, angles: Mapping, *, prep: Mapping,
-               rbits: Mapping, trap=None, rng=None,
+def _run_round(plan: _Plan, prep: Mapping, rbits: Mapping, rng=None,
                forced: Mapping | None = None,
-               deviation: Deviation | None = None,
-               blinded: bool = True) -> RoundResult:
-    """One sampled protocol round.
+               deviation: Deviation | None = None) -> RoundResult:
+    """One sampled round of ``plan``, measured through groups.
 
-    ``prep`` maps each vertex to {"angle": formula theta} or
-    {"dummy": bit}; ``angles`` holds the computation's quarter angles
-    for the non-dummy, non-trap vertices; the trap, when present, runs
+    ``prep`` maps each vertex to {"angle": formula theta} or {"dummy":
+    bit}, and ``rbits`` to its blinding bit; the trap, when present, runs
     at base angle zero with no adaptation.  ``forced`` pins Bob's
     measurement outcomes, and the probability is then the branch weight.
     """
-    dummies = {v for v in graph.nodes if "dummy" in prep[v]}
-    plan = _Plan(graph, angles, dummies, trap, blinded)
     if forced:
         _check_forced(forced, plan.order)
     bob = Bob(deviation)
-    state = Group._from_reduced(len(graph.nodes), bob.entangled_rows(
-        [prep[v] for v in graph.nodes], plan.edges))
+    state = Group._from_reduced(len(plan.site), bob._entangled_rows(
+        [prep[v] for v in plan.graph.nodes], plan.gains))
     theta = plan.thetas(prep)
     forced = forced or {}
     sx = sz = ops = 0
@@ -526,20 +595,6 @@ def _require_rng(rng) -> None:
         raise ValueError("a sampled round needs an rng to draw from")
 
 
-def _sample_pads(graph: OpenGraph, rng, dummies=()):
-    _require_rng(rng)
-    prep = {}
-    rbits = {}
-    for v in graph.nodes:
-        if v in dummies:
-            prep[v] = {"dummy": rng.randrange(2)}
-            rbits[v] = 0
-        else:
-            prep[v] = {"angle": rng.randrange(4)}
-            rbits[v] = rng.randrange(2)
-    return prep, rbits
-
-
 def _pad_kind(spec) -> str | None:
     """'angle' or 'dummy' for a pad of one int angle or a 0 or 1 dummy,
     None for anything else."""
@@ -551,43 +606,14 @@ def _pad_kind(spec) -> str | None:
     return None
 
 
-def _pads(graph: OpenGraph, rng, dummies, prep, rbits):
-    """``(prep, rbits)`` of a round whose dummies are ``dummies``: each
-    drawn (:func:`_sample_pads`) unless pinned, and checked when pinned.
-    A pinned ``prep`` gives every vertex exactly one of an int ``angle``
-    or a 0/1 ``dummy``, a dummy exactly at ``dummies``; a pinned
-    ``rbits`` gives every vertex a 0 or 1."""
-    for v in graph.nodes if prep is not None else ():
-        kind = _pad_kind(prep.get(v))
-        if kind is None:
-            raise ValueError(f"pad of vertex {v!r} is {prep.get(v)!r}, not "
-                             "one int 'angle' or a 0 or 1 'dummy'")
-        if (kind == "dummy") != (v in dummies):
-            raise ValueError(
-                f"vertex {v!r} is pinned with the wrong kind of pad, "
-                f"{kind!r}: a blind round has no dummies, and the dummies "
-                "of a verified round are exactly the trap's neighbours")
-    for v in graph.nodes if rbits is not None else ():
-        r = rbits.get(v)
-        if type(r) is not int or r not in (0, 1):
-            raise ValueError(
-                f"blinding bit of vertex {v!r} is {r!r}, not 0 or 1")
-    if prep is None or rbits is None:
-        sampled = _sample_pads(graph, rng, dummies=dummies)
-        prep = prep if prep is not None else sampled[0]
-        rbits = rbits if rbits is not None else sampled[1]
-    return prep, rbits
-
-
 def run_delegated(pattern: Pattern, *, rng=None, forced=None,
                   deviation=None) -> RoundResult:
     """Unblinded delegation: Bob sees the true adapted angles."""
-    graph = pattern.graph
-    prep = {v: {"angle": 0} for v in graph.nodes}
-    rbits = {v: 0 for v in graph.nodes}
-    return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
-                      rng=rng, forced=forced, deviation=deviation,
-                      blinded=False)
+    deviation = _deviation(deviation)
+    nodes = pattern.graph.nodes
+    prep = {v: {"angle": 0} for v in nodes}
+    return _run_round(_Plan(pattern, blinded=False), prep,
+                      dict.fromkeys(nodes, 0), rng, forced, deviation)
 
 
 def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
@@ -595,24 +621,10 @@ def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
     """Blind delegation: pads chosen by Alice unless pinned explicitly.
     A blind round has no dummies, so a pinned ``prep`` gives every vertex
     an int angle."""
-    graph = pattern.graph
-    prep, rbits = _pads(graph, rng, (), prep, rbits)
-    return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
-                      rng=rng, forced=forced, deviation=deviation)
-
-
-def _verified_draws(graph: OpenGraph, rng, trap=None, prep=None,
-                    rbits=None):
-    """``(trap, dummies, prep, rbits)`` of a verified round.  The draws
-    come in this order: the trap, unless pinned, then the pads and
-    blinding bits, unless both are pinned; the round's random outcomes
-    draw after them."""
-    if trap is None:
-        _require_rng(rng)
-        trap = graph.nodes[rng.randrange(len(graph.nodes))]
-    dummies = _trap_neighbors(graph, trap)
-    prep, rbits = _pads(graph, rng, dummies, prep, rbits)
-    return trap, dummies, prep, rbits
+    deviation = _deviation(deviation)
+    plan = _Plan(pattern)
+    prep, rbits = plan.pads(rng, prep, rbits)
+    return _run_round(plan, prep, rbits, rng, forced, deviation)
 
 
 def _trap_neighbors(graph: OpenGraph, trap) -> frozenset:
@@ -628,37 +640,47 @@ def _trap_neighbors(graph: OpenGraph, trap) -> frozenset:
 def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
                  rbits=None, forced=None, deviation=None) -> RoundResult:
     """Blind round with a trap vertex; its neighbors become dummies, and
-    a pinned ``prep`` prepares exactly them as dummies."""
+    a pinned ``prep`` prepares exactly them as dummies.  The draws come in
+    this order: the trap, unless pinned, then the pads and blinding bits,
+    unless both are pinned (:meth:`_Plan.pads`), then one
+    ``rng.randrange(2)`` per random outcome."""
+    deviation = _deviation(deviation)
     graph = pattern.graph
     _require_vertex(graph)
-    trap, _, prep, rbits = _verified_draws(graph, rng, trap, prep, rbits)
-    return _run_round(graph, pattern.angles, prep=prep, rbits=rbits,
-                      trap=trap, rng=rng, forced=forced,
-                      deviation=deviation)
+    if trap is None:
+        _require_rng(rng)
+        trap = graph.nodes[rng.randrange(len(graph.nodes))]
+    plan = _Plan(pattern, trap)
+    prep, rbits = plan.pads(rng, prep, rbits)
+    return _run_round(plan, prep, rbits, rng, forced, deviation)
 
 
 def verified_rounds(pattern: Pattern, *, rng, deviation=None):
     """An endless iterator of sampled verified rounds, ``(trap,
     RoundResult)`` each, with the draws of ``run_verified(pattern,
-    rng=rng)`` called once per round: ``_verified_draws``, then one
-    ``rng.randrange(2)`` per random outcome.
+    rng=rng)`` called once per round: the trap, then its plan's pads
+    (:meth:`_Plan.pads`), then one ``rng.randrange(2)`` per random
+    outcome.
 
     Each trap's plan is built the first time the trap is drawn, and each
     round is a random descent of the exact walk on Bob's rows
     (``_walk_rounds`` with an rng), with the drawn blinding bits.  The
-    pattern and the rng are checked on the call, before any round.
+    pattern, the rng and the deviation are checked on the call, before
+    any round.
     """
     graph = pattern.graph
     _require_vertex(graph)
     _require_delegable(graph, pattern.angles)
     _require_rng(rng)
+    deviation = _deviation(deviation)
     plans = {}
 
     def rounds():
         while True:
-            trap, dummies, prep, rbits = _verified_draws(graph, rng)
+            trap = graph.nodes[rng.randrange(len(graph.nodes))]
             if trap not in plans:
-                plans[trap] = _Plan(graph, pattern.angles, dummies, trap)
+                plans[trap] = _Plan(pattern, trap)
+            prep, rbits = plans[trap].pads(rng)
             (_, res), = _walk_rounds(plans[trap], prep, deviation, rbits,
                                      rng)
             yield trap, res
@@ -677,39 +699,39 @@ def _dyadic(k: int) -> Fraction:
 
 
 def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
-    """Every live round with pads ``prep``, the blinding bit of each
-    measured vertex running over ``rvalues``, as ``(halvings, result)``:
-    the round's probability is 2 ** -halvings.  ``rvalues`` is a tuple of
-    the bits walked at every vertex, or a mapping from each vertex to its
-    one drawn bit.
+    """Every live round of ``plan`` with pads ``prep``, the blinding bit
+    of each measured vertex running over ``rvalues``, as ``(halvings,
+    result)``: the round's probability is 2 ** -halvings.  ``rvalues`` is
+    a tuple of the bits walked at every vertex, or a mapping from each
+    vertex to its one drawn bit, as :meth:`_Plan.pads` gives them.
 
     With an ``rng`` the walk is a random descent: each vertex measures
     once, drawing a random outcome with one ``rng.randrange(2)`` (see
     :meth:`Bob.outcomes`), so with one blinding bit per vertex exactly one
-    leaf is yielded, a sampled round.  Its draws and its hook calls, one
-    per event, come in the order of ``_run_round``'s, which measures the
-    same round through groups, so a hook that draws randomness may take
-    part in a descent.
+    leaf is yielded, a sampled round.  It takes the inputs of
+    ``_run_round``, which measures the same round through groups, and its
+    draws and its hook calls, one per event, come in the same order, so a
+    hook that draws randomness may take part in a descent.
 
-    The rounds are the leaves of one depth-first walk over the reduced
-    rows ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts
-    from the entangled state of the pads, built straight into rows
-    (:meth:`Bob.entangled_rows`).  The deviation's ``after_entangle``
-    hook, when there is one, acts once: a ``_RowHook`` on the rows, any
-    other hook on the rows built as a group, with the state it returns
-    checked once.  Then at each measured vertex, in Alice's order
-    (``plan.steps``), the walk branches on the blinding bit r and on the
-    outcomes Bob can get (:meth:`Bob.outcomes`).  A node holds Bob's
-    rows, the halvings, Alice's pending corrections and op count, and the
-    last link of her record (see ``_Plan``), which is read into a result
-    only at a leaf.  Each child's rows come from one
+    The rounds are the leaves of one depth-first walk over the reduced rows
+    ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts from
+    the entangled state of the pads, built straight into rows with the
+    plan's cz's (:meth:`Bob._entangled_rows`).  The deviation's
+    ``after_entangle`` hook, when there is one, acts once: a ``_RowHook``
+    on the rows, any other hook on the rows built as a group, with the
+    state it returns checked once.  Then at each measured vertex, in
+    Alice's order (``plan.steps``), the walk branches on the blinding bit r
+    and on the outcomes Bob can get (:meth:`Bob.outcomes`).  A node holds
+    Bob's rows, the halvings, Alice's pending corrections and op count, and
+    the last link of her record (see ``_Plan``), which is read into a
+    result only at a leaf.  Each child's rows come from one
     :func:`dynamics.measure_rows` step, which leaves its parent's rows as
     they are, so branches share their prefix rows; a random outcome adds
-    one halving to the branch, and dead outcomes are never visited.  A group is built only to hand the state to a
-    ``before_measure`` hook, called once per prefix and r.  Exact
-    analysis thus assumes deterministic hooks: a hook that draws
-    randomness, such as ``fuzzer_deviation``, is for Monte Carlo
-    estimates only.
+    one halving to the branch, and dead outcomes are never visited.  A
+    group is built only to hand the state to a ``before_measure`` hook,
+    called once per prefix and r.  Exact analysis thus assumes
+    deterministic hooks: a hook that draws randomness, such as
+    ``fuzzer_deviation``, is for Monte Carlo estimates only.
 
     Walking ``rvalues=(0,)`` alone loses nothing that Alice decodes when
     the deviation does not read the instruction.  Flipping r turns the
@@ -744,36 +766,21 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
                     s, sx, sz, ops + cost, link, wire, o, r)))
         return children
 
-    root = (bob.entangled_rows([prep[v] for v in plan.graph.nodes],
-                               plan.edges), 0, 0, 0, 0, None)
+    root = (bob._entangled_rows([prep[v] for v in plan.graph.nodes],
+                                plan.gains), 0, 0, 0, 0, None)
     for _, halvings, _, _, ops, link in walk(root, len(steps), step):
         yield halvings, plan.result(ops, link, _dyadic(halvings))
 
 
-def _trap_plan(pattern: Pattern, trap) -> _Plan:
-    """The plan of a verified round with ``trap``, or of a trap-free
-    blind round for None."""
-    graph = pattern.graph
-    dummies = (sorted(_trap_neighbors(graph, trap)) if trap is not None
-               else [])
-    return _Plan(graph, pattern.angles, dummies, trap)
-
-
-def _enumerate_rounds(pattern: Pattern, *, trap=None, deviation=None,
-                      rvalues=(0, 1), support=None):
-    """Yield (weight, RoundResult) over pads and live outcome branches
-    of the round with ``trap`` (see :func:`_plan_rounds`)."""
-    return _plan_rounds(_trap_plan(pattern, trap), deviation, rvalues,
-                        support)
-
-
 def _plan_rounds(plan: _Plan, deviation=None, rvalues=(0, 1),
                  support=None):
-    """Yield (weight, RoundResult) over pads and live outcome branches.
+    """Yield (weight, RoundResult) over the pads and live outcome
+    branches of the round of ``plan``.
 
     The weight is the pads' probability times the branch's, 2 ** -k for
     an integer k; the flow is found once, in the plan, and the walker
-    runs once per pad configuration.  ``rvalues`` is ``(0, 1)`` or
+    runs once per pad configuration.  The dummy bits are walked in the
+    plan's order of its dummies.  ``rvalues`` is ``(0, 1)`` or
     ``(0,)``; with ``(0,)`` the blinding bits are left out of the weight,
     so each round stands for its whole class under r (see
     ``_walk_rounds``).  With a ``support``, a set of site indices, only
@@ -805,15 +812,10 @@ def _plan_rounds(plan: _Plan, deviation=None, rvalues=(0, 1),
 def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
     """Decoded output tuples an honest round can produce for this trap.
 
-    Walks the outcome tree once, with zero pads and blinding bits.
+    Walks the outcome tree once, with zero pads and blinding bits
+    (:attr:`_Plan.honest_support`).
     """
-    return _honest_support(_trap_plan(pattern, trap))
-
-
-def _honest_support(plan: _Plan) -> frozenset:
-    """``honest_output_support`` of the round of ``plan``."""
-    return frozenset(res.output for _, res in _plan_rounds(
-        plan, rvalues=(0,), support=frozenset()))
+    return _Plan(pattern, trap).honest_support
 
 
 def _require_vertex(graph: OpenGraph) -> None:
@@ -920,9 +922,8 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     top = 1 << 4 * len(graph.nodes)
     total = Fraction(0)
     for trap in graph.nodes:
-        plan = _trap_plan(pattern, trap)
-        honest = (None if deviation.assume_corrupted
-                  else _honest_support(plan))
+        plan = _Plan(pattern, trap)
+        honest = None if deviation.assume_corrupted else plan.honest_support
         hits = 0
         for w, res in _plan_rounds(plan, deviation, rvalues, support):
             if res.accept and (honest is None or res.output not in honest):
@@ -990,9 +991,10 @@ def server_view_distribution(pattern: Pattern) -> dict:
     (formula encoding) has the zero-pad leaves in walk order, with the
     same raw outcomes and halvings; only each wire ``(u, d)`` becomes
     ``(u, d ^ theta_u)``, as ``blind_delta`` adds the pad.  The pads are
-    expanded in the order the every-pad walk of ``_enumerate_rounds``
-    takes them, ``product(range(4))`` over the nodes, so the transcripts,
-    their totals and their order are those of that walk.
+    expanded in the order the every-pad walk of ``_plan_rounds`` takes
+    them on the trap-free plan, ``product(range(4))`` over the nodes, so
+    the transcripts, their totals and their order are those of that
+    walk.
 
     On n vertices a leaf's weight is 2 ** -k with k at most n, one
     halving per random outcome.  The 4 ** n pads and the n blinding bits
@@ -1008,8 +1010,8 @@ def server_view_distribution(pattern: Pattern) -> dict:
     nodes = pattern.graph.nodes
     top = 1 << 4 * len(nodes)
     leaves = []   # (share, zero-pad round, its representative)
-    for w, res in _enumerate_rounds(pattern, rvalues=(0,),
-                                    support=frozenset()):
+    for w, res in _plan_rounds(_Plan(pattern), rvalues=(0,),
+                               support=frozenset()):
         share = top // (w.denominator << 2 * len(nodes) + len(res.raw))
         leaves.append((share, res, tuple(
             (u, d ^ o) for (u, d), o in zip(res.deltas, res.raw))))

@@ -313,7 +313,9 @@ def measure_rows(rows: dict, bits: int, neg: bool, sites: int, *, rng=None,
     when the outcome is deterministic, a new dict of reduced rows when it
     is random (probability 1/2 each), and None when ``force`` contradicts
     a deterministic outcome.  A random outcome is ``force`` when given,
-    else one ``rng.randrange(2)``.
+    else one ``rng.randrange(2)``.  ``force`` is None or the int 0 or 1:
+    a bool or a float raises ``ValueError``, as it would be returned as
+    the outcome.
 
     The random update takes O(rank) row operations.  Of the rows
     incompatible with the symbol, the one with the highest pivot is
@@ -329,7 +331,7 @@ def measure_rows(rows: dict, bits: int, neg: bool, sites: int, *, rng=None,
     signed span, so the rows are those of re-echeloning any generating
     set of the post state.
     """
-    if force is not None and force not in (0, 1):
+    if force is not None and (type(force) is not int or force not in (0, 1)):
         raise ValueError(f"a forced outcome is 0 or 1, not {force!r}")
     rest, sign = reduce(rows, bits, neg)
     if not rest:
@@ -387,7 +389,7 @@ def measure_element(group: Group, e: Element, *, rng=None, force: int | None = N
     Returns (outcome_bit, post_group, probability); outcome 0 means the
     post state contains ``e`` itself, outcome 1 its negation.  A forced
     outcome that contradicts a deterministic value yields probability 0;
-    a forced outcome other than 0 or 1 raises ``ValueError``.
+    a forced outcome other than the int 0 or 1 raises ``ValueError``.
 
     ``group`` is checked for validity; for a group the engine derived, that
     is a remembered result.  The update is :func:`measure_rows` on the

@@ -325,11 +325,10 @@ def _cz_row(bits: int, gains: tuple) -> int:
     return bits
 
 
-def _cz_rows(rows: Iterable[tuple], edges: Iterable) -> dict:
+def _cz_rows(rows: Iterable[tuple], gains: tuple) -> dict:
     """The reduced rows ``{pivot: (bits, sign)}`` of the interleaved rows
-    ``(bits, sign)`` of a valid product state after a cz on each edge
-    ``(a, b)`` of site indices (:func:`_cz_row`), echeloned once."""
-    gains = _cz_gains(edges)
+    ``(bits, sign)`` of a valid product state after the cz's ``gains``
+    (:func:`_cz_row`), echeloned once."""
     pivots, _ = echelon([(_cz_row(bits, gains), neg) for bits, neg in rows])
     return pivots
 
@@ -338,8 +337,8 @@ def _entangled(n: int, gens: Iterable[Element], edges: Iterable) -> Group:
     """The group of the valid product state ``gens`` after a cz on each
     edge ``(a, b)`` of site indices.  The cz factors keep validity, so
     the result is built as valid."""
-    return Group._from_reduced(
-        n, _cz_rows(((e.interleaved(), e.neg) for e in gens), edges))
+    return Group._from_reduced(n, _cz_rows(
+        ((e.interleaved(), e.neg) for e in gens), _cz_gains(edges)))
 
 
 def _input_elements(graph: OpenGraph, input_group: Group | None,
@@ -549,13 +548,14 @@ class _PatternRun:
 
 def _check_forced(forced: Mapping, order) -> None:
     """Raise unless every key of ``forced`` is a vertex of the measurement
-    ``order`` and every value is 0 or 1."""
+    ``order`` and every value is the int 0 or 1: a bool or a float would
+    be returned as the outcome."""
     measured = set(order)
     for v, bit in forced.items():
         if v not in measured:
             raise ValueError(f"forced outcome for {v!r}, which is not "
                              "a measured vertex")
-        if bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):
             raise ValueError(f"forced outcome of {v!r} is 0 or 1, "
                              f"not {bit!r}")
 
@@ -566,8 +566,8 @@ def run_pattern(pattern: Pattern, input_group: Group | None = None, *,
     """Execute a pattern; returns outcomes, output state, and probability.
 
     ``forced`` pins measurement outcomes (probability then reflects the
-    branch weight); each key must be a measured vertex and each value 0
-    or 1.  ``physical`` applies corrections as permutations instead of
+    branch weight); each key must be a measured vertex and each value the
+    int 0 or 1.  ``physical`` applies corrections as permutations instead of
     folding them into later angles.
 
     The run is the live-frontier run of the module docstring: a vertex

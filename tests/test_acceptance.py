@@ -390,7 +390,7 @@ def test_criterion_12_verification_bound():
         pat3 = _line_pattern(3, (0, 1, 0))
         for trap in pat3.graph.nodes:
             total = Fraction(0)
-            for w, res in bvc._enumerate_rounds(pat3, trap=trap):
+            for w, res in bvc._plan_rounds(bvc._Plan(pat3, trap)):
                 assert res.accept
                 total += w
             assert total == 1

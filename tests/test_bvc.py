@@ -257,7 +257,7 @@ def test_honest_and_flip_all_walks_build_no_group(monkeypatch):
     monkeypatch.setattr(Group, "_from_reduced", classmethod(
         lambda cls, *args: built.append("rows") or real_from_reduced(
             cls, *args)))
-    plan = bvc._Plan(PAT3.graph, PAT3.angles, {1}, 0)
+    plan = bvc._Plan(PAT3, 0)
     prep = {0: {"angle": 3}, 1: {"dummy": 1}, 2: {"angle": 2}}
     for dev in (None, bvc.flip_all_deviation()):
         assert list(bvc._walk_rounds(plan, prep, dev, (0, 1)))
@@ -365,7 +365,7 @@ def test_quantum_inputs_rejected():
 def test_honest_verified_accepts_always():
     for trap in PAT3.graph.nodes:
         total = Fraction(0)
-        for w, res in bvc._enumerate_rounds(PAT3, trap=trap):
+        for w, res in bvc._plan_rounds(bvc._Plan(PAT3, trap)):
             assert res.accept
             total += w
         assert total == 1
@@ -385,7 +385,7 @@ def test_flip_all_always_detected():
     # flipping every outcome flips the trap too, so no run is accepted
     dev = bvc.flip_all_deviation()
     for trap in PAT3.graph.nodes:
-        for w, res in bvc._enumerate_rounds(PAT3, trap=trap, deviation=dev):
+        for w, res in bvc._plan_rounds(bvc._Plan(PAT3, trap), dev):
             assert not res.accept
 
 
@@ -507,6 +507,7 @@ def reference_rounds(pattern, *, trap=None, deviation=None):
     """Brute force: one whole round per pad, blinding and forced-outcome
     vector, keeping the rounds of nonzero probability."""
     graph = pattern.graph
+    plan = bvc._Plan(pattern, trap)
     dummies = sorted(graph.neighbors(trap)) if trap is not None else []
     measured = _reference_measured(graph, trap, dummies)
     padded = [v for v in graph.nodes if v not in dummies]
@@ -520,8 +521,7 @@ def reference_rounds(pattern, *, trap=None, deviation=None):
                 rbits = {v: 0 for v in graph.nodes}
                 rbits.update(zip(measured, rvals))
                 for bits in product(range(2), repeat=len(measured)):
-                    res = bvc._run_round(graph, pattern.angles, prep=prep,
-                                         rbits=rbits, trap=trap,
+                    res = bvc._run_round(plan, prep, rbits,
                                          forced=dict(zip(measured, bits)),
                                          deviation=deviation)
                     if res.probability:
@@ -535,10 +535,11 @@ def reference_support(pattern, trap=None):
     prep = {v: ({"dummy": 0} if v in dummies else {"angle": 0})
             for v in graph.nodes}
     rbits = {v: 0 for v in graph.nodes}
+    plan = bvc._Plan(pattern, trap)
     support = set()
     for bits in product(range(2), repeat=len(measured)):
-        res = bvc._run_round(graph, pattern.angles, prep=prep, rbits=rbits,
-                             trap=trap, forced=dict(zip(measured, bits)))
+        res = bvc._run_round(plan, prep, rbits,
+                             forced=dict(zip(measured, bits)))
         if res.probability:
             support.add(res.output)
     return frozenset(support)
@@ -560,7 +561,7 @@ def test_walker_matches_brute_force(dev_index):
     for pattern in WALKER_FIXTURES:
         for trap in TRAPS:
             got = _round_multiset(
-                bvc._enumerate_rounds(pattern, trap=trap, deviation=dev))
+                bvc._plan_rounds(bvc._Plan(pattern, trap), dev))
             want = _round_multiset(
                 reference_rounds(pattern, trap=trap, deviation=dev))
             assert got == want, (pattern.angles, trap)
@@ -641,8 +642,8 @@ def full_walk_pfail(pattern, deviation):
     total = Fraction(0)
     for trap in pattern.graph.nodes:
         honest = bvc.honest_output_support(pattern, trap)
-        for w, res in bvc._enumerate_rounds(pattern, trap=trap,
-                                            deviation=deviation):
+        for w, res in bvc._plan_rounds(bvc._Plan(pattern, trap),
+                                       deviation):
             if res.accept and (deviation.assume_corrupted
                                or res.output not in honest):
                 total += w
@@ -652,7 +653,7 @@ def full_walk_pfail(pattern, deviation):
 def full_walk_view(pattern):
     """server_view_distribution with every blinding bit walked."""
     dist = {}
-    for w, res in bvc._enumerate_rounds(pattern):
+    for w, res in bvc._plan_rounds(bvc._Plan(pattern)):
         key = (res.deltas, res.raw)
         dist[key] = dist.get(key, Fraction(0)) + w
     return dist
@@ -681,7 +682,7 @@ def test_mirrored_view_matches_full_walk(angles):
 def test_r_class_matches_full_walk_per_pad(angles):
     # per pad, so the pad's own turn of the wire cannot hide a bad mirror
     pattern = line_pattern(len(angles), angles)
-    plan = bvc._Plan(pattern.graph, pattern.angles, [], None)
+    plan = bvc._Plan(pattern)
     for thetas in product(range(4), repeat=len(angles)):
         prep = {v: {"angle": t} for v, t in enumerate(thetas)}
         full, mirrored = Counter(), Counter()
@@ -699,7 +700,7 @@ def test_pad_class_matches_full_walk_per_pad(pattern):
     # per pad: the padded walk is the zero-pad walk, leaf by leaf, with
     # each wire turned by its pad and nothing else changed
     graph = pattern.graph
-    plan = bvc._Plan(graph, pattern.angles, [], None)
+    plan = bvc._Plan(pattern)
     zero = list(bvc._walk_rounds(plan, {v: {"angle": 0} for v in graph.nodes},
                                  None, (0,)))
     for thetas in product(range(4), repeat=len(graph.nodes)):
@@ -714,13 +715,13 @@ def test_pad_class_matches_full_walk_per_pad(pattern):
 def test_view_walks_the_outcome_tree_once(monkeypatch):
     # one zero-pad walk per view, not one walk per pad configuration
     calls = []
-    entangled_rows = bvc.Bob.entangled_rows
+    entangled_rows = bvc.Bob._entangled_rows
 
-    def counted(self, states, edges):
+    def counted(self, states, gains):
         calls.append(tuple(spec["angle"] for spec in states))
-        return entangled_rows(self, states, edges)
+        return entangled_rows(self, states, gains)
 
-    monkeypatch.setattr(bvc.Bob, "entangled_rows", counted)
+    monkeypatch.setattr(bvc.Bob, "_entangled_rows", counted)
     for pattern in GRAPHS:
         calls.clear()
         bvc.server_view_distribution(pattern)
@@ -735,7 +736,7 @@ def test_view_is_uniform_over_every_transcript(pattern):
     # tuples and 2 ** n outcome tuples, in Alice's order, with probability
     # 1 / 8 ** n whatever the computation
     n = len(pattern.graph.nodes)
-    order = bvc._Plan(pattern.graph, pattern.angles, [], None).order
+    order = bvc._Plan(pattern).order
     view = bvc.server_view_distribution(pattern)
     assert set(view) == {(tuple(zip(order, wires)), raw)
                          for wires in product(range(4), repeat=n)
@@ -774,8 +775,9 @@ def reference_walk(plan, prep, deviation, rvalues):
     """The earlier ``_walk_rounds``: the same depth-first walk, holding
     Bob's state as a group and each branch's weight as a Fraction."""
     bob = bvc.Bob(deviation)
-    state = reference_entangle([prep[v] for v in plan.graph.nodes],
-                               plan.edges, deviation)
+    edges = [(plan.site[a], plan.site[b]) for a, b in plan.graph.edges]
+    state = reference_entangle([prep[v] for v in plan.graph.nodes], edges,
+                               deviation)
     theta = plan.thetas(prep)
 
     def step(k, node):
@@ -859,13 +861,13 @@ def _rounds(draw):
     """A pattern on n <= 5 vertices, a trap (or none), pads for it, a
     deviation and the blinding bits."""
     pattern = draw(_patterns(5))
-    graph, angles = pattern.graph, pattern.angles
+    graph = pattern.graph
     nodes, n = graph.nodes, len(graph.nodes)
     trap = draw(st.one_of(st.none(), st.sampled_from(nodes)))
     dummies = graph.neighbors(trap) if trap is not None else set()
     prep = {v: ({"dummy": draw(st.integers(0, 1))} if v in dummies
                 else {"angle": draw(st.integers(0, 3))}) for v in nodes}
-    plan = bvc._Plan(graph, angles, dummies, trap)
+    plan = bvc._Plan(pattern, trap)
     rvalues = draw(st.sampled_from([(0,), (0, 1)]))
     return plan, prep, draw(_deviations(n)), rvalues
 
@@ -889,7 +891,7 @@ def test_row_walk_matches_group_walk_on_every_pad():
                                        for site in graph.nodes]
     for trap in (None,) + graph.nodes:
         dummies = graph.neighbors(trap) if trap is not None else set()
-        plan = bvc._Plan(graph, pattern.angles, dummies, trap)
+        plan = bvc._Plan(pattern, trap)
         pads = [v for v in graph.nodes if v not in dummies]
         for thetas in product(range(4), repeat=len(pads)):
             prep = {v: {"dummy": 1} for v in dummies}
@@ -912,7 +914,7 @@ def test_before_measure_hook_sees_the_held_state():
         return Permutation.local(state.n, site, "Z").conjugate(state)
 
     dev = bvc.Deviation(before_measure=hook)
-    plan = bvc._Plan(PAT3.graph, PAT3.angles, set(), None)
+    plan = bvc._Plan(PAT3)
     prep = {v: {"angle": 0} for v in PAT3.graph.nodes}
     got = [res for _, res in bvc._walk_rounds(plan, prep, dev, (0,))]
     assert got == list(reference_walk(plan, prep, dev, (0,)))
@@ -923,7 +925,7 @@ def test_before_measure_hook_sees_the_held_state():
 def test_hook_output_is_checked():
     bad = bvc.Deviation(before_measure=lambda site, q, state: Group.parse(
         "+ZII\n+ZII"))
-    plan = bvc._Plan(PAT3.graph, PAT3.angles, set(), None)
+    plan = bvc._Plan(PAT3)
     prep = {v: {"angle": 0} for v in PAT3.graph.nodes}
     with pytest.raises(ValueError, match="linearly dependent"):
         list(bvc._walk_rounds(plan, prep, bad, (0,)))
@@ -1001,6 +1003,10 @@ def test_batched_rounds_build_one_plan_per_trap(monkeypatch):
     bvc.estimate_pfail(PAT3, bvc.extremal_deviation(1), rng=random.Random(2),
                        trials=200)
     assert len(built) <= 3
+    # a single round builds its own plan
+    built.clear()
+    bvc.run_verified(PAT3, rng=random.Random(3))
+    assert len(built) == 1
 
 
 def test_exact_pfail_builds_one_plan_per_trap(monkeypatch):
@@ -1017,7 +1023,7 @@ def test_exact_pfail_builds_one_plan_per_trap(monkeypatch):
                 bvc.extremal_deviation(1)):
         built.clear()
         bvc.exact_pfail(PAT3, dev)
-        assert [args[3] for args in built] == [0, 1, 2]
+        assert [args[1] for args in built] == [0, 1, 2]
 
 
 # -- integer weights against Fraction sums ------------------------------------
@@ -1028,9 +1034,8 @@ def fraction_pfail(pattern, deviation):
     total = Fraction(0)
     for trap in pattern.graph.nodes:
         honest = bvc.honest_output_support(pattern, trap)
-        for w, res in bvc._enumerate_rounds(pattern, trap=trap,
-                                            deviation=deviation,
-                                            rvalues=rvalues):
+        for w, res in bvc._plan_rounds(bvc._Plan(pattern, trap), deviation,
+                                       rvalues):
             if res.accept and (deviation.assume_corrupted
                                or res.output not in honest):
                 total += w
@@ -1040,7 +1045,7 @@ def fraction_pfail(pattern, deviation):
 def fraction_view(pattern):
     """The earlier server_view_distribution: Fraction shares per key."""
     dist = {}
-    for w, res in bvc._enumerate_rounds(pattern, rvalues=(0,)):
+    for w, res in bvc._plan_rounds(bvc._Plan(pattern), rvalues=(0,)):
         share = w / 2 ** len(res.raw)
         for key in bvc._r_class(res):
             dist[key] = dist.get(key, Fraction(0)) + share
@@ -1108,7 +1113,7 @@ def test_enumerated_weights_are_pad_times_branch(trap, rvalues):
     pad_weight = Fraction(1, 4 ** (len(graph.nodes) - len(dummies))
                           * 2 ** len(dummies) * len(rvalues) ** measured)
     total = Fraction(0)
-    for w, res in bvc._enumerate_rounds(PAT3, trap=trap, rvalues=rvalues):
+    for w, res in bvc._plan_rounds(bvc._Plan(PAT3, trap), rvalues=rvalues):
         assert w == pad_weight * res.probability
         total += w
     assert total == 1
@@ -1163,7 +1168,7 @@ def test_hook_free_rounds_read_the_same_on_every_pad(pattern):
     for dev in (None, bvc.flip_all_deviation()):
         for trap in (None,) + graph.nodes:
             dummies = graph.neighbors(trap) if trap is not None else set()
-            plan = bvc._Plan(graph, pattern.angles, dummies, trap)
+            plan = bvc._Plan(pattern, trap)
             zero = {v: {"dummy": 0} if v in dummies else {"angle": 0}
                     for v in graph.nodes}
             assert _deferred_prep(plan, zero, frozenset()) == zero
@@ -1279,6 +1284,20 @@ def test_trap_of_another_type_is_rejected(trap):
             call()
 
 
+def test_vertices_of_mixed_types():
+    # a plan lists its dummies in node order, so vertices of different
+    # types are never compared
+    graph = OpenGraph((0, "a", 2), ((0, "a"), ("a", 2), (0, 2)),
+                      outputs=(2,))
+    pattern = Pattern(graph, {0: 1, "a": 0, 2: 3})
+    for trap in graph.nodes:
+        res = bvc.run_verified(pattern, rng=random.Random(0), trap=trap)
+        assert res.accept is True
+    assert bvc.exact_pfail(pattern, None) == 0
+    assert bvc.exact_pfail(pattern, bvc.extremal_deviation(1)) \
+        == Fraction(5, 6)
+
+
 @pytest.mark.parametrize("site", ["a", 1.0, True, None])
 def test_pauli_site_is_checked_when_built(site):
     with pytest.raises(ValueError, match=f"site {site!r} is not an int"):
@@ -1300,6 +1319,13 @@ def test_non_deviations_rejected(deviation):
         bvc.exact_pfail(PAT3, deviation)
     with pytest.raises(ValueError, match=message):
         bvc.estimate_pfail(PAT3, deviation, rng=random.Random(0), trials=5)
+    # the sampled entry points check it before any draw
+    rng = random.Random(0)
+    for call in (bvc.run_verified, bvc.run_blind, bvc.run_delegated,
+                 bvc.verified_rounds):
+        with pytest.raises(ValueError, match=message):
+            call(PAT3, rng=rng, deviation=deviation)
+    assert rng.getstate() == random.Random(0).getstate()
 
 
 def test_view_distance_is_a_fraction():
@@ -1327,9 +1353,16 @@ def test_every_vertex_needs_an_angle():
     ({9: 0}, "forced outcome for 9, which is not a measured vertex"),
     ({1: 2}, "forced outcome of 1 is 0 or 1, not 2"),
     ({0: 0, 2: -1}, "forced outcome of 2 is 0 or 1, not -1"),
+    ({0: 1.0}, "forced outcome of 0 is 0 or 1, not 1.0"),
+    ({0: 0, 2: True}, "forced outcome of 2 is 0 or 1, not True"),
 ])
 def test_sampled_rounds_check_forced_outcomes(forced, message):
-    for runner in (bvc.run_delegated, bvc.run_blind):
+    runners = [bvc.run_delegated, bvc.run_blind]
+    if 1 not in forced:
+        # the one dummy of trap 2 is vertex 1, which is never measured
+        runners.append(lambda pattern, **kwargs: bvc.run_verified(
+            pattern, trap=2, **kwargs))
+    for runner in runners:
         with pytest.raises(ValueError, match=message):
             runner(PAT3, rng=random.Random(0), forced=forced)
 

@@ -110,8 +110,9 @@ def test_measure_incompatible_updates_state():
 @pytest.mark.parametrize("state, symbol", [("+Z", "+X"), ("+Z", "+Z"),
                                            ("+Z", "-Z")])
 def test_measure_rejects_a_forced_outcome_other_than_a_bit(state, symbol):
-    # random, deterministic 0 and deterministic 1 outcomes alike
-    for force in (5, -1, 2):
+    # random, deterministic 0 and deterministic 1 outcomes alike; 1.0 and
+    # True equal a bit but would be returned as the outcome
+    for force in (5, -1, 2, 1.0, True):
         with pytest.raises(ValueError, match="is 0 or 1"):
             measure_element(_state(state), Element.parse(symbol), force=force)
 

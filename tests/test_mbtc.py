@@ -566,7 +566,7 @@ def test_frontier_rank_does_not_grow_with_the_pattern(monkeypatch):
 
 def test_forced_outcome_must_be_a_bit():
     pattern = Pattern(OpenGraph.line(2), {0: 0})
-    for bit in (2, -1, "1"):
+    for bit in (2, -1, "1", 1.0, True, 0.0, False):
         with pytest.raises(ValueError, match="is 0 or 1"):
             run_pattern(pattern, _state("+Z"), forced={0: bit})
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -109,3 +110,66 @@ def test_every_tracer_target_resolves():
         _, _, raw = tracer._resolve(modules, name, path)
         assert callable(getattr(raw, "__func__", raw)), name
     tracer.Tracer()   # builds every wrapper, as a traced run does
+
+
+# a name a docstring cites: a ``literal`` or a Sphinx role such as :func:
+_CITED = re.compile(r"``([^`]+)``|:(?:func|meth|attr|class|data):`~?([^`]+)`")
+
+
+def _cited_private_names(tree):
+    """(dotted name, enclosing class or None, line) of each dotted name a
+    docstring in ``tree`` cites with a private part, such as ``_x``,
+    ``mod._x`` or ``Cls._x``."""
+    def visit(node, cls):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            for match in _CITED.finditer(doc or ""):
+                text = match.group(1) or match.group(2)
+                if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", text) and any(
+                        part.startswith("_") and not part.startswith("__")
+                        for part in text.split(".")):
+                    yield text, cls, getattr(node, "lineno", 1)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, child.name if isinstance(
+                child, ast.ClassDef) else cls)
+
+    yield from visit(tree, None)
+
+
+def _resolves(module, cls, dotted) -> bool:
+    """Whether ``dotted`` names an object, looked up in the enclosing
+    class, then the module, then the package's modules, up to its last
+    private part."""
+    head, *rest = dotted.split(".")
+    scopes = ([getattr(module, cls)] if cls else []) + [module]
+    for scope in scopes:
+        if hasattr(scope, head):
+            obj = getattr(scope, head)
+            break
+    else:
+        if not (SRC / f"{head}.py").exists():
+            return False
+        obj = importlib.import_module(f"toystab.{head}")
+    private = [i for i, part in enumerate(rest) if part.startswith("_")]
+    for part in rest[:private[-1] + 1] if private else ():
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_docstrings_cite_only_private_names_that_exist():
+    # a refactor that removes or renames a private helper leaves its
+    # name behind in the docstrings that cite it
+    stale, cited = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"toystab.{path.stem}"
+                                         if path.stem != "__init__"
+                                         else "toystab")
+        for dotted, cls, line in _cited_private_names(
+                ast.parse(path.read_text())):
+            cited += 1
+            if not _resolves(module, cls, dotted):
+                stale.append(f"{path.name}:{line} {dotted}")
+    assert cited and stale == []
