@@ -18,8 +18,8 @@ a ``_Plan``: the dummies, which are the trap's neighbours (one trap
 hidden among fixed-basis dummies, after Fitzsimons–Kashefi,
 arXiv:1203.5217), Alice's measurement order and corrections, the cz's
 of the graph, the draws and checks of the pads, and the honest output
-support.  Every round driver takes a plan: ``_run_round`` runs one
-sampled round, ``_walk_rounds`` walks the rounds of one pad
+support.  Every function that runs rounds takes a plan: ``_run_round``
+runs one sampled round, ``_walk_rounds`` walks the rounds of one pad
 configuration, and ``_plan_rounds`` walks the pad configurations.
 
 Every round starts from the entangled state of its pads, built
@@ -45,18 +45,18 @@ Sampled rounds come two ways.  A batch of verified rounds
 accept rate) builds one plan per trap, and each round is a random descent
 of the exact walk on the rows: one child, drawn from the rng, at each
 vertex.  A single round (``run_verified``, ``run_blind`` and
-``run_delegated``) builds one plan per call and still holds the state as
-a group, measured with :func:`dynamics.measure_element`; it is the
-reference the descent is tested against.  It stays there because of the
-benchmark harness, which keeps a record per op, so that its peak memory
-grows with the op count.  In one pair of 20 s runs each, single rounds
-on the descent took the 8-node ``bvc-mc`` workload from 3139–3230 to
-5114–5216 ops/s, and its ``peak_rss_mb`` from 42.9–44.2 to 51.7–53.9 MiB
-(+21%); a group that builds its elements lazily gave +32% ops/s and
-+14.5% memory.  Both exceed the 10% memory bound, as would caching
-the plan, which is a quarter of such a round.  Once the harness keeps a
-fixed-size record (ROADMAP item 1), moving single rounds onto the
-descent changes the body of ``_run_round`` alone.
+``run_delegated``) builds one plan per call and still holds the state as a
+group, measured with :func:`dynamics.measure_element`; it is the reference
+the descent is tested against.  It stays there because of the benchmark
+harness, which keeps a record per op, so that its peak memory grows with
+the op count.  In one pair of 20 s runs each on a 2-vCPU box, single
+rounds on the descent took the 8-node ``bvc-mc`` workload from 3139–3230
+to 5114–5216 ops/s, and its ``peak_rss_mb`` from 42.9–44.2 to 51.7–53.9
+MiB (+21%); a group that builds its elements lazily gave +32% ops/s and
++14.5% memory.  Both exceed the 10% memory bound, as would caching the
+plan, which is a quarter of such a round.  Once the harness keeps a
+fixed-size record (ROADMAP item 1), moving single rounds onto the descent
+changes the body of ``_run_round`` alone.
 
 Which pads are walked depends on what the analysis reads.  Alice's
 decoded bits do not depend on a pad outside the sites a deviation's

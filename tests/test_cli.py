@@ -637,8 +637,8 @@ def _bvc_corpus():
     return runs
 
 
-# the corpus's sha256 as recorded before the round drivers took one plan
-# per round; a refactor of the drivers must leave every byte as it is
+# the corpus's sha256, recorded before the functions that run rounds took
+# one plan per round; a refactor of them must leave every byte as it is
 _BVC_CORPUS_SHA256 = (
     "2317f5cb5768f604453017933ad8e261b7d791a323d2c7e3d9374bba9b5c0c6f")
 
