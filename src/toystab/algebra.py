@@ -283,14 +283,15 @@ class Group:
       marginal on the quantum outputs;
     * ``mbtc._entangled`` (``graph_state``): a valid product state after
       the cz rule;
-    * ``bvc.Bob._entangled_rows``: the pads' entangled state, built
-      straight into rows with a plan's cz's, as a group only to hand it
-      to a deviation's ``after_entangle`` hook that acts on groups;
-    * ``bvc._run_round``: the rows ``bvc.Bob._entangled_rows`` returns,
-      for a single sampled round to measure through groups;
-    * ``bvc.Bob.outcomes``: the rows of the exact walk or of a batched
-      round's random descent, only to hand them to a ``before_measure``
-      hook;
+    * ``bvc.Deviation._entangled_rows``: the pads' entangled state,
+      built straight into rows with a plan's cz's, as a group only to
+      hand it to a deviation's ``after_entangle`` hook that acts on
+      groups;
+    * ``bvc._run_round``: the rows ``bvc.Deviation._entangled_rows``
+      returns, for a single sampled round to measure through groups;
+    * ``bvc.Deviation._outcomes``: the rows of the exact walk or of a
+      batched round's random descent, only to hand them to a
+      ``before_measure`` hook;
     * ``bvc._RowHook``, called on a group: the rows of a built-in
       ``after_entangle`` hook's action (the extremal swap-in, a Pauli or
       a factor-list deviation) on a valid state's rows.
@@ -431,18 +432,23 @@ class Group:
 
     # -- combination -------------------------------------------------
 
+    # The combinations below build from the generators, not from
+    # ``canonical``, which drops a negative identity and any dependence:
+    # an invalid group stays invalid, and a valid one gets the same
+    # canonical form, since both sets span the same signed group.
+
     def extended(self, *gens: Element) -> "Group":
-        return Group(self.n, self.canonical + tuple(gens))
+        return Group(self.n, self.generators + tuple(gens))
 
     def tensor(self, other: "Group") -> "Group":
         n = self.n + other.n
-        gens = [g.embed(n, range(self.n)) for g in self.canonical]
-        gens += [g.embed(n, range(self.n, n)) for g in other.canonical]
+        gens = [g.embed(n, range(self.n)) for g in self.generators]
+        gens += [g.embed(n, range(self.n, n)) for g in other.generators]
         return Group(n, gens)
 
     def embed(self, n: int, sites: Iterable[int]) -> "Group":
         sites = _embedding(self.n, n, sites)
-        return Group(n, [g.embed(n, sites) for g in self.canonical])
+        return Group(n, [g.embed(n, sites) for g in self.generators])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Group):

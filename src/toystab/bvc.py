@@ -13,6 +13,14 @@ Angle encodings: the *quarter* encoding indexes the equator family
 keeps the sign in the low bit and the basis in the high bit.  The two
 are related by swapping bits, a swap that is its own inverse.
 
+Bob keeps no state between calls, and all his freedom is how he departs
+from the honest run: a ``Deviation`` is the server's behaviour.  Its
+``after_entangle`` hook acts once, on the entangled state of the pads;
+its ``before_measure`` hook acts on the held state before each
+measurement, seeing the instruction; its ``flip_outcome`` hook acts on
+each outcome he reports.  The honest server is ``Deviation()``, and
+every function that runs rounds takes one.
+
 Everything that follows from a pattern and a trap is worked out once, in
 a ``_Plan``: the dummies, which are the trap's neighbours (one trap
 hidden among fixed-basis dummies, after Fitzsimons–Kashefi,
@@ -20,16 +28,17 @@ arXiv:1203.5217), Alice's measurement order and corrections, the cz's
 of the graph, the draws and checks of the pads, and the honest output
 support.  Every function that runs rounds takes a plan: ``_run_round``
 runs one sampled round, ``_walk_rounds`` walks the rounds of one pad
-configuration, and ``_plan_rounds`` walks the pad configurations.
+configuration, and ``_plan_rounds`` walks the pad configurations.  An
+unblinded round is the blind round with every pad and blinding bit 0.
 
 Every round starts from the entangled state of its pads, built
 straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
-whole state (:meth:`Bob.entangled_rows`).  The built-in deviations that
-act after the entangling (the extremal swap-in, Pauli and factor-list
-deviations) act on those rows too: each is a trace and a row insert, or
-a permutation of the rows followed by one echelon, and both keep the
-state valid, so their result is walked on unchecked.  A group is built
-only to hand the state to any other hook.  Exact analysis
+whole state (:meth:`Deviation._entangled_rows`).  The built-in
+deviations that act after the entangling (the extremal swap-in, Pauli and
+factor-list deviations) act on those rows too: each is a trace and a row
+insert, or a permutation of the rows followed by one echelon, and both
+keep the state valid, so their result is walked on unchecked.  A group is
+built only to hand the state to any other hook.  Exact analysis
 (``exact_pfail``, ``server_view_distribution`` and
 ``honest_output_support``) walks pad configurations and live outcome
 branches on the rows, one :func:`dynamics.measure_rows` step per branch
@@ -52,11 +61,13 @@ harness, which keeps a record per op, so that its peak memory grows with
 the op count.  In one pair of 20 s runs each on a 2-vCPU box, single
 rounds on the descent took the 8-node ``bvc-mc`` workload from 3139–3230
 to 5114–5216 ops/s, and its ``peak_rss_mb`` from 42.9–44.2 to 51.7–53.9
-MiB (+21%); a group that builds its elements lazily gave +32% ops/s and
-+14.5% memory.  Both exceed the 10% memory bound, as would caching the
-plan, which is a quarter of such a round.  Once the harness keeps a
-fixed-size record (ROADMAP item 1), moving single rounds onto the descent
-changes the body of ``_run_round`` alone.
+MiB (+21%).  A group that builds its elements lazily, in three later
+pairs of 20 s runs, took it from 3208–3264 to 4155–4227 ops/s (+30%) and
+from 44.7–45.7 to 50.8–52.6 MiB (+12% to +17%).  Both exceed the 10%
+memory bound, as would caching the plan, which is a quarter of such a
+round.  Once the harness keeps a fixed-size record (ROADMAP item 1),
+moving single rounds onto the descent changes the body of ``_run_round``
+alone.
 
 Which pads are walked depends on what the analysis reads.  Alice's
 decoded bits do not depend on a pad outside the sites a deviation's
@@ -107,16 +118,27 @@ def blind_delta(phi: int, theta: int, r: int) -> int:
 
 @dataclass
 class Deviation:
-    """Hooks describing a (possibly dishonest) server strategy.
+    """The server's behaviour: how Bob departs from the honest run, with
+    no hook set for the honest server.  Bob keeps no state of his own;
+    every round driver takes a deviation and the state he holds, and the
+    deviation's private methods are his actions on it.
+
+    Each hook acts at one place of a round:
+
+    - ``after_entangle(state) -> state`` once, on the entangled state of
+      the pads, before the first measurement (:meth:`_entangled_rows`);
+    - ``before_measure(site, quarter, state) -> state`` on the held state
+      just before each measurement, with the quarter Bob is sent
+      (:meth:`_measure` on a group, :meth:`_outcomes` on rows);
+    - ``flip_outcome(site) -> bit``, a bit that Bob XORs into every
+      outcome he reports at ``site`` (:meth:`_report`).  It cannot see
+      the instruction, so a flip that depends on the quarter is written
+      as a ``before_measure`` hook.
 
     ``assume_corrupted`` switches the failure event from "accepted and
     the decoded output left the honest support" to simply "accepted":
     the adversary is credited with having corrupted the computation
     whenever the trap misses it.
-
-    ``flip_outcome(site)`` gives a bit that Bob XORs into every outcome
-    he reports at ``site``.  It cannot see the instruction, so a flip
-    that depends on the quarter is written as a ``before_measure`` hook.
 
     Sampled rounds call each hook once per event, batched rounds
     included: each round of :func:`verified_rounds` calls
@@ -137,11 +159,11 @@ class Deviation:
     Called on a group, such a hook checks that it is valid and returns
     the group of its rows.  Every other ``after_entangle`` hook is handed
     the entangled state of the pads, built from reduced rows as a valid
-    group (:meth:`Bob.entangled_rows`), and the state it returns is
-    checked to be valid and on as many systems.  The exact walk holds
-    Bob's state as reduced rows from then on: it hands ``before_measure``
-    those rows built as a valid group, and checks the group the hook
-    returns the same way before it walks on.
+    group, and the state it returns is checked to be valid and on as
+    many systems.  The exact walk holds Bob's state as reduced rows from
+    then on: it hands ``before_measure`` those rows built as a valid
+    group, and checks the group the hook returns the same way before it
+    walks on.
 
     ``support`` declares the 0-based sites ``after_entangle`` acts on, as
     a frozenset, or is ``None`` for "anywhere".  The declaration is a
@@ -169,37 +191,21 @@ class Deviation:
         bits cannot be folded out of an exact analysis."""
         return self.before_measure is not None
 
-
-class Bob:
-    """Honest physical server; a Deviation warps its behavior.
-
-    The server object keeps no state: each call takes the held state and
-    returns the next one, so the exact walker can branch on the replies.
-    """
-
-    def __init__(self, deviation: Deviation | None = None):
-        self.deviation = deviation
-
-    def entangled_rows(self, states, edges) -> dict:
+    def _entangled_rows(self, states, gains: tuple) -> dict:
         """The reduced rows ``{pivot: (bits, sign)}`` of the state Bob
         holds after preparing one system per entry of ``states`` and
-        applying a cz on each edge of site indices, then the deviation's
-        ``after_entangle`` hook.  The rows are built straight from the
-        pads with one echelon and no group (:meth:`_entangled_rows`)."""
-        return self._entangled_rows(states, _cz_gains(edges))
-
-    def _entangled_rows(self, states, gains: tuple) -> dict:
-        """:meth:`entangled_rows` with the cz's given as their gains
-        (:func:`mbtc._cz_gains`), which a ``_Plan`` computes once.
+        applying the cz's given as their gains (:func:`mbtc._cz_gains`,
+        which a ``_Plan`` computes once), then the ``after_entangle``
+        hook.  The rows are built straight from the pads with one echelon
+        and no group.
 
         A system i with pad quarter q is the row of its angle element,
         ``x_i | (q & 1)·z_i`` with sign ``q >> 1``, and the cz rule
         (:func:`mbtc._cz_rows`) adds the z columns of i's neighbours to
-        it; a dummy is ``±z_i``, which the cz's leave alone.  A
-        deviation's ``after_entangle`` hook acts on the rows when it is a
-        ``_RowHook``; any other is handed the rows built as a group, and
-        the state it returns is checked as :meth:`outcomes` checks a
-        ``before_measure`` hook's.
+        it; a dummy is ``±z_i``, which the cz's leave alone.  The hook
+        acts on the rows when it is a ``_RowHook``; any other is handed
+        the rows built as a group, and the state it returns is checked as
+        :meth:`_outcomes` checks a ``before_measure`` hook's.
         """
         n = len(states)
         pads = []
@@ -210,35 +216,32 @@ class Bob:
                 bits, neg = _QUARTER_ROWS[quarter_from_formula(spec["angle"])]
             pads.append((bits << 2 * i, neg))
         rows = _cz_rows(pads, gains)
-        hook = self.deviation and self.deviation.after_entangle
+        hook = self.after_entangle
         if isinstance(hook, _RowHook):
             return hook.act(rows, n)
         if hook:
             return _held_rows(hook(Group._from_reduced(n, rows)), n)
         return rows
 
-    def _observable(self, state: Group, site: int, quarter: int):
-        dev = self.deviation
-        if dev and dev.before_measure:
-            state = dev.before_measure(site, quarter, state)
-        return state, angle_element(state.n, site, quarter)
-
     def _report(self, site: int, out: int) -> int:
-        dev = self.deviation
-        if dev and dev.flip_outcome:
-            return out ^ dev.flip_outcome(site)
-        return out
+        """The outcome Bob reports for ``out`` at ``site``."""
+        return out ^ self.flip_outcome(site) if self.flip_outcome else out
 
-    def measure(self, state: Group, site: int, angle: int, *, rng=None,
-                force: int | None = None):
-        """(reported outcome, post state, probability) of one outcome."""
+    def _measure(self, state: Group, site: int, angle: int, *, rng=None,
+                 force: int | None = None):
+        """(reported outcome, post state, probability) of one outcome of
+        measuring ``site`` of the group ``state`` at the formula angle
+        ``angle``, after the ``before_measure`` hook."""
         quarter = quarter_from_formula(angle)
-        state, e = self._observable(state, site, quarter)
-        out, post, p = measure_element(state, e, rng=rng, force=force)
+        if self.before_measure:
+            state = self.before_measure(site, quarter, state)
+        out, post, p = measure_element(
+            state, angle_element(state.n, site, quarter), rng=rng,
+            force=force)
         return self._report(site, out), post, p
 
-    def outcomes(self, rows: dict, n: int, site: int, angle: int,
-                 rng=None) -> list:
+    def _outcomes(self, rows: dict, n: int, site: int, angle: int,
+                  rng=None) -> list:
         """[(reported outcome, post rows, random)] of every outcome that
         can occur, on the reduced rows ``{pivot: (bits, sign)}`` of a valid
         state on ``n`` systems; with an ``rng``, of the one outcome a
@@ -251,9 +254,8 @@ class Bob:
         the state it returns is checked before it is measured.
         """
         quarter = quarter_from_formula(angle)
-        dev = self.deviation
-        if dev and dev.before_measure:
-            rows = _held_rows(dev.before_measure(
+        if self.before_measure:
+            rows = _held_rows(self.before_measure(
                 site, quarter, Group._from_reduced(n, rows)), n)
         bits, neg = _QUARTER_ROWS[quarter]
         bits <<= 2 * site
@@ -280,11 +282,11 @@ class _RowHook:
 
     ``act(rows, n)`` maps the reduced rows ``{pivot: (bits, sign)}`` of a
     valid state on ``n`` systems to new reduced rows of a valid state on
-    ``n`` systems, leaving ``rows`` as they are; :meth:`Bob.entangled_rows`
-    walks on from them unchecked.  Called on a group, the hook checks
-    that it is valid and returns the group of the acted rows.  The
-    action belongs to the hook, so a deviation whose ``after_entangle``
-    is replaced never runs it.
+    ``n`` systems, leaving ``rows`` as they are;
+    :meth:`Deviation._entangled_rows` walks on from them unchecked.
+    Called on a group, the hook checks that it is valid and returns the
+    group of the acted rows.  The action belongs to the hook, so a
+    deviation whose ``after_entangle`` is replaced never runs it.
     """
 
     __slots__ = ("act",)
@@ -399,7 +401,7 @@ class RoundResult:
     deltas: tuple          # (vertex, formula angle) in send order
     raw: tuple             # Bob's reported outcomes, same order
     decoded: dict          # vertex -> decoded outcome
-    output: tuple          # decoded outcomes at output vertices, sorted
+    output: tuple          # (vertex, decoded outcome) at outputs, node order
     accept: bool | None    # trap verdict, None when no trap
     probability: Fraction  # Bob's branch probability
     alice_ops: int         # count of Alice's mod-4 / bit operations
@@ -422,12 +424,18 @@ class _Plan:
     once: the trap's neighbours, the round's dummies, in node order
     (:func:`_trap_neighbors`); Alice's measurement order, and one step
     ``(u, site, bit, base, fix)`` per measured vertex in that order; the
-    cz's of the graph as their gains (:func:`mbtc._cz_gains`); and, on
-    first read, the honest output support.  A trap of None plans a
-    trap-free round, blind unless ``blinded`` is False.  ``site`` is u's
+    cz's of the graph as their gains (:func:`mbtc._cz_gains`); the
+    output vertices in node order; and, on first read, the honest output
+    support.  A trap of None plans a trap-free round.  ``site`` is u's
     site index and ``bit`` its bit in the correction masks, ``base`` u's
     unadapted quarter, and ``fix`` the corrections an outcome 1 books,
     ``(x mask, z mask, count of flips)``.
+
+    Every round is blind.  An unblinded round (``blinded`` False) is the
+    blind round with every pad and blinding bit 0, which sends the
+    adapted angle itself (``blind_delta(phi, 0, 0) == phi``) and decodes
+    each outcome as it is reported; only Alice's op count per
+    instruction, ``cost``, tells the two apart: 3 blinded, 1 unblinded.
 
     ``pads`` draws or checks a round's pads, and ``instruct`` and
     ``receive`` are Alice's per-vertex arithmetic, shared by the sampled
@@ -457,7 +465,8 @@ class _Plan:
             self.steps.append((u, idx[u], 1 << idx[u],
                                0 if u == trap else angles[u],
                                (x, z, x.bit_count() + z.bit_count())))
-        self.graph, self.trap, self.blinded = graph, trap, blinded
+        self.outputs = sorted(graph.outputs, key=idx.__getitem__)
+        self.graph, self.trap, self.cost = graph, trap, 3 if blinded else 1
         self.gains = _cz_gains((idx[a], idx[b]) for a, b in graph.edges)
 
     @cached_property
@@ -465,7 +474,7 @@ class _Plan:
         """The decoded output tuples an honest round can produce: the
         outcome tree walked once, with zero pads and blinding bits."""
         return frozenset(res.output for _, res in _plan_rounds(
-            self, rvalues=(0,), support=frozenset()))
+            self, Deviation(), rvalues=(0,), support=frozenset()))
 
     def pads(self, rng, prep=None, rbits=None):
         """``(prep, rbits)`` of a round: each drawn unless pinned, and
@@ -508,8 +517,6 @@ class _Plan:
         """Each measured vertex's pad angle (formula encoding), turned by
         half a turn, a flip of the sign bit, for every neighboring dummy
         prepared as -Z."""
-        if not self.blinded:
-            return {}
         zshift = {v: 0 for v in self.graph.nodes}
         for d, spec in prep.items():
             if spec.get("dummy"):
@@ -523,9 +530,7 @@ class _Plan:
         with the X and Z corrections ``sx`` and ``sz`` pending."""
         u, _, bit, base, _ = step
         phi = formula_from_quarter(adapt_quarter(base, sx & bit, sz & bit))
-        if not self.blinded:
-            return phi, 1
-        return blind_delta(phi, theta[u], r), 3
+        return blind_delta(phi, theta[u], r), self.cost
 
     def receive(self, step: tuple, sx: int, sz: int, ops: int, link,
                 wire: int, o: int, r: int) -> tuple:
@@ -533,7 +538,7 @@ class _Plan:
         corrections: the round's next ``(sx, sz, ops, link)``, from its
         pending corrections, its op count so far, the instruction's
         included, and its last link."""
-        dec = o ^ r if self.blinded else o
+        dec = o ^ r
         link = (link, step[0], wire, o, dec)
         if dec:
             # one operation per flip booked
@@ -550,16 +555,16 @@ class _Plan:
         _, us, wires, raw, decs = zip(*reversed(links)) if links else [()] * 5
         decoded = dict(zip(us, decs))
         accept = None if self.trap is None else decoded[self.trap] == 0
-        output = tuple(sorted((v, decoded[v]) for v in self.graph.outputs
-                              if v in decoded))
+        output = tuple((v, decoded[v]) for v in self.outputs if v in decoded)
         return RoundResult(tuple(zip(us, wires)), raw, decoded, output,
                            accept, prob, ops)
 
 
-def _run_round(plan: _Plan, prep: Mapping, rbits: Mapping, rng=None,
-               forced: Mapping | None = None,
-               deviation: Deviation | None = None) -> RoundResult:
-    """One sampled round of ``plan``, measured through groups.
+def _run_round(plan: _Plan, prep: Mapping, rbits: Mapping,
+               deviation: Deviation, rng=None,
+               forced: Mapping | None = None) -> RoundResult:
+    """One sampled round of ``plan`` against ``deviation``, measured
+    through groups.
 
     ``prep`` maps each vertex to {"angle": formula theta} or {"dummy":
     bit}, and ``rbits`` to its blinding bit; the trap, when present, runs
@@ -568,8 +573,7 @@ def _run_round(plan: _Plan, prep: Mapping, rbits: Mapping, rng=None,
     """
     if forced:
         _check_forced(forced, plan.order)
-    bob = Bob(deviation)
-    state = Group._from_reduced(len(plan.site), bob._entangled_rows(
+    state = Group._from_reduced(len(plan.site), deviation._entangled_rows(
         [prep[v] for v in plan.graph.nodes], plan.gains))
     theta = plan.thetas(prep)
     forced = forced or {}
@@ -580,8 +584,8 @@ def _run_round(plan: _Plan, prep: Mapping, rbits: Mapping, rng=None,
         r = rbits[u]
         wire, cost = plan.instruct(step, sx, sz, theta, r)
         if prob:
-            o, state, p = bob.measure(state, site, wire, rng=rng,
-                                      force=forced.get(u))
+            o, state, p = deviation._measure(state, site, wire, rng=rng,
+                                             force=forced.get(u))
             prob *= p
         else:
             o = forced.get(u, 0)
@@ -608,12 +612,14 @@ def _pad_kind(spec) -> str | None:
 
 def run_delegated(pattern: Pattern, *, rng=None, forced=None,
                   deviation=None) -> RoundResult:
-    """Unblinded delegation: Bob sees the true adapted angles."""
+    """Unblinded delegation: Bob sees the true adapted angles.  The
+    round is the blind round with every pad and blinding bit 0, counted
+    at one operation per instruction."""
     deviation = _deviation(deviation)
     nodes = pattern.graph.nodes
     prep = {v: {"angle": 0} for v in nodes}
     return _run_round(_Plan(pattern, blinded=False), prep,
-                      dict.fromkeys(nodes, 0), rng, forced, deviation)
+                      dict.fromkeys(nodes, 0), deviation, rng, forced)
 
 
 def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
@@ -624,7 +630,7 @@ def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
     deviation = _deviation(deviation)
     plan = _Plan(pattern)
     prep, rbits = plan.pads(rng, prep, rbits)
-    return _run_round(plan, prep, rbits, rng, forced, deviation)
+    return _run_round(plan, prep, rbits, deviation, rng, forced)
 
 
 def _trap_neighbors(graph: OpenGraph, trap) -> frozenset:
@@ -652,7 +658,7 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
         trap = graph.nodes[rng.randrange(len(graph.nodes))]
     plan = _Plan(pattern, trap)
     prep, rbits = plan.pads(rng, prep, rbits)
-    return _run_round(plan, prep, rbits, rng, forced, deviation)
+    return _run_round(plan, prep, rbits, deviation, rng, forced)
 
 
 def verified_rounds(pattern: Pattern, *, rng, deviation=None):
@@ -668,6 +674,13 @@ def verified_rounds(pattern: Pattern, *, rng, deviation=None):
     pattern, the rng and the deviation are checked on the call, before
     any round.
     """
+    return ((plan.trap, res)
+            for plan, res in _sampled_rounds(pattern, rng, deviation))
+
+
+def _sampled_rounds(pattern: Pattern, rng, deviation):
+    """The rounds of :func:`verified_rounds`, each as ``(plan, result)``
+    with the plan of its trap, after the checks of the call."""
     graph = pattern.graph
     _require_vertex(graph)
     _require_delegable(graph, pattern.angles)
@@ -683,7 +696,7 @@ def verified_rounds(pattern: Pattern, *, rng, deviation=None):
             prep, rbits = plans[trap].pads(rng)
             (_, res), = _walk_rounds(plans[trap], prep, deviation, rbits,
                                      rng)
-            yield trap, res
+            yield plans[trap], res
 
     return rounds()
 
@@ -698,8 +711,10 @@ def _dyadic(k: int) -> Fraction:
     return Fraction(1, 1 << k)
 
 
-def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
-    """Every live round of ``plan`` with pads ``prep``, the blinding bit
+def _walk_rounds(plan: _Plan, prep: Mapping, deviation: Deviation, rvalues,
+                 rng=None):
+    """Every live round of ``plan`` with pads ``prep`` against
+    ``deviation``, the blinding bit
     of each measured vertex running over ``rvalues``, as ``(halvings,
     result)``: the round's probability is 2 ** -halvings.  ``rvalues`` is
     a tuple of the bits walked at every vertex, or a mapping from each
@@ -707,8 +722,8 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
 
     With an ``rng`` the walk is a random descent: each vertex measures
     once, drawing a random outcome with one ``rng.randrange(2)`` (see
-    :meth:`Bob.outcomes`), so with one blinding bit per vertex exactly one
-    leaf is yielded, a sampled round.  It takes the inputs of
+    :meth:`Deviation._outcomes`), so with one blinding bit per vertex
+    exactly one leaf is yielded, a sampled round.  It takes the inputs of
     ``_run_round``, which measures the same round through groups, and its
     draws and its hook calls, one per event, come in the same order, so a
     hook that draws randomness may take part in a descent.
@@ -716,15 +731,15 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
     The rounds are the leaves of one depth-first walk over the reduced rows
     ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts from
     the entangled state of the pads, built straight into rows with the
-    plan's cz's (:meth:`Bob._entangled_rows`).  The deviation's
+    plan's cz's (:meth:`Deviation._entangled_rows`).  The deviation's
     ``after_entangle`` hook, when there is one, acts once: a ``_RowHook``
     on the rows, any other hook on the rows built as a group, with the
     state it returns checked once.  Then at each measured vertex, in
     Alice's order (``plan.steps``), the walk branches on the blinding bit r
-    and on the outcomes Bob can get (:meth:`Bob.outcomes`).  A node holds
-    Bob's rows, the halvings, Alice's pending corrections and op count, and
-    the last link of her record (see ``_Plan``), which is read into a
-    result only at a leaf.  Each child's rows come from one
+    and on the outcomes Bob can get (:meth:`Deviation._outcomes`).  A node
+    holds Bob's rows, the halvings, Alice's pending corrections and op
+    count, and the last link of her record (see ``_Plan``), which is read
+    into a result only at a leaf.  Each child's rows come from one
     :func:`dynamics.measure_rows` step, which leaves its parent's rows as
     they are, so branches share their prefix rows; a random outcome adds
     one halving to the branch, and dead outcomes are never visited.  A
@@ -746,7 +761,6 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
     act on the quarter, which breaks the argument, so a deviation that
     ``reads_instruction`` needs the full ``(0, 1)`` walk.
     """
-    bob = Bob(deviation)
     n = len(plan.site)
     theta = plan.thetas(prep)
     steps = plan.steps
@@ -761,21 +775,22 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation, rvalues, rng=None):
         children = []
         for r in rvalues[k]:
             wire, cost = plan.instruct(s, sx, sz, theta, r)
-            for o, post, random in bob.outcomes(rows, n, s[1], wire, rng):
+            for o, post, random in deviation._outcomes(rows, n, s[1], wire,
+                                                       rng):
                 children.append((post, halvings + random, *plan.receive(
                     s, sx, sz, ops + cost, link, wire, o, r)))
         return children
 
-    root = (bob._entangled_rows([prep[v] for v in plan.graph.nodes],
-                                plan.gains), 0, 0, 0, 0, None)
+    root = (deviation._entangled_rows([prep[v] for v in plan.graph.nodes],
+                                      plan.gains), 0, 0, 0, 0, None)
     for _, halvings, _, _, ops, link in walk(root, len(steps), step):
         yield halvings, plan.result(ops, link, _dyadic(halvings))
 
 
-def _plan_rounds(plan: _Plan, deviation=None, rvalues=(0, 1),
+def _plan_rounds(plan: _Plan, deviation: Deviation, rvalues=(0, 1),
                  support=None):
     """Yield (weight, RoundResult) over the pads and live outcome
-    branches of the round of ``plan``.
+    branches of the round of ``plan`` against ``deviation``.
 
     The weight is the pads' probability times the branch's, 2 ** -k for
     an integer k; the flow is found once, in the plan, and the walker
@@ -861,6 +876,14 @@ def _deviation(deviation) -> Deviation:
     return deviation
 
 
+def _fails(deviation: Deviation, plan: _Plan, res: RoundResult) -> bool:
+    """Whether a round of ``plan`` counts as a failure against
+    ``deviation``: accepted, with the decoded output outside the plan's
+    honest support unless the deviation ``assume_corrupted``."""
+    return res.accept and (deviation.assume_corrupted
+                           or res.output not in plan.honest_support)
+
+
 def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     """P(accept and the computation was corrupted), trap uniform.  A
     ``deviation`` of None is the honest server.
@@ -923,10 +946,9 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     total = Fraction(0)
     for trap in graph.nodes:
         plan = _Plan(pattern, trap)
-        honest = None if deviation.assume_corrupted else plan.honest_support
         hits = 0
         for w, res in _plan_rounds(plan, deviation, rvalues, support):
-            if res.accept and (honest is None or res.output not in honest):
+            if _fails(deviation, plan, res):
                 hits += top // w.denominator
         total += Fraction(hits, top)
     return total / len(graph.nodes)
@@ -950,21 +972,16 @@ def estimate_pfail(pattern: Pattern, deviation: Deviation | None, *, rng,
                    trials: int) -> dict:
     """Monte Carlo failure estimate with a Wilson 95% interval, over
     ``trials`` rounds of :func:`verified_rounds`.  A ``deviation`` of None
-    is the honest server."""
-    graph = pattern.graph
+    is the honest server.  Each trap's plan is built once, and its
+    honest support only when a round reads it."""
     deviation = _deviation(deviation)
-    rounds = verified_rounds(pattern, rng=rng, deviation=deviation)
+    rounds = _sampled_rounds(pattern, rng, deviation)
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, not {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    honest = {} if deviation.assume_corrupted else \
-        {t: honest_output_support(pattern, t) for t in graph.nodes}
-    fails = 0
-    for trap, res in islice(rounds, trials):
-        if res.accept and (deviation.assume_corrupted
-                           or res.output not in honest[trap]):
-            fails += 1
+    fails = sum(_fails(deviation, plan, res)
+                for plan, res in islice(rounds, trials))
     lo, hi = wilson_interval(fails, trials)
     return {"estimate": fails / trials, "fails": fails, "trials": trials,
             "interval": (lo, hi), "is_estimate": True}
@@ -1010,7 +1027,7 @@ def server_view_distribution(pattern: Pattern) -> dict:
     nodes = pattern.graph.nodes
     top = 1 << 4 * len(nodes)
     leaves = []   # (share, zero-pad round, its representative)
-    for w, res in _plan_rounds(_Plan(pattern), rvalues=(0,),
+    for w, res in _plan_rounds(_Plan(pattern), Deviation(), rvalues=(0,),
                                support=frozenset()):
         share = top // (w.denominator << 2 * len(nodes) + len(res.raw))
         leaves.append((share, res, tuple(

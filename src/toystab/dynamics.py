@@ -185,7 +185,8 @@ class Permutation:
         if group.n != self.n:
             raise ValueError("size mismatch")
         if not group._known_valid:
-            return Group(self.n, [self.conj_element(g) for g in group.canonical])
+            return Group(self.n,
+                         [self.conj_element(g) for g in group.generators])
         return Group._from_reduced(self.n, self._conj_rows(group._pivots))
 
     # -- serialization -----------------------------------------------

@@ -390,7 +390,8 @@ def test_criterion_12_verification_bound():
         pat3 = _line_pattern(3, (0, 1, 0))
         for trap in pat3.graph.nodes:
             total = Fraction(0)
-            for w, res in bvc._plan_rounds(bvc._Plan(pat3, trap)):
+            for w, res in bvc._plan_rounds(bvc._Plan(pat3, trap),
+                                           bvc.Deviation()):
                 assert res.accept
                 total += w
             assert total == 1

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from toystab.algebra import (Element, Group, echelon, insert, matrix_diag,
                              reduce, solve_gf2)
-from toystab.dynamics import _nullspace, _solve_affine
+from toystab.dynamics import Permutation, _nullspace, _solve_affine
 
 from conftest import random_element, random_group
 
@@ -187,6 +187,27 @@ def test_embed_checks_the_sites_of_a_trivial_group(sites, message):
         with pytest.raises(ValueError, match=message):
             group.embed(3, sites)
     assert Group(2, []).embed(3, [2, 0]) == Group(3, [])
+
+
+_NEG_PAIR = Group.parse("+ZI\n-ZI")
+
+
+@pytest.mark.parametrize("rebuild, message", [
+    (lambda: Permutation.local(1, 0, "H").conjugate(Group.parse("+Z\n-Z")),
+     "negative identity"),
+    (lambda: _NEG_PAIR.embed(3, [0, 1]), "negative identity"),
+    (lambda: _NEG_PAIR.tensor(Group.parse("+X")), "negative identity"),
+    (lambda: _NEG_PAIR.extended(Element.parse("+IZ")), "negative identity"),
+    (lambda: Group.parse("+ZI\n+IZ\n+ZZ").embed(2, [1, 0]),
+     "linearly dependent"),
+], ids=["conjugate", "embed", "tensor", "extended", "embed-dependent"])
+def test_rebuilt_groups_keep_an_invalid_input_invalid(rebuild, message):
+    # each was rebuilt from the canonical rows, which drop a negative
+    # identity and any dependence, and so read as a valid state
+    group = rebuild()
+    assert any(message in v for v in group.violations())
+    with pytest.raises(ValueError, match=message):
+        group.require_valid()
 
 
 @pytest.mark.parametrize("site", [True, 1.0, "1"])

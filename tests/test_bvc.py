@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from toystab import bvc
 from toystab.algebra import Element, Group
 from toystab.dynamics import Permutation
-from toystab.mbtc import (OpenGraph, Pattern, _entangled, angle_element,
-                          run_pattern, walk)
+from toystab.mbtc import (OpenGraph, Pattern, _cz_gains, _entangled,
+                          angle_element, run_pattern, walk)
 
 from conftest import random_group
 from test_dynamics import reference_erase
@@ -120,8 +120,8 @@ def test_bob_entangles_like_cz_conjugation(case):
     prep, edges = case
     n = len(prep)
     seen = []
-    bob = bvc.Bob(bvc.Deviation(after_entangle=lambda s: seen.append(s) or s))
-    state = Group._from_reduced(n, bob.entangled_rows(prep, edges))
+    dev = bvc.Deviation(after_entangle=lambda s: seen.append(s) or s)
+    state = Group._from_reduced(n, dev._entangled_rows(prep, _cz_gains(edges)))
     assert len(seen) == 1 and seen[0]._known_valid
     assert seen[0].canonical == state.canonical
     assert state.canonical == _reference_entangled(prep, edges).canonical
@@ -135,7 +135,7 @@ def test_pad_rows_match_prepare_and_entangle(case):
     # two-group build and the cz-conjugated pads
     prep, edges = case
     n = len(prep)
-    rows = bvc.Bob().entangled_rows(prep, edges)
+    rows = bvc.Deviation()._entangled_rows(prep, _cz_gains(edges))
     assert rows == reference_entangle(prep, edges)._pivots
     assert rows == _reference_entangled(prep, edges)._pivots
     assert all(type(neg) is bool for _, neg in rows.values())
@@ -155,8 +155,8 @@ def test_pad_rows_hand_the_hook_the_entangled_state(case):
         seen.append(state)
         return flip.conjugate(state)
 
-    rows = bvc.Bob(bvc.Deviation(after_entangle=hook)).entangled_rows(
-        prep, edges)
+    rows = bvc.Deviation(after_entangle=hook)._entangled_rows(
+        prep, _cz_gains(edges))
     want = reference_entangle(prep, edges)
     assert len(seen) == 1 and seen[0]._known_valid
     assert seen[0].canonical == want.canonical
@@ -217,10 +217,10 @@ def test_row_hooks_match_their_group_form(case):
     # element
     prep, edges, dev, reference = case
     n = len(prep)
-    rows = bvc.Bob().entangled_rows(prep, edges)
+    rows = bvc.Deviation()._entangled_rows(prep, _cz_gains(edges))
     before = dict(rows)
     state = Group._from_reduced(n, rows)
-    got = _result_or_error(lambda: bvc.Bob(dev).entangled_rows(prep, edges))
+    got = _result_or_error(lambda: dev._entangled_rows(prep, _cz_gains(edges)))
     assert got == _result_or_error(
         lambda: bvc._held_rows(dev.after_entangle(state), n))
     assert got == _result_or_error(lambda: reference(state)._pivots)
@@ -239,8 +239,8 @@ def test_a_replaced_row_hook_runs_the_new_hook():
 
     dev = dataclasses.replace(bvc.extremal_deviation(1), after_entangle=hook)
     prep, edges = [{"angle": 1}, {"angle": 2}, {"dummy": 1}], [(0, 1), (1, 2)]
-    assert bvc.Bob(dev).entangled_rows(prep, edges) == \
-        bvc.Bob().entangled_rows(prep, edges)
+    assert dev._entangled_rows(prep, _cz_gains(edges)) == \
+        bvc.Deviation()._entangled_rows(prep, _cz_gains(edges))
     assert len(seen) == 1
     # an honest server is always accepted, and the deviation is credited
     # with corrupting; the swap-in would be caught 1/6 of the time
@@ -259,7 +259,7 @@ def test_honest_and_flip_all_walks_build_no_group(monkeypatch):
             cls, *args)))
     plan = bvc._Plan(PAT3, 0)
     prep = {0: {"angle": 3}, 1: {"dummy": 1}, 2: {"angle": 2}}
-    for dev in (None, bvc.flip_all_deviation()):
+    for dev in (bvc.Deviation(), bvc.flip_all_deviation()):
         assert list(bvc._walk_rounds(plan, prep, dev, (0, 1)))
     assert built == []
     # the built-in after_entangle hooks act on the rows
@@ -365,7 +365,8 @@ def test_quantum_inputs_rejected():
 def test_honest_verified_accepts_always():
     for trap in PAT3.graph.nodes:
         total = Fraction(0)
-        for w, res in bvc._plan_rounds(bvc._Plan(PAT3, trap)):
+        for w, res in bvc._plan_rounds(bvc._Plan(PAT3, trap),
+                                       bvc.Deviation()):
             assert res.accept
             total += w
         assert total == 1
@@ -538,7 +539,7 @@ def reference_support(pattern, trap=None):
     plan = bvc._Plan(pattern, trap)
     support = set()
     for bits in product(range(2), repeat=len(measured)):
-        res = bvc._run_round(plan, prep, rbits,
+        res = bvc._run_round(plan, prep, rbits, bvc.Deviation(),
                              forced=dict(zip(measured, bits)))
         if res.probability:
             support.add(res.output)
@@ -653,7 +654,7 @@ def full_walk_pfail(pattern, deviation):
 def full_walk_view(pattern):
     """server_view_distribution with every blinding bit walked."""
     dist = {}
-    for w, res in bvc._plan_rounds(bvc._Plan(pattern)):
+    for w, res in bvc._plan_rounds(bvc._Plan(pattern), bvc.Deviation()):
         key = (res.deltas, res.raw)
         dist[key] = dist.get(key, Fraction(0)) + w
     return dist
@@ -686,9 +687,9 @@ def test_r_class_matches_full_walk_per_pad(angles):
     for thetas in product(range(4), repeat=len(angles)):
         prep = {v: {"angle": t} for v, t in enumerate(thetas)}
         full, mirrored = Counter(), Counter()
-        for _, res in bvc._walk_rounds(plan, prep, None, (0, 1)):
+        for _, res in bvc._walk_rounds(plan, prep, bvc.Deviation(), (0, 1)):
             full[res.deltas, res.raw] += res.probability
-        for _, res in bvc._walk_rounds(plan, prep, None, (0,)):
+        for _, res in bvc._walk_rounds(plan, prep, bvc.Deviation(), (0,)):
             for key in bvc._r_class(res):
                 mirrored[key] += res.probability
         assert mirrored == full, thetas
@@ -702,26 +703,27 @@ def test_pad_class_matches_full_walk_per_pad(pattern):
     graph = pattern.graph
     plan = bvc._Plan(pattern)
     zero = list(bvc._walk_rounds(plan, {v: {"angle": 0} for v in graph.nodes},
-                                 None, (0,)))
+                                 bvc.Deviation(), (0,)))
     for thetas in product(range(4), repeat=len(graph.nodes)):
         pad = dict(zip(graph.nodes, thetas))
         want = [(halvings, dataclasses.replace(res, deltas=tuple(
             (u, d ^ pad[u]) for u, d in res.deltas)))
                 for halvings, res in zero]
         prep = {v: {"angle": t} for v, t in pad.items()}
-        assert list(bvc._walk_rounds(plan, prep, None, (0,))) == want, pad
+        assert list(bvc._walk_rounds(plan, prep, bvc.Deviation(),
+                                     (0,))) == want, pad
 
 
 def test_view_walks_the_outcome_tree_once(monkeypatch):
     # one zero-pad walk per view, not one walk per pad configuration
     calls = []
-    entangled_rows = bvc.Bob._entangled_rows
+    entangled_rows = bvc.Deviation._entangled_rows
 
     def counted(self, states, gains):
         calls.append(tuple(spec["angle"] for spec in states))
         return entangled_rows(self, states, gains)
 
-    monkeypatch.setattr(bvc.Bob, "_entangled_rows", counted)
+    monkeypatch.setattr(bvc.Deviation, "_entangled_rows", counted)
     for pattern in GRAPHS:
         calls.clear()
         bvc.server_view_distribution(pattern)
@@ -762,19 +764,20 @@ def test_instruction_reading_deviation_sees_both_blinding_bits():
 
 # -- the row walk against the earlier group walk ------------------------------
 
-def reference_outcomes(bob, state, site, angle):
+def reference_outcomes(deviation, state, site, angle):
     """The earlier ``Bob.outcomes``: [(reported outcome, post state,
     probability)] of every outcome that can occur, on a group."""
     quarter = bvc.quarter_from_formula(angle)
-    state, e = bob._observable(state, site, quarter)
-    return [(bob._report(site, out), post, p)
+    if deviation.before_measure:
+        state = deviation.before_measure(site, quarter, state)
+    e = angle_element(state.n, site, quarter)
+    return [(deviation._report(site, out), post, p)
             for out, post, p in live_outcomes(state, e)]
 
 
 def reference_walk(plan, prep, deviation, rvalues):
     """The earlier ``_walk_rounds``: the same depth-first walk, holding
     Bob's state as a group and each branch's weight as a Fraction."""
-    bob = bvc.Bob(deviation)
     edges = [(plan.site[a], plan.site[b]) for a, b in plan.graph.edges]
     state = reference_entangle([prep[v] for v in plan.graph.nodes], edges,
                                deviation)
@@ -786,7 +789,8 @@ def reference_walk(plan, prep, deviation, rvalues):
         children = []
         for r in rvalues:
             wire, cost = plan.instruct(s, sx, sz, theta, r)
-            for o, post, p in reference_outcomes(bob, state, s[1], wire):
+            for o, post, p in reference_outcomes(deviation, state, s[1],
+                                                 wire):
                 children.append((post, prob * p, *plan.receive(
                     s, sx, sz, ops + cost, link, wire, o, r)))
         return children
@@ -984,6 +988,24 @@ def test_batched_rounds_match_single_rounds(case):
     assert batch_rng.getstate() == single_rng.getstate()
 
 
+@settings(max_examples=300, deadline=None)
+@given(_patterns(5), st.data(), st.integers(0, 1 << 32))
+def test_delegated_round_is_the_zero_pad_blind_round(pattern, data, seed):
+    # an unblinded round differs from the blind round with every pad and
+    # blinding bit 0 only in Alice's count: 1 operation per instruction
+    # instead of 3
+    deviation = data.draw(_deviations(len(pattern.graph.nodes)))
+    nodes = pattern.graph.nodes
+    rng, zero_rng = random.Random(seed), random.Random(seed)
+    got = bvc.run_delegated(pattern, rng=rng, deviation=deviation)
+    want = bvc.run_blind(pattern, rng=zero_rng, deviation=deviation,
+                         prep={v: {"angle": 0} for v in nodes},
+                         rbits=dict.fromkeys(nodes, 0))
+    assert got == dataclasses.replace(
+        want, alice_ops=want.alice_ops - 2 * len(want.deltas))
+    assert rng.getstate() == zero_rng.getstate()
+
+
 def test_batched_rounds_build_one_plan_per_trap(monkeypatch):
     built = []
     init = bvc._Plan.__init__
@@ -1003,6 +1025,12 @@ def test_batched_rounds_build_one_plan_per_trap(monkeypatch):
     bvc.estimate_pfail(PAT3, bvc.extremal_deviation(1), rng=random.Random(2),
                        trials=200)
     assert len(built) <= 3
+    # and reads each honest support from the plan that drew the round
+    for dev in (bvc.Deviation(), bvc.flip_all_deviation(),
+                bvc.pauli_deviation({1: "Z"})):
+        built.clear()
+        bvc.estimate_pfail(PAT3, dev, rng=random.Random(2), trials=200)
+        assert len(built) <= 3
     # a single round builds its own plan
     built.clear()
     bvc.run_verified(PAT3, rng=random.Random(3))
@@ -1045,7 +1073,8 @@ def fraction_pfail(pattern, deviation):
 def fraction_view(pattern):
     """The earlier server_view_distribution: Fraction shares per key."""
     dist = {}
-    for w, res in bvc._plan_rounds(bvc._Plan(pattern), rvalues=(0,)):
+    for w, res in bvc._plan_rounds(bvc._Plan(pattern), bvc.Deviation(),
+                                   rvalues=(0,)):
         share = w / 2 ** len(res.raw)
         for key in bvc._r_class(res):
             dist[key] = dist.get(key, Fraction(0)) + share
@@ -1113,7 +1142,8 @@ def test_enumerated_weights_are_pad_times_branch(trap, rvalues):
     pad_weight = Fraction(1, 4 ** (len(graph.nodes) - len(dummies))
                           * 2 ** len(dummies) * len(rvalues) ** measured)
     total = Fraction(0)
-    for w, res in bvc._plan_rounds(bvc._Plan(PAT3, trap), rvalues=rvalues):
+    for w, res in bvc._plan_rounds(bvc._Plan(PAT3, trap), bvc.Deviation(),
+                                   rvalues=rvalues):
         assert w == pad_weight * res.probability
         total += w
     assert total == 1
@@ -1165,7 +1195,7 @@ def _deferred_prep(plan, prep, support):
 def test_hook_free_rounds_read_the_same_on_every_pad(pattern):
     # empty support: whatever the pads, Alice reads what the zero pads give
     graph = pattern.graph
-    for dev in (None, bvc.flip_all_deviation()):
+    for dev in (bvc.Deviation(), bvc.flip_all_deviation()):
         for trap in (None,) + graph.nodes:
             dummies = graph.neighbors(trap) if trap is not None else set()
             plan = bvc._Plan(pattern, trap)
@@ -1293,6 +1323,28 @@ def test_vertices_of_mixed_types():
     for trap in graph.nodes:
         res = bvc.run_verified(pattern, rng=random.Random(0), trap=trap)
         assert res.accept is True
+    assert bvc.exact_pfail(pattern, None) == 0
+    assert bvc.exact_pfail(pattern, bvc.extremal_deviation(1)) \
+        == Fraction(5, 6)
+
+
+def test_outputs_of_mixed_vertex_types():
+    # the output pairs come in node order, so vertices of different types
+    # are never compared
+    nodes = (0, "a", 2)
+    graph = OpenGraph(nodes, ((0, "a"), ("a", 2)), outputs=nodes)
+    pattern = Pattern(graph, {0: 1, "a": 0, 2: 3})
+    res = bvc.run_blind(pattern, rng=random.Random(0))
+    assert [v for v, _ in res.output] == list(nodes)
+    assert res.output == tuple((v, res.decoded[v]) for v in nodes)
+    for trap in nodes:
+        kept = [v for v in nodes if v not in graph.neighbors(trap)]
+        res = bvc.run_verified(pattern, rng=random.Random(1), trap=trap)
+        assert res.accept is True
+        assert [v for v, _ in res.output] == kept
+        support = bvc.honest_output_support(pattern, trap)
+        assert res.output in support
+        assert all([v for v, _ in out] == kept for out in support)
     assert bvc.exact_pfail(pattern, None) == 0
     assert bvc.exact_pfail(pattern, bvc.extremal_deviation(1)) \
         == Fraction(5, 6)

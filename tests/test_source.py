@@ -11,8 +11,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toystab"
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_definitions(tree):
-    """(name, first line, last line) of each module-level private name."""
+    """(name, first line, last line) of each module-level private name,
+    and of each private method or property of a module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -23,8 +28,11 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if _is_private(name):
                 yield name, node.lineno, node.end_lineno
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef) and _is_private(item.name):
+                yield item.name, item.lineno, item.end_lineno
 
 
 def _references(tree):
@@ -40,8 +48,8 @@ def _references(tree):
 
 
 def test_every_private_module_name_is_used():
-    # a table or helper left behind by a refactor shows up as a private
-    # name that nothing outside its own definition reads
+    # a table, helper or method left behind by a refactor shows up as a
+    # private name that nothing outside its own definition reads
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     refs = {module: list(_references(tree)) for module, tree in trees.items()}
     unused = []
