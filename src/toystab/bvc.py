@@ -714,11 +714,11 @@ def _dyadic(k: int) -> Fraction:
 def _walk_rounds(plan: _Plan, prep: Mapping, deviation: Deviation, rvalues,
                  rng=None):
     """Every live round of ``plan`` with pads ``prep`` against
-    ``deviation``, the blinding bit
-    of each measured vertex running over ``rvalues``, as ``(halvings,
-    result)``: the round's probability is 2 ** -halvings.  ``rvalues`` is
-    a tuple of the bits walked at every vertex, or a mapping from each
-    vertex to its one drawn bit, as :meth:`_Plan.pads` gives them.
+    ``deviation``, the blinding bit of each measured vertex running over
+    ``rvalues``, as ``(halvings, result)``: the round's probability is
+    2 ** -halvings.  ``rvalues`` is a tuple of the bits walked at every
+    vertex, or a mapping from each vertex to its one drawn bit, as
+    :meth:`_Plan.pads` gives them.
 
     With an ``rng`` the walk is a random descent: each vertex measures
     once, drawing a random outcome with one ``rng.randrange(2)`` (see

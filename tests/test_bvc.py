@@ -765,8 +765,8 @@ def test_instruction_reading_deviation_sees_both_blinding_bits():
 # -- the row walk against the earlier group walk ------------------------------
 
 def reference_outcomes(deviation, state, site, angle):
-    """The earlier ``Bob.outcomes``: [(reported outcome, post state,
-    probability)] of every outcome that can occur, on a group."""
+    """``Deviation._outcomes`` on a group: [(reported outcome, post
+    state, probability)] of every outcome that can occur."""
     quarter = bvc.quarter_from_formula(angle)
     if deviation.before_measure:
         state = deviation.before_measure(site, quarter, state)
