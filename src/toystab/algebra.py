@@ -289,8 +289,9 @@ class Group:
       groups;
     * ``bvc._run_round``: the rows ``bvc.Deviation._entangled_rows``
       returns, for a single sampled round to measure through groups;
-    * ``bvc.Deviation._outcomes``: the rows of the exact walk or of a
-      batched round's random descent, only to hand them to a
+    * ``bvc.Deviation._outcomes``: the rows of the exact walk
+      (``bvc._walk_rounds``) or of a batched round's one-child-per-step
+      descent (``bvc._descend``), only to hand them to a
       ``before_measure`` hook;
     * ``bvc._RowHook``, called on a group: the rows of a built-in
       ``after_entangle`` hook's action (the extremal swap-in, a Pauli or

@@ -27,9 +27,10 @@ hidden among fixed-basis dummies, after Fitzsimons–Kashefi,
 arXiv:1203.5217), Alice's measurement order and corrections, the cz's
 of the graph, the draws and checks of the pads, and the honest output
 support.  Every function that runs rounds takes a plan: ``_run_round``
-runs one sampled round, ``_walk_rounds`` walks the rounds of one pad
-configuration, and ``_plan_rounds`` walks the pad configurations.  An
-unblinded round is the blind round with every pad and blinding bit 0.
+and ``_descend`` run one sampled round, ``_walk_rounds`` walks the
+rounds of one pad configuration, and ``_plan_rounds`` walks the pad
+configurations.  An unblinded round is the blind round with every pad
+and blinding bit 0.
 
 Every round starts from the entangled state of its pads, built
 straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
@@ -51,23 +52,24 @@ read into a ``RoundResult`` once per leaf.
 
 Sampled rounds come two ways.  A batch of verified rounds
 (:func:`verified_rounds`, behind ``estimate_pfail`` and the CLI's sampled
-accept rate) builds one plan per trap, and each round is a random descent
-of the exact walk on the rows: one child, drawn from the rng, at each
-vertex.  A single round (``run_verified``, ``run_blind`` and
-``run_delegated``) builds one plan per call and still holds the state as a
-group, measured with :func:`dynamics.measure_element`; it is the reference
-the descent is tested against.  It stays there because of the benchmark
-harness, which keeps a record per op, so that its peak memory grows with
-the op count.  In one pair of 20 s runs each on a 2-vCPU box, single
-rounds on the descent took the 8-node ``bvc-mc`` workload from 3139–3230
-to 5114–5216 ops/s, and its ``peak_rss_mb`` from 42.9–44.2 to 51.7–53.9
-MiB (+21%).  A group that builds its elements lazily, in three later
-pairs of 20 s runs, took it from 3208–3264 to 4155–4227 ops/s (+30%) and
-from 44.7–45.7 to 50.8–52.6 MiB (+12% to +17%).  Both exceed the 10%
-memory bound, as would caching the plan, which is a quarter of such a
-round.  Once the harness keeps a fixed-size record (ROADMAP item 1),
-moving single rounds onto the descent changes the body of ``_run_round``
-alone.
+accept rate) builds one plan per trap, and runs each round as
+``_descend``: a loop over Alice's steps on the rows, taking at each vertex
+the one child that :meth:`Deviation._outcomes` draws from the rng.  A
+single round (``run_verified``, ``run_blind`` and ``run_delegated``)
+builds one plan per call and runs ``_run_round``, which still holds the
+state as a group, measured with :func:`dynamics.measure_element`; it is
+the reference the descent is tested against.  It stays there because of
+the benchmark harness, which keeps a record per op, so that its peak
+memory grows with the op count.  In one pair of 20 s runs each on a
+2-vCPU box, single rounds on the descent took the 8-node ``bvc-mc``
+workload from 3139–3230 to 5114–5216 ops/s, and its ``peak_rss_mb`` from
+42.9–44.2 to 51.7–53.9 MiB (+21%).  A group that builds its elements
+lazily, in three later pairs of 20 s runs, took it from 3208–3264 to
+4155–4227 ops/s (+30%) and from 44.7–45.7 to 50.8–52.6 MiB (+12% to
++17%).  Both exceed the 10% memory bound, as would caching the plan,
+which is a quarter of such a round.  Once the harness keeps a fixed-size
+record (ROADMAP item 1), ``_run_round``'s callers move onto ``_descend``
+(ROADMAP item 2).
 
 Which pads are walked depends on what the analysis reads.  Alice's
 decoded bits do not depend on a pad outside the sites a deviation's
@@ -224,17 +226,25 @@ class Deviation:
         return rows
 
     def _report(self, site: int, out: int) -> int:
-        """The outcome Bob reports for ``out`` at ``site``."""
-        return out ^ self.flip_outcome(site) if self.flip_outcome else out
+        """The outcome Bob reports for ``out`` at ``site``.  The flip must
+        be 0 or 1, as an int or a bool."""
+        if not self.flip_outcome:
+            return out
+        flip = self.flip_outcome(site)
+        if flip not in (0, 1) or type(flip) not in (int, bool):
+            raise ValueError(
+                f"flip_outcome at site {site} is {flip!r}, not 0 or 1")
+        return out ^ flip
 
     def _measure(self, state: Group, site: int, angle: int, *, rng=None,
                  force: int | None = None):
         """(reported outcome, post state, probability) of one outcome of
         measuring ``site`` of the group ``state`` at the formula angle
-        ``angle``, after the ``before_measure`` hook."""
+        ``angle``, after the ``before_measure`` hook, whose state must be
+        a group."""
         quarter = quarter_from_formula(angle)
         if self.before_measure:
-            state = self.before_measure(site, quarter, state)
+            state = _require_group(self.before_measure(site, quarter, state))
         out, post, p = measure_element(
             state, angle_element(state.n, site, quarter), rng=rng,
             force=force)
@@ -268,10 +278,19 @@ class Deviation:
         return children
 
 
+def _require_group(state) -> Group:
+    """``state``, which a deviation's hook returned, checked to be a
+    group."""
+    if not isinstance(state, Group):
+        raise ValueError(
+            f"a deviation hook must return a Group, not {state!r}")
+    return state
+
+
 def _held_rows(state: Group, n: int) -> dict:
     """The reduced rows of a state Bob holds, checked as the sampled
     round's measurement checks it."""
-    state.require_valid()
+    _require_group(state).require_valid()
     if state.n != n:
         raise ValueError("size mismatch")
     return state._pivots
@@ -594,6 +613,36 @@ def _run_round(plan: _Plan, prep: Mapping, rbits: Mapping,
     return plan.result(ops, link, prob)
 
 
+def _descend(plan: _Plan, prep: Mapping, rbits: Mapping,
+             deviation: Deviation, rng) -> RoundResult:
+    """One sampled round of ``plan`` against ``deviation``, descended on
+    Bob's reduced rows: the round ``_run_round`` measures through groups,
+    with the same draws and hook calls in the same order, so a hook that
+    draws randomness may take part.
+
+    It is one path down the tree of ``_walk_rounds``, built the same way:
+    the entangled rows of the pads (:meth:`Deviation._entangled_rows`),
+    then at each of Alice's steps the instruction at the drawn blinding
+    bit ``rbits[u]``, the one child that :meth:`Deviation._outcomes` draws
+    with the rng, and Alice's decoding of it.  A random outcome adds one
+    halving to the round's probability.
+    """
+    n = len(plan.site)
+    theta = plan.thetas(prep)
+    rows = deviation._entangled_rows([prep[v] for v in plan.graph.nodes],
+                                     plan.gains)
+    halvings = sx = sz = ops = 0
+    link = None
+    for step in plan.steps:
+        r = rbits[step[0]]
+        wire, cost = plan.instruct(step, sx, sz, theta, r)
+        (o, rows, random), = deviation._outcomes(rows, n, step[1], wire, rng)
+        halvings += random
+        sx, sz, ops, link = plan.receive(step, sx, sz, ops + cost, link,
+                                         wire, o, r)
+    return plan.result(ops, link, _dyadic(halvings))
+
+
 def _require_rng(rng) -> None:
     if rng is None:
         raise ValueError("a sampled round needs an rng to draw from")
@@ -669,34 +718,40 @@ def verified_rounds(pattern: Pattern, *, rng, deviation=None):
     outcome.
 
     Each trap's plan is built the first time the trap is drawn, and each
-    round is a random descent of the exact walk on Bob's rows
-    (``_walk_rounds`` with an rng), with the drawn blinding bits.  The
-    pattern, the rng and the deviation are checked on the call, before
-    any round.
+    round is a random descent on Bob's rows (``_descend``), with the drawn
+    pads and blinding bits.  The pattern, the rng and the deviation are
+    checked on the call, before any round.
     """
     return ((plan.trap, res)
-            for plan, res in _sampled_rounds(pattern, rng, deviation))
+            for plan, res in _sampled_rounds(pattern, rng, deviation, {}))
 
 
-def _sampled_rounds(pattern: Pattern, rng, deviation):
+def _shared_plan(pattern: Pattern, trap, plans: dict) -> _Plan:
+    """The plan of ``trap`` in ``plans``, built and stored there the
+    first time it is asked for."""
+    plan = plans.get(trap)
+    if plan is None:
+        plan = plans[trap] = _Plan(pattern, trap)
+    return plan
+
+
+def _sampled_rounds(pattern: Pattern, rng, deviation, plans: dict):
     """The rounds of :func:`verified_rounds`, each as ``(plan, result)``
-    with the plan of its trap, after the checks of the call."""
+    with the plan of its trap, after the checks of the call.  The plans
+    are read from and stored in ``plans``, a dict from trap to plan of
+    ``pattern``, so calls on one pattern may share them."""
     graph = pattern.graph
     _require_vertex(graph)
     _require_delegable(graph, pattern.angles)
     _require_rng(rng)
     deviation = _deviation(deviation)
-    plans = {}
 
     def rounds():
         while True:
-            trap = graph.nodes[rng.randrange(len(graph.nodes))]
-            if trap not in plans:
-                plans[trap] = _Plan(pattern, trap)
-            prep, rbits = plans[trap].pads(rng)
-            (_, res), = _walk_rounds(plans[trap], prep, deviation, rbits,
-                                     rng)
-            yield plans[trap], res
+            plan = _shared_plan(
+                pattern, graph.nodes[rng.randrange(len(graph.nodes))], plans)
+            prep, rbits = plan.pads(rng)
+            yield plan, _descend(plan, prep, rbits, deviation, rng)
 
     return rounds()
 
@@ -711,22 +766,12 @@ def _dyadic(k: int) -> Fraction:
     return Fraction(1, 1 << k)
 
 
-def _walk_rounds(plan: _Plan, prep: Mapping, deviation: Deviation, rvalues,
-                 rng=None):
+def _walk_rounds(plan: _Plan, prep: Mapping, deviation: Deviation,
+                 rvalues: tuple):
     """Every live round of ``plan`` with pads ``prep`` against
     ``deviation``, the blinding bit of each measured vertex running over
     ``rvalues``, as ``(halvings, result)``: the round's probability is
-    2 ** -halvings.  ``rvalues`` is a tuple of the bits walked at every
-    vertex, or a mapping from each vertex to its one drawn bit, as
-    :meth:`_Plan.pads` gives them.
-
-    With an ``rng`` the walk is a random descent: each vertex measures
-    once, drawing a random outcome with one ``rng.randrange(2)`` (see
-    :meth:`Deviation._outcomes`), so with one blinding bit per vertex
-    exactly one leaf is yielded, a sampled round.  It takes the inputs of
-    ``_run_round``, which measures the same round through groups, and its
-    draws and its hook calls, one per event, come in the same order, so a
-    hook that draws randomness may take part in a descent.
+    2 ** -halvings.
 
     The rounds are the leaves of one depth-first walk over the reduced rows
     ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts from
@@ -764,19 +809,14 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation: Deviation, rvalues,
     n = len(plan.site)
     theta = plan.thetas(prep)
     steps = plan.steps
-    if isinstance(rvalues, Mapping):
-        rvalues = [(rvalues[step[0]],) for step in steps]
-    else:
-        rvalues = [rvalues] * len(steps)
 
     def step(k, node):
         rows, halvings, sx, sz, ops, link = node
         s = steps[k]
         children = []
-        for r in rvalues[k]:
+        for r in rvalues:
             wire, cost = plan.instruct(s, sx, sz, theta, r)
-            for o, post, random in deviation._outcomes(rows, n, s[1], wire,
-                                                       rng):
+            for o, post, random in deviation._outcomes(rows, n, s[1], wire):
                 children.append((post, halvings + random, *plan.receive(
                     s, sx, sz, ops + cost, link, wire, o, r)))
         return children
@@ -937,6 +977,12 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     therefore summed as integer numerators over 2 ** 4n, with one
     ``Fraction`` per trap.
     """
+    return _exact_pfail(pattern, deviation, {})
+
+
+def _exact_pfail(pattern: Pattern, deviation, plans: dict) -> Fraction:
+    """:func:`exact_pfail`, with each trap's plan read from and stored in
+    ``plans`` (see ``_sampled_rounds``)."""
     graph = pattern.graph
     deviation = _deviation(deviation)
     _require_vertex(graph)
@@ -945,7 +991,7 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     top = 1 << 4 * len(graph.nodes)
     total = Fraction(0)
     for trap in graph.nodes:
-        plan = _Plan(pattern, trap)
+        plan = _shared_plan(pattern, trap, plans)
         hits = 0
         for w, res in _plan_rounds(plan, deviation, rvalues, support):
             if _fails(deviation, plan, res):
@@ -956,7 +1002,10 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
     """Wilson score 95% interval for a binomial proportion of ``k``
-    successes in ``n`` trials."""
+    successes in ``n`` trials, both ints."""
+    if type(k) is not int or type(n) is not int:
+        raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}: the "
+                         "counts must be ints")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if n == 0:
@@ -974,8 +1023,15 @@ def estimate_pfail(pattern: Pattern, deviation: Deviation | None, *, rng,
     ``trials`` rounds of :func:`verified_rounds`.  A ``deviation`` of None
     is the honest server.  Each trap's plan is built once, and its
     honest support only when a round reads it."""
+    return _estimate_pfail(pattern, deviation, rng, trials, {})
+
+
+def _estimate_pfail(pattern: Pattern, deviation, rng, trials,
+                    plans: dict) -> dict:
+    """:func:`estimate_pfail`, with each trap's plan read from and stored
+    in ``plans`` (see ``_sampled_rounds``)."""
     deviation = _deviation(deviation)
-    rounds = _sampled_rounds(pattern, rng, deviation)
+    rounds = _sampled_rounds(pattern, rng, deviation, plans)
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, not {trials!r}")
     if trials < 1:

@@ -344,14 +344,16 @@ def _cmd_bvc(args) -> dict:
     rng = random.Random(args.seed)
     if args.mode == "verified":
         report["bound"] = _rat(bvc.trap_bound(pattern))
+        # the audit and the sampled rounds share each trap's plan
+        plans = {}
         if args.exact:
-            report["p_fail"] = _rat(bvc.exact_pfail(pattern, deviation))
+            report["p_fail"] = _rat(bvc._exact_pfail(pattern, deviation,
+                                                     plans))
             report["exact"] = True
         else:
-            est = bvc.estimate_pfail(pattern, deviation, rng=rng,
-                                     trials=args.trials)
-            report["p_fail"] = est
-        rounds = bvc.verified_rounds(pattern, rng=rng, deviation=deviation)
+            report["p_fail"] = bvc._estimate_pfail(pattern, deviation, rng,
+                                                   args.trials, plans)
+        rounds = bvc._sampled_rounds(pattern, rng, deviation, plans)
         accepts = sum(res.accept
                       for _, res in islice(rounds, args.sample_rounds))
         report["accept_rate"] = {"accepted": accepts,

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
@@ -459,6 +460,10 @@ def test_flip_outcome_xors_a_bit_per_site():
     dev = bvc.Deviation(flip_outcome=lambda site: int(site == 1))
     res = bvc.run_delegated(PAT3, forced={0: 0, 1: 0, 2: 0}, deviation=dev)
     assert res.raw == (0, 1, 0)
+    # a bool is a bit too
+    dev = bvc.Deviation(flip_outcome=lambda site: site == 1)
+    assert bvc.run_delegated(PAT3, forced={0: 0, 1: 0, 2: 0},
+                             deviation=dev) == res
 
 
 def test_reads_instruction_follows_the_hooks():
@@ -943,6 +948,45 @@ def test_hook_output_is_checked():
         "+ZII\n+ZII"))
     with pytest.raises(ValueError, match="linearly dependent"):
         bvc.run_blind(PAT3, rng=random.Random(0), deviation=dependent)
+    # a hook's state must be a group: at the parent each of these raised
+    # AttributeError, on the single, batched and exact paths alike
+    for dev in (bvc.Deviation(after_entangle=lambda state: None),
+                bvc.Deviation(before_measure=lambda site, q, state: 5)):
+        for call in (
+                lambda: bvc.run_verified(PAT3, rng=random.Random(0),
+                                         deviation=dev),
+                lambda: bvc.run_blind(PAT3, rng=random.Random(0),
+                                      deviation=dev),
+                lambda: list(islice(bvc.verified_rounds(
+                    PAT3, rng=random.Random(0), deviation=dev), 3)),
+                lambda: bvc.estimate_pfail(PAT3, dev, rng=random.Random(0),
+                                           trials=3),
+                lambda: bvc.exact_pfail(PAT3, dev)):
+            with pytest.raises(ValueError,
+                               match="a deviation hook must return a Group"):
+                call()
+
+
+@pytest.mark.parametrize("flip", [2, -1, 1.0, "1", None])
+def test_flip_outcome_must_return_a_bit(flip):
+    # at the parent a flip of 2 decoded a bit of 2, rejected the round and
+    # audited it as never failing, and 1.0 raised TypeError
+    dev = bvc.Deviation(flip_outcome=lambda site: flip)
+    message = (rf"flip_outcome at site \d is {re.escape(repr(flip))}, "
+               "not 0 or 1")
+    for call in (
+            lambda: bvc.run_delegated(PAT3, rng=random.Random(0),
+                                      deviation=dev),
+            lambda: bvc.run_blind(PAT3, rng=random.Random(0), deviation=dev),
+            lambda: bvc.run_verified(PAT3, rng=random.Random(0),
+                                     deviation=dev),
+            lambda: list(islice(bvc.verified_rounds(
+                PAT3, rng=random.Random(0), deviation=dev), 3)),
+            lambda: bvc.estimate_pfail(PAT3, dev, rng=random.Random(0),
+                                       trials=3),
+            lambda: bvc.exact_pfail(PAT3, dev)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # -- batched rounds against single rounds -------------------------------------
@@ -1478,7 +1522,8 @@ def test_extremal_site_is_checked_when_built(site):
         bvc.extremal_deviation(site)
 
 
-@pytest.mark.parametrize("k, n", [(-1, 5), (7, 5), (1, 0), (0, -1)])
+@pytest.mark.parametrize("k, n", [(-1, 5), (7, 5), (1, 0), (0, -1),
+                                  (0.5, 2), (True, 2), (1, 2.5)])
 def test_wilson_interval_needs_k_between_0_and_n(k, n):
     with pytest.raises(ValueError, match=f"need 0 <= k <= n, got k={k}, n={n}"):
         bvc.wilson_interval(k, n)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toystab import bvc
 from toystab.cli import main
 
 
@@ -651,3 +652,23 @@ def test_seeded_bvc_runs_are_byte_identical(capsys):
         digest.update(json.dumps([list(argv), code, out.out, out.err])
                       .encode())
     assert digest.hexdigest() == _BVC_CORPUS_SHA256
+
+
+@pytest.mark.parametrize("deviation", ["honest", "flip-all", "extremal:1"])
+@pytest.mark.parametrize("audit", [["--exact"], ["--trials", "50"]])
+def test_a_verified_run_builds_one_plan_per_trap(monkeypatch, capsys,
+                                                 deviation, audit):
+    # the audit and the sampled rounds share each trap's plan: at the
+    # parent each call built up to 6
+    built = []
+    init = bvc._Plan.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bvc._Plan, "__init__", counted)
+    assert main(["bvc", "simulate", "--line", "1,2,3", "--seed", "4",
+                 "--deviation", deviation, *audit]) == 0
+    capsys.readouterr()
+    assert sorted(built) == [0, 1, 2]
