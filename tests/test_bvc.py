@@ -948,8 +948,8 @@ def test_hook_output_is_checked():
         "+ZII\n+ZII"))
     with pytest.raises(ValueError, match="linearly dependent"):
         bvc.run_blind(PAT3, rng=random.Random(0), deviation=dependent)
-    # a hook's state must be a group: at the parent each of these raised
-    # AttributeError, on the single, batched and exact paths alike
+    # a hook's state must be a group, on the single, batched and exact
+    # paths alike; unchecked, each of these raised AttributeError
     for dev in (bvc.Deviation(after_entangle=lambda state: None),
                 bvc.Deviation(before_measure=lambda site, q, state: 5)):
         for call in (
@@ -969,7 +969,7 @@ def test_hook_output_is_checked():
 
 @pytest.mark.parametrize("flip", [2, -1, 1.0, "1", None])
 def test_flip_outcome_must_return_a_bit(flip):
-    # at the parent a flip of 2 decoded a bit of 2, rejected the round and
+    # unchecked, a flip of 2 decoded a bit of 2, rejected the round and
     # audited it as never failing, and 1.0 raised TypeError
     dev = bvc.Deviation(flip_outcome=lambda site: flip)
     message = (rf"flip_outcome at site \d is {re.escape(repr(flip))}, "

@@ -658,8 +658,8 @@ def test_seeded_bvc_runs_are_byte_identical(capsys):
 @pytest.mark.parametrize("audit", [["--exact"], ["--trials", "50"]])
 def test_a_verified_run_builds_one_plan_per_trap(monkeypatch, capsys,
                                                  deviation, audit):
-    # the audit and the sampled rounds share each trap's plan: at the
-    # parent each call built up to 6
+    # the audit and the sampled rounds share each trap's plan; built
+    # apart, they made up to 6 per call
     built = []
     init = bvc._Plan.__init__
 
