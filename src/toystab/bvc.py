@@ -1004,8 +1004,8 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
     """Wilson score 95% interval for a binomial proportion of ``k``
     successes in ``n`` trials, both ints."""
     if type(k) is not int or type(n) is not int:
-        raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}: the "
-                         "counts must be ints")
+        raise ValueError(f"wilson_interval counts must be ints, got "
+                         f"k={k!r}, n={n!r}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if n == 0:
@@ -1023,15 +1023,8 @@ def estimate_pfail(pattern: Pattern, deviation: Deviation | None, *, rng,
     ``trials`` rounds of :func:`verified_rounds`.  A ``deviation`` of None
     is the honest server.  Each trap's plan is built once, and its
     honest support only when a round reads it."""
-    return _estimate_pfail(pattern, deviation, rng, trials, {})
-
-
-def _estimate_pfail(pattern: Pattern, deviation, rng, trials,
-                    plans: dict) -> dict:
-    """:func:`estimate_pfail`, with each trap's plan read from and stored
-    in ``plans`` (see ``_sampled_rounds``)."""
     deviation = _deviation(deviation)
-    rounds = _sampled_rounds(pattern, rng, deviation, plans)
+    rounds = _sampled_rounds(pattern, rng, deviation, {})
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, not {trials!r}")
     if trials < 1:

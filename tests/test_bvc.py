@@ -1522,8 +1522,14 @@ def test_extremal_site_is_checked_when_built(site):
         bvc.extremal_deviation(site)
 
 
-@pytest.mark.parametrize("k, n", [(-1, 5), (7, 5), (1, 0), (0, -1),
-                                  (0.5, 2), (True, 2), (1, 2.5)])
+@pytest.mark.parametrize("k, n", [(-1, 5), (7, 5), (1, 0), (0, -1)])
 def test_wilson_interval_needs_k_between_0_and_n(k, n):
     with pytest.raises(ValueError, match=f"need 0 <= k <= n, got k={k}, n={n}"):
+        bvc.wilson_interval(k, n)
+
+
+@pytest.mark.parametrize("k, n", [(0.5, 2), (True, 2), (1, 2.5)])
+def test_wilson_interval_needs_int_counts(k, n):
+    with pytest.raises(ValueError, match=re.escape(
+            f"wilson_interval counts must be ints, got k={k!r}, n={n!r}")):
         bvc.wilson_interval(k, n)
