@@ -440,24 +440,32 @@ def _check_sites(n: int, sites: Iterable[int]) -> list[int]:
     return sites
 
 
-def marginal_rows(rows: dict, keep: list[int], sites: int) -> dict:
+def marginal_rows(rows: dict, keep: list[int]) -> dict:
     """The reduced rows of the marginal on ``keep`` (distinct sites in
-    ascending order) of the valid state with reduced rows ``rows`` on
-    ``sites`` systems; ``rows`` is left as it is.
+    ascending order) of the valid state with reduced rows ``rows``;
+    ``rows`` is left as it is.
 
-    Each site not kept is traced out of a copy (:func:`trace_site`), so
-    the rows left hold no bit outside the kept sites and span the
-    marginal.  The kept sites' column pairs are then packed in ascending
+    Each site not kept that holds a bit of some row is traced out of a
+    copy (:func:`trace_site`), in ascending order, so the rows left hold
+    no bit outside the kept sites and span the marginal.  The held sites
+    are read once, from the OR of the rows: tracing a site that no row
+    holds is a no-op, and a trace never adds a bit, so no other site
+    needs it.  The kept sites' column pairs are then packed in ascending
     order.  Packing keeps the order of the bits and drops only bits clear
     in every row, so each row's lowest bit stays its lowest and each
     pivot stays clear in every other row: the packed rows are reduced,
     keyed by their packed pivots.
     """
     rows = dict(rows)
-    kept = set(keep)
-    for s in range(sites):
-        if s not in kept:
-            trace_site(rows, s)
+    held = 0
+    for bits, _ in rows.values():
+        held |= bits
+    for s in keep:
+        held &= ~(3 << 2 * s)
+    while held:
+        s = (held & -held).bit_length() - 1 >> 1
+        held &= ~(3 << 2 * s)
+        trace_site(rows, s)
     out = {}
     for bits, neg in rows.values():
         packed = _pack(bits, keep)
@@ -474,7 +482,7 @@ def partial_trace(group: Group, keep: Iterable[int]) -> Group:
     group.require_valid()
     keep = sorted(_check_sites(group.n, keep))
     return Group._from_reduced(len(keep),
-                               marginal_rows(group._pivots, keep, group.n))
+                               marginal_rows(group._pivots, keep))
 
 
 def erase(group: Group, sites: Iterable[int]) -> Group:

@@ -51,12 +51,21 @@ theory:
   through them puts a Z on w once per neighbour of w in K, an odd
   number of times exactly when w is in Odd(K).  That cancels the Z the
   correction already has on w (u is live, so u is not w).
+
+What a run takes from its pattern alone, the order, the prepare and cz
+steps and both forms of every correction, is its schedule
+(:class:`_Schedule`).  It is built once per pattern, at its first run,
+where a given flow is verified, and every later run shares it, in either
+correction mode and on any input state.  A pattern holds read-only
+copies of its angles and flow, so the schedule cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .algebra import Element, Group, _interleave, echelon, insert
@@ -144,15 +153,25 @@ class OpenGraph:
 
 
 def verify_gflow(graph: OpenGraph, g: Mapping, layer: Mapping) -> None:
-    """Raise unless (g, layer) is a valid correction structure."""
+    """Raise unless (g, layer) is a valid correction structure: ``layer``
+    gives every vertex a layer, and ``g`` every non-output a correction
+    set of vertices."""
     outputs = set(graph.outputs)
     inputs = set(graph.inputs)
+    vertices = graph.adjacency.keys()
+    missing = [v for v in graph.nodes if v not in layer]
+    if missing:
+        raise ValueError(f"the flow's layer misses vertices {missing}; "
+                         "it must cover every vertex")
     for u in graph.nodes:
         if u in outputs:
             continue
         if u not in g:
             raise ValueError(f"no correction set for {u}")
-        K = set(g[u])
+        K = _vertex_set(u, g[u])
+        if not K <= vertices:
+            raise ValueError(f"correction set of {u} holds non-vertices "
+                             f"{[w for w in K if w not in vertices]}")
         if K & inputs:
             raise ValueError(f"correction set of {u} touches an input")
         if u in K:
@@ -166,6 +185,16 @@ def verify_gflow(graph: OpenGraph, g: Mapping, layer: Mapping) -> None:
         for w in odd:
             if w != u and layer[w] >= layer[u]:
                 raise ValueError(f"odd neighborhood of {u} clashes at {w}")
+
+
+def _vertex_set(u, K) -> frozenset:
+    """The correction set ``K`` of ``u`` as a frozenset; raise unless it
+    is a collection."""
+    try:
+        return frozenset(K)
+    except TypeError:
+        raise ValueError(f"correction set of {u!r} is not a set of "
+                         f"vertices: {K!r}") from None
 
 
 def find_gflow(graph: OpenGraph, *, best_effort: bool = False):
@@ -245,12 +274,17 @@ def correction_masks(graph: OpenGraph, g: Mapping, idx: Mapping,
                      vertices: Iterable) -> dict:
     """vertex -> (X mask, Z mask) over vertex indices of the corrections
     that outcome 1 of each listed vertex triggers: X on its correction
-    set, Z on the rest of that set's odd neighbourhood."""
+    set, Z on the rest of that set's odd neighbourhood, the XOR of its
+    members' neighbour masks."""
+    adjacency = graph.adjacency
     out = {}
     for u in vertices:
-        K = g.get(u, ())
-        out[u] = (sum(1 << idx[j] for j in K),
-                  sum(1 << idx[j] for j in graph.odd_neighborhood(K) - {u}))
+        x = z = 0
+        for j in g.get(u, ()):
+            x |= 1 << idx[j]
+            for w in adjacency[j]:
+                z ^= 1 << idx[w]
+        out[u] = (x, z & ~(1 << idx[u]))
     return out
 
 
@@ -264,7 +298,15 @@ class Pattern:
 
     Vertices with an angle are measured (outputs may be measured too for
     classical results); outputs without an angle stay as the output
-    register.  ``flow`` is (g, layer) or None to derive it.
+    register.  ``flow`` is a pair (g, layer) of mappings, or None to
+    derive it.
+
+    A pattern holds read-only copies of its angles and flow, with each
+    correction set frozen, so a later edit of the caller's dicts cannot
+    reach it.  Its frontier schedule (:class:`_Schedule`) is built at its
+    first run and kept for every later run, in either correction mode; a
+    given flow is verified then, once.  A flow that fails is not kept,
+    so every run raises.
     """
 
     graph: OpenGraph
@@ -272,13 +314,20 @@ class Pattern:
     flow: tuple | None = None
 
     def __post_init__(self):
-        extra = [v for v in self.angles if v not in self.graph.adjacency]
+        if not isinstance(self.angles, Mapping):
+            raise ValueError("pattern angles must map vertices to quarters, "
+                             f"not be a {type(self.angles).__name__}")
+        angles = dict(self.angles)
+        extra = [v for v in angles if v not in self.graph.adjacency]
         if extra:
             raise ValueError(f"angles for vertices that are not nodes: {extra}")
-        for v, angle in self.angles.items():
+        for v, angle in angles.items():
             if type(angle) is not int:
                 raise ValueError(f"angle {angle!r} of vertex {v!r} is not "
                                  "an int")
+        object.__setattr__(self, "angles", MappingProxyType(angles))
+        if self.flow is not None:
+            object.__setattr__(self, "flow", _frozen_flow(self.flow))
 
     def resolved_flow(self):
         if self.flow is not None:
@@ -296,6 +345,26 @@ class Pattern:
             raise ValueError(f"non-output vertices without angles: {missing}")
         return sorted((v for v in self.graph.nodes if v in self.angles),
                       key=lambda v: -layer[v])
+
+    @cached_property
+    def _schedule(self) -> "_Schedule":
+        """The frontier schedule, built at the first run and written to
+        the instance dict, which a frozen dataclass leaves writable."""
+        return _Schedule(self)
+
+
+def _frozen_flow(flow) -> tuple:
+    """A read-only copy of the flow ``(g, layer)``, each correction set
+    frozen; raise unless it is a pair of mappings."""
+    try:
+        g, layer = flow
+    except (TypeError, ValueError):
+        g = layer = None
+    if not (isinstance(g, Mapping) and isinstance(layer, Mapping)):
+        raise ValueError("a flow is a pair (g, layer) of mappings, not "
+                         f"{flow!r}")
+    return (MappingProxyType({u: _vertex_set(u, K) for u, K in g.items()}),
+            MappingProxyType(dict(layer)))
 
 
 def _cz_gains(edges: Iterable) -> tuple:
@@ -356,6 +425,9 @@ def _input_elements(graph: OpenGraph, input_group: Group | None,
     k = len(graph.inputs)
     if input_group is None:
         input_group = Group(k, [Element.single(k, i, "X") for i in range(k)])
+    if not isinstance(input_group, Group):
+        raise ValueError("an input state must be a Group, not "
+                         f"{input_group!r}")
     if input_group.n != k:
         raise ValueError("input state size mismatch")
     input_group.require_valid()
@@ -395,38 +467,39 @@ _QUARTER_ROWS = tuple((angle_element(1, 0, q).interleaved(),
                        QUARTER_SYMBOL[q][1]) for q in range(4))
 
 
-class _PatternRun:
-    """A pattern's run on its live frontier (see the module docstring).
+class _Schedule:
+    """A pattern's run on its live frontier, as far as it follows from
+    the pattern alone (see the module docstring).  It is built once, at
+    the pattern's first run, and kept on the pattern
+    (:attr:`Pattern._schedule`) for every later run, adapted or
+    physical, whatever the input state.
 
-    The schedule is fixed by the measurement order alone: before the k-th
+    The flow is resolved here, and a given flow verified, once.  The
+    schedule is fixed by the measurement order alone: before the k-th
     measured vertex u, the sites of u and its neighbours that are not
     yet live become live, the non-inputs among them are prepared at +X,
     and every edge whose endpoints are both live and that has not run
-    yet runs; after it, u is traced out.  So the per-step data (the
-    site, the angle, the sites to prepare, the cz's to apply and the
-    corrections that outcome 1 books) is computed once.
-
-    A branch state is ``(rows, sx, sz)``: the reduced rows
-    ``{pivot: (bits, sign)}`` of the live and input sites, n sites wide,
-    and the X and Z flips that adapt later angles, as bit masks over
-    vertex indices.  A state's rows are its own: :meth:`step` consumes
-    them, so a state is stepped once, and two outcomes get two copies.
+    yet runs; after it, u is traced out.  So each step ``(site, quarter,
+    entangle, adapted, physical)`` holds u's site and angle, the sites
+    to prepare and the cz's to apply (:meth:`_PatternRun._entangle`),
+    and both forms of the corrections that outcome 1 books: ``adapted``
+    the X and Z flips of later angles, as bit masks over vertex indices,
+    and ``physical`` the interleaved flips of P' on the row signs
+    (:func:`dynamics.flip_signs`).  ``final`` makes every site live for
+    the output state, whose sites are ``keep``, in ascending order.
     """
 
-    def __init__(self, pattern: Pattern, input_group: Group | None,
-                 physical: bool):
+    def __init__(self, pattern: Pattern):
         graph = pattern.graph
         self.idx = idx = {v: i for i, v in enumerate(graph.nodes)}
         self.n = n = len(graph.nodes)
         g, layer = pattern.resolved_flow()
         self.order = pattern.measured_order(layer)
-        rows, _ = echelon((e.interleaved(), e.neg)
-                          for e in _input_elements(graph, input_group, idx))
-        self.root = (rows, 0, 0)
-        self.pattern = pattern
-        self.physical = physical
+        self.outputs = graph.outputs
         self.quantum_outputs = [v for v in graph.outputs
                                 if v not in pattern.angles]
+        self.keep = sorted(idx[v] for v in self.quantum_outputs)
+        self.output_mask = sum(1 << s for s in self.keep)
         fixes = correction_masks(graph, g, idx, self.order)
 
         pending = [0] * n   # neighbours across edges that have not run
@@ -448,39 +521,59 @@ class _PatternRun:
             for s in prep:
                 prepared |= 1 << s
             edges = []
+            mask = 0
             for a in new:
                 m = pending[a] & live
+                pending[a] ^= m
                 while m:
                     low = m & -m
                     m ^= low
                     b = low.bit_length() - 1
-                    pending[a] ^= low
                     pending[b] ^= 1 << a
                     edges.append((a, b))
-            cz = _cz_gains(edges)
-            return prep, cz, sum(x for x, _ in cz)
+                    mask |= 1 << 2 * a | 1 << 2 * b
+            return prep, _cz_gains(edges), mask
 
         self.steps = []
         for u in self.order:
             i = idx[u]
             entangle = make_live([i] + [idx[w] for w in graph.adjacency[u]])
             dropped |= 1 << i
-            # outcome 1 books the flips (x, z) on later angles, or, in
-            # physical mode, flips the row signs that P' flips
+            # P' of outcome 1: X on x, and Z on z and on the neighbours of
+            # x across the pending edges, on the sites still held
             x, z = fixes[u]
-            if physical:
-                m = x
-                while m:
-                    low = m & -m
-                    m ^= low
-                    z ^= pending[low.bit_length() - 1]
-                assert not z & ~prepared, "a Z reaches an unprepared site"
-                held = prepared & ~dropped
-                fix = _interleave(z & held, x & held)
-            else:
-                fix = (x, z)
-            self.steps.append((i, pattern.angles[u], entangle, fix))
+            pz, m = z, x
+            while m:
+                low = m & -m
+                m ^= low
+                pz ^= pending[low.bit_length() - 1]
+            assert not pz & ~prepared, "a Z reaches an unprepared site"
+            held = prepared & ~dropped
+            self.steps.append((i, pattern.angles[u], entangle, (x, z),
+                               _interleave(pz & held, x & held)))
         self.final = make_live(range(n))
+
+
+class _PatternRun:
+    """One run of a pattern: the schedule it shares with every other run
+    of the pattern (:class:`_Schedule`, built at the pattern's first run,
+    where a given flow is verified), the root rows of the input state and
+    the correction mode.
+
+    A branch state is ``(rows, sx, sz)``: the reduced rows
+    ``{pivot: (bits, sign)}`` of the live and input sites, n sites wide,
+    and the X and Z flips that adapt later angles, as bit masks over
+    vertex indices.  A state's rows are its own: :meth:`step` consumes
+    them, so a state is stepped once, and two outcomes get two copies.
+    """
+
+    def __init__(self, pattern: Pattern, input_group: Group | None,
+                 physical: bool):
+        self.schedule = schedule = pattern._schedule
+        rows, _ = echelon((e.interleaved(), e.neg) for e in _input_elements(
+            pattern.graph, input_group, schedule.idx))
+        self.root = (rows, 0, 0)
+        self.physical = physical
 
     @staticmethod
     def _entangle(rows: dict, entangle) -> dict:
@@ -502,12 +595,13 @@ class _PatternRun:
         random one from ``rng``.  A forced outcome that cannot occur gives
         no child.  ``state`` is consumed."""
         rows, sx, sz = state
-        site, quarter, entangle, fix = self.steps[k]
+        schedule, physical = self.schedule, self.physical
+        site, quarter, entangle, adapted, flips = schedule.steps[k]
         rows = self._entangle(rows, entangle)
-        if not self.physical:
+        if not physical:
             quarter = adapt_quarter(quarter, sx >> site & 1, sz >> site & 1)
         bits, neg = _QUARTER_ROWS[quarter % 4]
-        measured = [measure_rows(rows, bits << 2 * site, neg, self.n,
+        measured = [measure_rows(rows, bits << 2 * site, neg, schedule.n,
                                  rng=rng, force=force) for force in forces]
         children = []
         for out, post, random in measured:
@@ -515,32 +609,31 @@ class _PatternRun:
                 continue
             trace_site(post, site)
             csx, csz = sx, sz
-            if out and self.physical:
-                flip_signs(post, fix)
+            if out and physical:
+                flip_signs(post, flips)
             elif out:
-                csx, csz = sx ^ fix[0], sz ^ fix[1]
+                csx, csz = sx ^ adapted[0], sz ^ adapted[1]
             children.append((out, (post, csx, csz), random))
         return children
 
     def result(self, state: tuple, outcomes: dict, halvings: int) -> dict:
         """The API result of a finished branch of probability
         2**-halvings; ``state`` is consumed."""
-        idx = self.idx
-        quantum_outputs = self.quantum_outputs
+        schedule = self.schedule
+        keep = schedule.keep
         output_state = None
-        if quantum_outputs:
+        if keep:
             rows, sx, sz = state
-            rows = self._entangle(rows, self.final)
+            rows = self._entangle(rows, schedule.final)
             if not self.physical:
-                mask = sum(1 << idx[v] for v in quantum_outputs)
+                mask = schedule.output_mask
                 flip_signs(rows, _interleave(sz & mask, sx & mask))
-            keep = sorted(idx[v] for v in quantum_outputs)
             output_state = Group._from_reduced(
-                len(keep), marginal_rows(rows, keep, self.n))
+                len(keep), marginal_rows(rows, keep))
         return {
             "outcomes": outcomes,
             "probability": Fraction(1, 1 << halvings),
-            "output": {v: outcomes[v] for v in self.pattern.graph.outputs
+            "output": {v: outcomes[v] for v in schedule.outputs
                        if v in outcomes},
             "output_state": output_state,
         }
@@ -579,12 +672,13 @@ def run_pattern(pattern: Pattern, input_group: Group | None = None, *,
     outcome draws one ``rng.randrange(2)`` as it would there.
     """
     run = _PatternRun(pattern, input_group, physical)
+    order = run.schedule.order
     forced = dict(forced or {})
-    _check_forced(forced, run.order)
+    _check_forced(forced, order)
     state = run.root
     outcomes = {}
     halvings = 0
-    for k, u in enumerate(run.order):
+    for k, u in enumerate(order):
         children = run.step(k, state, (forced.get(u),), rng)
         if not children:
             return {"outcomes": None, "probability": Fraction(0),
@@ -604,7 +698,7 @@ def enumerate_branches(pattern: Pattern, input_group: Group | None = None,
     integer, the first measured vertex being bit 0.
     """
     run = _PatternRun(pattern, input_group, physical)
-    order = run.order
+    order = run.schedule.order
 
     def step(k, node):
         state, outcomes, halvings = node

@@ -294,6 +294,15 @@ def test_mbtc_run(run, tmp_path):
     ({"graph": {"nodes": [0, 1], "edges": [[0, 1]]}, "outputs": [1],
       "angles": {"0": 0, "1": 1, "7": 2}},
      "angles for vertices that are not nodes: [7]"),
+    ({"graph": {"nodes": [0, 1, 2], "edges": [[0, 1], [1, 2]]},
+      "outputs": [2], "angles": {"0": 0, "1": 1},
+      "gflow": {"g": {"0": [1], "1": [2]}, "layers": {"2": 0}}},
+     "the flow's layer misses vertices [0, 1]"),
+    ({"graph": {"nodes": [0, 1, 2], "edges": [[0, 1], [1, 2]]},
+      "outputs": [2], "angles": {"0": 0, "1": 1},
+      "gflow": {"g": {"0": [1, 9], "1": [2]},
+                "layers": {"0": 2, "1": 1, "2": 0, "9": 3}}},
+     "correction set of 0 holds non-vertices [9]"),
 ])
 def test_mbtc_run_rejects_bad_pattern(run, tmp_path, spec, message):
     pat = tmp_path / "p.json"
@@ -671,3 +680,67 @@ def test_a_verified_run_builds_one_plan_per_trap(monkeypatch, capsys,
                  "--deviation", deviation, "--exact"]) == 0
     capsys.readouterr()
     assert sorted(built) == [0, 1, 2]
+
+
+# -- seeded mbtc runs stay byte-identical --------------------------------------
+
+_MBTC_PATTERNS = {
+    # a 5-line with a derived flow
+    "line": {"graph": {"nodes": [0, 1, 2, 3, 4],
+                       "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+             "inputs": [0], "outputs": [4],
+             "angles": {"0": 1, "1": 2, "2": 3, "3": 1}},
+    # the CX pattern with its flow given
+    "cx": {"graph": {"nodes": [0, 1, 2, 3],
+                     "edges": [[1, 2], [2, 3], [0, 2]]},
+           "inputs": [0, 1], "outputs": [0, 3], "angles": {"1": 0, "2": 0},
+           "gflow": {"g": {"1": [2], "2": [3]},
+                     "layers": {"0": 0, "1": 2, "2": 1, "3": 0}}},
+    # a 2x3 grid with its flow given and one output measured
+    "grid": {"graph": {"nodes": [0, 1, 2, 3, 4, 5],
+                       "edges": [[0, 1], [1, 2], [3, 4], [4, 5], [0, 3],
+                                 [1, 4], [2, 5]]},
+             "inputs": [0, 3], "outputs": [2, 5],
+             "angles": {"0": 1, "1": 3, "3": 2, "4": 1, "5": 0},
+             "gflow": {"g": {"0": [1], "1": [2], "3": [4], "4": [5]},
+                       "layers": {"0": 2, "1": 1, "2": 0, "3": 2, "4": 1,
+                                  "5": 0}}},
+    # no inputs, a derived flow
+    "open": {"graph": {"nodes": [0, 1, 2], "edges": [[0, 1], [1, 2]]},
+             "outputs": [2], "angles": {"0": 3, "1": 1}},
+}
+
+
+def _mbtc_corpus():
+    """Seeded ``mbtc run`` calls: every pattern with ``--branches all`` and
+    ``sample``, with and without ``--input``, under two seeds, and one
+    input on a pattern without inputs, which ends in an error."""
+    inputs = {"line": "+Y", "cx": "+XZ\\n+ZY", "grid": "+ZX\\n-XY",
+              "open": "+Z"}
+    runs = []
+    for seed in ("5", "17"):
+        for name in _MBTC_PATTERNS:
+            for branches in ("all", "sample"):
+                common = ("mbtc", "run", name, "--seed", seed,
+                          "--branches", branches)
+                runs += [common, common + ("--input", inputs[name])]
+    return runs
+
+
+# the corpus's sha256, recorded before each pattern kept its schedule;
+# the schedule and marginal changes must leave every byte as it is
+_MBTC_CORPUS_SHA256 = (
+    "a51a5214fff07391a9a2832992fa3ea7309b5f8c8e668f2cb9245fdf7284d376")
+
+
+def test_seeded_mbtc_runs_are_byte_identical(capsys, tmp_path):
+    for name, spec in _MBTC_PATTERNS.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+    digest = hashlib.sha256()
+    for argv in _mbtc_corpus():
+        path = str(tmp_path / argv[2])
+        code = main([*argv[:2], path, *argv[3:]])
+        out = capsys.readouterr()
+        digest.update(json.dumps([list(argv), code, out.out,
+                                  out.err.replace(path, argv[2])]).encode())
+    assert digest.hexdigest() == _MBTC_CORPUS_SHA256

@@ -554,9 +554,42 @@ def test_trace_and_erase_match_reference(case):
         assert (got.n, got.generators, got.canonical, got._pivots) == \
             (want.n, want.generators, want.canonical, want._pivots)
         assert got.is_valid == want.is_valid
-    assert marginal_rows(g._pivots, sorted(sites), g.n) == \
+    assert marginal_rows(g._pivots, sorted(sites)) == \
         reference_partial_trace(g, sites)._pivots
     assert g._pivots == before
+
+
+def reference_marginal_rows(rows, keep, sites):
+    """The earlier ``marginal_rows``: trace every site not kept, held or
+    not, then pack the kept sites."""
+    rows = dict(rows)
+    for s in range(sites):
+        if s not in keep:
+            trace_site(rows, s)
+    out = {}
+    for bits, neg in rows.values():
+        packed = sum((bits >> 2 * s & 3) << 2 * i for i, s in enumerate(keep))
+        out[packed & -packed] = (packed, neg)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_states_and_sites(), st.integers(0, 8), st.integers(0, 2**32))
+def test_marginal_rows_match_the_every_site_trace(case, pad, seed):
+    # the state sits on random sites of a wider register, so most sites
+    # hold no bit, as on a pattern's live frontier
+    g, sites = case
+    n = g.n + pad
+    rng = random.Random(seed)
+    where = rng.sample(range(n), g.n)
+    wide = Group(n, [e.embed(n, where) for e in g.generators])
+    idle = [s for s in range(n) if s not in where]
+    keep = sorted([where[s] for s in sites]
+                  + rng.sample(idle, rng.randint(0, pad)))
+    before = dict(wide._pivots)
+    assert marginal_rows(wide._pivots, keep) == \
+        reference_marginal_rows(wide._pivots, keep, n)
+    assert wide._pivots == before
 
 
 def test_partial_trace_examples():

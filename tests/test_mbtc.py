@@ -236,6 +236,100 @@ def test_angles_must_be_ints(angle):
         Pattern(OpenGraph.line(2), {0: angle})
 
 
+def test_a_pattern_keeps_its_own_angles_and_flow():
+    # at the parent an edit of the caller's dicts reached the pattern and
+    # passed its checks: a run raised TypeError or used the new flow
+    graph = OpenGraph.line(3)
+    angles = {0: 1, 1: 2}
+    g, layer = {0: {1}, 1: {2}}, {0: 2, 1: 1, 2: 0}
+    pattern = Pattern(graph, angles, flow=(g, layer))
+    want = run_pattern(Pattern(graph, {0: 1, 1: 2}), _state("+Z"),
+                       rng=random.Random(3))
+    angles[1], angles[2] = 1.5, "x"
+    g[0].add(0)
+    layer[2] = 5
+    got = run_pattern(pattern, _state("+Z"), rng=random.Random(3))
+    assert _result_row(got) == _result_row(want)
+    assert pattern.angles == {0: 1, 1: 2}
+    assert pattern.flow == ({0: frozenset({1}), 1: frozenset({2})},
+                            {0: 2, 1: 1, 2: 0})
+    with pytest.raises(TypeError):
+        pattern.angles[1] = 3
+    with pytest.raises(TypeError):
+        pattern.flow[1][2] = 5
+
+
+@pytest.mark.parametrize("angles", [[1, 2], None, 5])
+def test_angles_must_be_a_mapping(angles):
+    # at the parent a list raised AttributeError
+    with pytest.raises(ValueError, match="pattern angles must map vertices"):
+        Pattern(OpenGraph.line(3), angles)
+
+
+_LINE3_G = {0: {1}, 1: {2}}
+_LINE3_LAYER = {0: 2, 1: 1, 2: 0}
+
+
+@pytest.mark.parametrize("flow, message", [
+    (5, "a flow is a pair"),
+    ((_LINE3_G,), "a flow is a pair"),
+    ((_LINE3_G, _LINE3_LAYER, _LINE3_LAYER), "a flow is a pair"),
+    (([(0, {1})], _LINE3_LAYER), "a flow is a pair"),
+    (({0: 1, 1: {2}}, _LINE3_LAYER), "correction set of 0 is not a set"),
+])
+def test_a_flow_is_a_pair_of_mappings(flow, message):
+    # at the parent each raised TypeError, at the first run
+    with pytest.raises(ValueError, match=message):
+        Pattern(OpenGraph.line(3), {0: 0, 1: 0}, flow=flow)
+
+
+@pytest.mark.parametrize("g, layer, message", [
+    (_LINE3_G, {}, r"layer misses vertices \[0, 1, 2\]"),
+    (_LINE3_G, {2: 0}, r"layer misses vertices \[0, 1\]"),
+    ({0: {1, 9}, 1: {2}}, _LINE3_LAYER, r"holds non-vertices \[9\]"),
+])
+def test_a_flow_must_cover_the_graph(g, layer, message):
+    # at the parent the first two raised KeyError: 1
+    graph = OpenGraph.line(3)
+    with pytest.raises(ValueError, match=message):
+        verify_gflow(graph, g, layer)
+    pattern = Pattern(graph, {0: 0, 1: 0}, flow=(g, layer))
+    for physical in (False, True):   # a failing flow is not kept
+        with pytest.raises(ValueError, match=message):
+            run_pattern(pattern, physical=physical)
+
+
+@pytest.mark.parametrize("state", ["+X", Element.single(1, 0, "X"), 0])
+def test_an_input_state_must_be_a_group(state):
+    # at the parent each raised AttributeError
+    graph = OpenGraph.line(2)
+    pattern = Pattern(graph, {0: 0})
+    for call in (lambda: run_pattern(pattern, state),
+                 lambda: enumerate_branches(pattern, state),
+                 lambda: graph_state(graph, state)):
+        with pytest.raises(ValueError, match="input state must be a Group"):
+            call()
+
+
+def test_a_pattern_builds_its_schedule_once(monkeypatch):
+    # the flow is verified at the first run only; the parent verified it
+    # on every run
+    calls = []
+    verify = mbtc.verify_gflow
+
+    def counted(*args):
+        calls.append(args)
+        verify(*args)
+
+    monkeypatch.setattr(mbtc, "verify_gflow", counted)
+    graph = OpenGraph.line(4)
+    pattern = Pattern(graph, {0: 1, 1: 2, 2: 3}, flow=find_gflow(graph))
+    run_pattern(pattern, _state("+Z"), rng=random.Random(1))
+    run_pattern(pattern, _state("+Y"), rng=random.Random(1), physical=True)
+    enumerate_branches(pattern, _state("+X"))
+    assert len(calls) == 1
+
+
 # -- projector and correction identities --------------------------------------
 
 def _perm_matrix_conj(perm: Permutation, diag):
@@ -508,6 +602,38 @@ def test_frontier_run_matches_whole_graph_run(case, physical, seed):
         got = enumerate_branches(pattern, input_group, physical=physical)
         want = reference_enumeration(pattern, input_group, physical=physical)
         assert list(map(_result_row, got)) == list(map(_result_row, want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flow_patterns(), st.booleans(), st.integers(0, 2**32))
+def test_a_reused_pattern_runs_as_a_fresh_one(case, given_flow, seed):
+    # one pattern, its schedule built at its first run, runs in both
+    # modes on two input states, as a fresh copy does and as the whole
+    # graph does, with the same draws
+    pattern, input_group = case
+    graph = pattern.graph
+    rng = random.Random(seed)
+    k = len(graph.inputs)
+    groups = [input_group, random_group(rng, k, rng.randint(0, k))
+              if k else None]
+    reused = Pattern(graph, pattern.angles,
+                     flow=find_gflow(graph) if given_flow else None)
+    for group, physical in itertools.product(groups, (False, True)):
+        fresh = Pattern(graph, dict(reused.angles), reused.flow)
+        runs = [(run_pattern, reused), (run_pattern, fresh),
+                (reference_run, reused)]
+        rngs = [random.Random(seed) for _ in runs]
+        rows = [_result_row(run(p, group, rng=r, physical=physical))
+                for (run, p), r in zip(runs, rngs)]
+        assert rows[0] == rows[1] == rows[2]
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+        if len(reused.angles) <= 6:
+            got, copy, want = (
+                list(map(_result_row, enum(p, group, physical=physical)))
+                for enum, p in ((enumerate_branches, reused),
+                                (enumerate_branches, fresh),
+                                (reference_enumeration, reused)))
+            assert got == copy == want
 
 
 def _labelled_grid(rng, side):
