@@ -93,8 +93,8 @@ from typing import Callable, Mapping
 from .algebra import Group, insert
 from .dynamics import Permutation, measure_element, measure_rows, trace_site
 from .mbtc import (_QUARTER_ROWS, OpenGraph, Pattern, _check_forced,
-                   _cz_gains, _cz_rows, adapt_quarter, angle_element,
-                   correction_masks, find_gflow, walk)
+                   _cz_gains, _cz_rows, _latest_first, adapt_quarter,
+                   angle_element, correction_masks, find_gflow, walk)
 
 
 def formula_from_quarter(q: int) -> int:
@@ -474,8 +474,9 @@ class _Plan:
         comp = [v for v in nodes if v not in dummies and v != trap]
         sub = graph.induced(comp)
         g, layer = (find_gflow(sub, best_effort=True) if comp else ({}, {}))
-        order = (Pattern(sub, {v: angles[v] for v in comp})
-                 .measured_order(layer) if comp else [])
+        # every vertex has an angle, so this is the measured order of
+        # the pattern on the subgraph
+        order = _latest_first(comp, layer)
         self.order = order + [trap] if trap is not None else order
         fixes = correction_masks(sub, g, idx, g)
         self.steps = []

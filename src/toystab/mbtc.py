@@ -343,14 +343,20 @@ class Pattern:
                    if v not in self.angles and v not in outputs]
         if missing:
             raise ValueError(f"non-output vertices without angles: {missing}")
-        return sorted((v for v in self.graph.nodes if v in self.angles),
-                      key=lambda v: -layer[v])
+        return _latest_first([v for v in self.graph.nodes if v in self.angles],
+                             layer)
 
     @cached_property
     def _schedule(self) -> "_Schedule":
         """The frontier schedule, built at the first run and written to
         the instance dict, which a frozen dataclass leaves writable."""
         return _Schedule(self)
+
+
+def _latest_first(vertices: list, layer: Mapping) -> list:
+    """``vertices`` in measurement order: latest layer first, in their
+    given order within a layer (the sort is stable)."""
+    return sorted(vertices, key=lambda v: -layer[v])
 
 
 def _frozen_flow(flow) -> tuple:
