@@ -346,6 +346,12 @@ class Pattern:
         return _latest_first([v for v in self.graph.nodes if v in self.angles],
                              layer)
 
+    def __reduce__(self):
+        # the read-only views do not pickle or deep-copy; a copy is
+        # rebuilt from plain dicts and builds its own schedule
+        flow = self.flow and (dict(self.flow[0]), dict(self.flow[1]))
+        return Pattern, (self.graph, dict(self.angles), flow)
+
     @cached_property
     def _schedule(self) -> "_Schedule":
         """The frontier schedule, built at the first run and written to

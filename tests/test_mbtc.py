@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -257,6 +259,21 @@ def test_a_pattern_keeps_its_own_angles_and_flow():
         pattern.angles[1] = 3
     with pytest.raises(TypeError):
         pattern.flow[1][2] = 5
+
+
+def test_a_pattern_copies_and_pickles():
+    # the read-only views alone do not pickle or deep-copy
+    graph = OpenGraph.line(3)
+    for flow in (None, find_gflow(graph)):
+        pattern = Pattern(graph, {0: 1, 1: 2}, flow=flow)
+        run_pattern(pattern, _state("+Z"), rng=random.Random(1))
+        for copied in (copy.copy(pattern), copy.deepcopy(pattern),
+                       pickle.loads(pickle.dumps(pattern))):
+            assert copied == pattern
+            assert _result_row(run_pattern(copied, _state("+Z"),
+                                           rng=random.Random(1))) == \
+                _result_row(run_pattern(pattern, _state("+Z"),
+                                        rng=random.Random(1)))
 
 
 @pytest.mark.parametrize("angles", [[1, 2], None, 5])
