@@ -76,7 +76,9 @@ class Element:
 
     @classmethod
     def single(cls, n: int, site: int, name: str, neg: bool = False) -> "Element":
-        """The named symbol at one site, identity elsewhere."""
+        """The named symbol at one site, an int, identity elsewhere."""
+        if type(site) is not int:
+            raise ValueError(f"site {site!r} is not an int")
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for n={n}")
         if name not in SYMBOL_BITS:

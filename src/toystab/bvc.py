@@ -32,6 +32,18 @@ rounds of one pad configuration, and ``_plan_rounds`` walks the pad
 configurations.  An unblinded round is the blind round with every pad
 and blinding bit 0.
 
+A pattern keeps a table of its plans, one per trap and the trap-free
+plan under the key None, in its instance dict (:func:`_plan`), as it
+keeps its frontier schedule.  The audits and batches (``exact_pfail``,
+``estimate_pfail``, ``verified_rounds``, ``honest_output_support`` and
+``server_view_distribution``) read their plans there, so calls on one
+pattern, such as the CLI's audit and its sampled rounds, build each plan
+once, and a copy or pickle of the pattern carries none.  A full table
+grows with the square of the line: it held 25 KiB, 1.6 MiB and 32 MiB on
+lines of 8, 64 and 256 nodes (tracemalloc).  One ``estimate_pfail`` call
+that draws every trap of such a line holds as much while it runs; the
+table keeps it for as long as the pattern lives.
+
 Every round starts from the entangled state of its pads, built
 straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
 whole state (:meth:`Deviation._entangled_rows`).  The built-in
@@ -52,24 +64,24 @@ read into a ``RoundResult`` once per leaf.
 
 Sampled rounds come two ways.  A batch of verified rounds
 (:func:`verified_rounds`, behind ``estimate_pfail`` and the CLI's sampled
-accept rate) builds one plan per trap, and runs each round as
-``_descend``: a loop over Alice's steps on the rows, taking at each vertex
-the one child that :meth:`Deviation._outcomes` draws from the rng.  A
-single round (``run_verified``, ``run_blind`` and ``run_delegated``)
-builds one plan per call and runs ``_run_round``, which still holds the
-state as a group, measured with :func:`dynamics.measure_element`; it is
-the reference the descent is tested against.  It stays there because of
-the benchmark harness, which keeps a record per op, so that its peak
-memory grows with the op count.  In one pair of 20 s runs each on a
-2-vCPU box, single rounds on the descent took the 8-node ``bvc-mc``
-workload from 3139–3230 to 5114–5216 ops/s, and its ``peak_rss_mb`` from
-42.9–44.2 to 51.7–53.9 MiB (+21%).  A group that builds its elements
-lazily, in three later pairs of 20 s runs, took it from 3208–3264 to
-4155–4227 ops/s (+30%) and from 44.7–45.7 to 50.8–52.6 MiB (+12% to
-+17%).  Both exceed the 10% memory bound, as would caching the plan,
-which is a quarter of such a round.  Once the harness keeps a fixed-size
-record (ROADMAP item 1), ``_run_round``'s callers move onto ``_descend``
-(ROADMAP item 2).
+accept rate) reads each trap's plan from the pattern's table, and runs
+each round as ``_descend``: a loop over Alice's steps on the rows, taking
+at each vertex the one child that :meth:`Deviation._outcomes` draws from
+the rng.  A single round (``run_verified``, ``run_blind`` and
+``run_delegated``) builds its own plan on every call, off the table, and
+runs ``_run_round``, which still holds the state as a group, measured
+with :func:`dynamics.measure_element`; it is the reference the descent is
+tested against.  It stays there because of the benchmark harness, which
+keeps a record per op, so that its peak memory grows with the op count.
+In one pair of 20 s runs each on a 2-vCPU box, single rounds on the
+descent took the 8-node ``bvc-mc`` workload from 3139–3230 to 5114–5216
+ops/s, and its ``peak_rss_mb`` from 42.9–44.2 to 51.7–53.9 MiB (+21%).  A
+group that builds its elements lazily, in three later pairs of 20 s runs,
+took it from 3208–3264 to 4155–4227 ops/s (+30%) and from 44.7–45.7 to
+50.8–52.6 MiB (+12% to +17%).  Both exceed the 10% memory bound, as would
+reading a single round's plan from the table, which takes a quarter off
+such a round.  Once the harness keeps a fixed-size record (ROADMAP item
+1), ``_run_round``'s callers move onto ``_descend`` (ROADMAP item 2).
 
 Which pads are walked depends on what the analysis reads.  Alice's
 decoded bits do not depend on a pad outside the sites a deviation's
@@ -428,7 +440,10 @@ class RoundResult:
 
 def _require_delegable(graph: OpenGraph, angles: Mapping) -> None:
     """Raise unless a delegated round can run on ``graph``: it takes no
-    quantum inputs and measures every vertex, so each needs an angle."""
+    quantum inputs and measures every vertex, so each needs an angle.  A
+    vertex may not be labelled None, which stands for "no trap"."""
+    if any(v is None for v in graph.nodes):
+        raise ValueError("a vertex labelled None would read as no trap")
     if graph.inputs:
         raise ValueError("delegated rounds take no quantum inputs")
     missing = [v for v in graph.nodes if v not in angles]
@@ -580,6 +595,20 @@ class _Plan:
                            accept, prob, ops)
 
 
+def _plan(pattern: Pattern, trap=None) -> _Plan:
+    """The plan of ``trap`` on ``pattern``, with None for the trap-free
+    round, from the pattern's table of plans.  The table is kept in the
+    pattern's instance dict, as :attr:`mbtc.Pattern._schedule` is, so it
+    lives and dies with the pattern, and a copy or pickle of the pattern
+    carries none of it.  Each plan is built the first time it is asked
+    for.  The caller passes a trap that is a vertex, or None."""
+    plans = vars(pattern).setdefault("_plans", {})
+    plan = plans.get(trap)
+    if plan is None:
+        plan = plans[trap] = _Plan(pattern, trap)
+    return plan
+
+
 def _run_round(plan: _Plan, prep: Mapping, rbits: Mapping,
                deviation: Deviation, rng=None,
                forced: Mapping | None = None) -> RoundResult:
@@ -718,29 +747,11 @@ def verified_rounds(pattern: Pattern, *, rng, deviation=None):
     (:meth:`_Plan.pads`), then one ``rng.randrange(2)`` per random
     outcome.
 
-    Each trap's plan is built the first time the trap is drawn, and each
-    round is a random descent on Bob's rows (``_descend``), with the drawn
-    pads and blinding bits.  The pattern, the rng and the deviation are
-    checked on the call, before any round.
+    Each round reads its trap's plan from the pattern's table
+    (:func:`_plan`), and is a random descent on Bob's rows
+    (``_descend``), with the drawn pads and blinding bits.  The pattern,
+    the rng and the deviation are checked on the call, before any round.
     """
-    return ((plan.trap, res)
-            for plan, res in _sampled_rounds(pattern, rng, deviation, {}))
-
-
-def _shared_plan(pattern: Pattern, trap, plans: dict) -> _Plan:
-    """The plan of ``trap`` in ``plans``, built and stored there the
-    first time it is asked for."""
-    plan = plans.get(trap)
-    if plan is None:
-        plan = plans[trap] = _Plan(pattern, trap)
-    return plan
-
-
-def _sampled_rounds(pattern: Pattern, rng, deviation, plans: dict):
-    """The rounds of :func:`verified_rounds`, each as ``(plan, result)``
-    with the plan of its trap, after the checks of the call.  The plans
-    are read from and stored in ``plans``, a dict from trap to plan of
-    ``pattern``, so calls on one pattern may share them."""
     graph = pattern.graph
     _require_vertex(graph)
     _require_delegable(graph, pattern.angles)
@@ -749,10 +760,9 @@ def _sampled_rounds(pattern: Pattern, rng, deviation, plans: dict):
 
     def rounds():
         while True:
-            plan = _shared_plan(
-                pattern, graph.nodes[rng.randrange(len(graph.nodes))], plans)
+            plan = _plan(pattern, graph.nodes[rng.randrange(len(graph.nodes))])
             prep, rbits = plan.pads(rng)
-            yield plan, _descend(plan, prep, rbits, deviation, rng)
+            yield plan.trap, _descend(plan, prep, rbits, deviation, rng)
 
     return rounds()
 
@@ -866,12 +876,18 @@ def _plan_rounds(plan: _Plan, deviation: Deviation, rvalues=(0, 1),
 
 
 def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
-    """Decoded output tuples an honest round can produce for this trap.
+    """Decoded output tuples an honest round can produce for this trap, or
+    for a trap-free round when ``trap`` is None.
 
-    Walks the outcome tree once, with zero pads and blinding bits
-    (:attr:`_Plan.honest_support`).
+    Read from the trap's plan in the pattern's table (:func:`_plan`),
+    whose outcome tree is walked once, with zero pads and blinding bits
+    (:attr:`_Plan.honest_support`), at the first read.  The trap is
+    checked to be a vertex before the lookup, since True and 1.0 are the
+    same dict key as the vertex 1.
     """
-    return _Plan(pattern, trap).honest_support
+    if trap is not None:
+        _trap_neighbors(pattern.graph, trap)
+    return _plan(pattern, trap).honest_support
 
 
 def _require_vertex(graph: OpenGraph) -> None:
@@ -934,7 +950,9 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     The blinding bits are walked only for a deviation that
     ``reads_instruction``: otherwise they cannot move the verdict or the
     decoded output.  The pads are walked only at the sites of the
-    deviation's ``support``; every other pad is fixed at 0.
+    deviation's ``support``; every other pad is fixed at 0.  Each trap's
+    plan, with its honest support, is read from the pattern's table
+    (:func:`_plan`), so a later audit of the pattern builds none.
 
     A fixed pad loses nothing, because Alice's decoded bits do not see
     it.  Let P_q be the local permutation that maps quarter a to a ^ q
@@ -978,12 +996,6 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     therefore summed as integer numerators over 2 ** 4n, with one
     ``Fraction`` per trap.
     """
-    return _exact_pfail(pattern, deviation, {})
-
-
-def _exact_pfail(pattern: Pattern, deviation, plans: dict) -> Fraction:
-    """:func:`exact_pfail`, with each trap's plan read from and stored in
-    ``plans`` (see ``_sampled_rounds``)."""
     graph = pattern.graph
     deviation = _deviation(deviation)
     _require_vertex(graph)
@@ -992,7 +1004,7 @@ def _exact_pfail(pattern: Pattern, deviation, plans: dict) -> Fraction:
     top = 1 << 4 * len(graph.nodes)
     total = Fraction(0)
     for trap in graph.nodes:
-        plan = _shared_plan(pattern, trap, plans)
+        plan = _plan(pattern, trap)
         hits = 0
         for w, res in _plan_rounds(plan, deviation, rvalues, support):
             if _fails(deviation, plan, res):
@@ -1022,16 +1034,17 @@ def estimate_pfail(pattern: Pattern, deviation: Deviation | None, *, rng,
                    trials: int) -> dict:
     """Monte Carlo failure estimate with a Wilson 95% interval, over
     ``trials`` rounds of :func:`verified_rounds`.  A ``deviation`` of None
-    is the honest server.  Each trap's plan is built once, and its
-    honest support only when a round reads it."""
+    is the honest server.  Each round's plan, with its honest support,
+    is read from the pattern's table (:func:`_plan`); the support is
+    walked the first time a round reads it."""
     deviation = _deviation(deviation)
-    rounds = _sampled_rounds(pattern, rng, deviation, {})
+    rounds = verified_rounds(pattern, rng=rng, deviation=deviation)
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, not {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    fails = sum(_fails(deviation, plan, res)
-                for plan, res in islice(rounds, trials))
+    fails = sum(_fails(deviation, _plan(pattern, trap), res)
+                for trap, res in islice(rounds, trials))
     lo, hi = wilson_interval(fails, trials)
     return {"estimate": fails / trials, "fails": fails, "trials": trials,
             "interval": (lo, hi), "is_estimate": True}
@@ -1077,7 +1090,7 @@ def server_view_distribution(pattern: Pattern) -> dict:
     nodes = pattern.graph.nodes
     top = 1 << 4 * len(nodes)
     leaves = []   # (share, zero-pad round, its representative)
-    for w, res in _plan_rounds(_Plan(pattern), Deviation(), rvalues=(0,),
+    for w, res in _plan_rounds(_plan(pattern), Deviation(), rvalues=(0,),
                                support=frozenset()):
         share = top // (w.denominator << 2 * len(nodes) + len(res.raw))
         leaves.append((share, res, tuple(

@@ -344,16 +344,15 @@ def _cmd_bvc(args) -> dict:
     rng = random.Random(args.seed)
     if args.mode == "verified":
         report["bound"] = _rat(bvc.trap_bound(pattern))
-        # the exact audit and the sampled rounds share each trap's plan
-        plans = {}
+        # the audit and the sampled rounds share each trap's plan, which
+        # the pattern keeps
         if args.exact:
-            report["p_fail"] = _rat(bvc._exact_pfail(pattern, deviation,
-                                                     plans))
+            report["p_fail"] = _rat(bvc.exact_pfail(pattern, deviation))
             report["exact"] = True
         else:
             report["p_fail"] = bvc.estimate_pfail(pattern, deviation, rng=rng,
                                                   trials=args.trials)
-        rounds = bvc._sampled_rounds(pattern, rng, deviation, plans)
+        rounds = bvc.verified_rounds(pattern, rng=rng, deviation=deviation)
         accepts = sum(res.accept
                       for _, res in islice(rounds, args.sample_rounds))
         report["accept_rate"] = {"accepted": accepts,

@@ -115,7 +115,7 @@ class Code:
         of stabilizers chosen by a GF(2) solve so the result is identity
         on the avoided sites.  Possible whenever |avoid| < distance.
         """
-        avoid = sorted(set(avoid))
+        avoid = sorted(_check_sites(self.n, avoid))
         mask = 0
         for s in avoid:
             mask |= 0b11 << (2 * s)
@@ -142,7 +142,14 @@ class Code:
 
     # -- errors and correction -----------------------------------------
 
+    def _check_error(self, error: Element) -> None:
+        if error.n != self.n:
+            raise ValueError(f"an error on {error.n} systems does not fit "
+                             f"the code's {self.n}")
+
     def syndrome_of(self, error: Element) -> tuple[int, ...]:
+        """The syndrome of ``error``, an element on the code's systems."""
+        self._check_error(error)
         return tuple(0 if error.compatible(g) else 1
                      for g in self.stabilizers.canonical)
 
@@ -167,7 +174,9 @@ class Code:
         return table
 
     def apply_error(self, state: Group, error: Element) -> Group:
-        """Conjugate by the symbol-flip permutation of ``error``."""
+        """Conjugate by the symbol-flip permutation of ``error``, an
+        element on the code's systems."""
+        self._check_error(error)
         return Permutation.pauli(self.n, error.x, error.z).conjugate(state)
 
     def apply_erasure(self, state: Group, sites: Iterable[int]) -> Group:

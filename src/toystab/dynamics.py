@@ -90,7 +90,11 @@ class Permutation:
 
     @classmethod
     def pauli(cls, n: int, x: int, z: int) -> "Permutation":
-        """The symbol-flip permutation whose observable symbol is (x, z)."""
+        """The symbol-flip permutation whose observable symbol is (x, z),
+        with no bit at or above ``n``."""
+        if x >> n or z >> n:
+            raise ValueError(f"symbol bits x={x:#b}, z={z:#b} do not fit "
+                             f"n={n} sites")
         factors = []
         for i in range(n):
             xb, zb = (x >> i) & 1, (z >> i) & 1

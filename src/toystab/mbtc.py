@@ -348,7 +348,8 @@ class Pattern:
 
     def __reduce__(self):
         # the read-only views do not pickle or deep-copy; a copy is
-        # rebuilt from plain dicts and builds its own schedule
+        # rebuilt from plain dicts and builds its own schedule (and bvc its
+        # own round plans)
         flow = self.flow and (dict(self.flow[0]), dict(self.flow[1]))
         return Pattern, (self.graph, dict(self.angles), flow)
 

@@ -36,3 +36,20 @@ def random_element(rng: random.Random, n: int) -> Element:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def built_plans(monkeypatch):
+    """The trap of every ``bvc._Plan`` built while the test runs, in
+    build order."""
+    from toystab import bvc
+
+    built = []
+    init = bvc._Plan.__init__
+
+    def counted(self, pattern, trap=None, *args, **kwargs):
+        built.append(trap)
+        init(self, pattern, trap, *args, **kwargs)
+
+    monkeypatch.setattr(bvc._Plan, "__init__", counted)
+    return built

@@ -220,6 +220,17 @@ def test_embed_rejects_a_site_that_is_not_an_int(site):
             embed(3, [site, 0])
 
 
+@pytest.mark.parametrize("site, message", [
+    (True, "site True is not an int"), (1.0, "site 1.0 is not an int"),
+    ("1", "site '1' is not an int"), (3, "site 3 out of range for n=3"),
+    (-1, "site -1 out of range for n=3"),
+])
+def test_single_rejects_a_site_that_is_not_a_site(site, message):
+    # True was read as site 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Element.single(3, site, "X")
+
+
 def _reference_interleaved(e):
     out = 0
     for i in range(e.n):

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import re
 from collections import Counter
@@ -1050,52 +1052,101 @@ def test_delegated_round_is_the_zero_pad_blind_round(pattern, data, seed):
     assert rng.getstate() == zero_rng.getstate()
 
 
-def test_batched_rounds_build_one_plan_per_trap(monkeypatch):
-    built = []
-    init = bvc._Plan.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(bvc._Plan, "__init__", counted)
-    rounds = list(islice(bvc.verified_rounds(PAT3, rng=random.Random(1)),
+def test_batched_rounds_build_one_plan_per_trap(built_plans):
+    pattern = line_pattern(3, (0, 1, 0))
+    rounds = list(islice(bvc.verified_rounds(pattern, rng=random.Random(1)),
                          200))
-    assert {trap for trap, _ in rounds} == set(PAT3.graph.nodes)
-    assert len(built) <= 3
-    # the Monte Carlo estimate draws its rounds the same way; the extremal
-    # deviation is credited with corrupting, so no honest support is built
-    built.clear()
-    bvc.estimate_pfail(PAT3, bvc.extremal_deviation(1), rng=random.Random(2),
-                       trials=200)
-    assert len(built) <= 3
-    # and reads each honest support from the plan that drew the round
-    for dev in (bvc.Deviation(), bvc.flip_all_deviation(),
-                bvc.pauli_deviation({1: "Z"})):
-        built.clear()
-        bvc.estimate_pfail(PAT3, dev, rng=random.Random(2), trials=200)
-        assert len(built) <= 3
-    # a single round builds its own plan
-    built.clear()
-    bvc.run_verified(PAT3, rng=random.Random(3))
-    assert len(built) == 1
+    assert {trap for trap, _ in rounds} == set(pattern.graph.nodes)
+    assert sorted(built_plans) == [0, 1, 2]
+    # the Monte Carlo estimate draws its rounds the same way, from the
+    # same table, and reads each honest support from the plan that drew
+    # the round
+    for dev in (bvc.extremal_deviation(1), bvc.Deviation(),
+                bvc.flip_all_deviation(), bvc.pauli_deviation({1: "Z"})):
+        bvc.estimate_pfail(line_pattern(3, (0, 1, 0)), dev,
+                           rng=random.Random(2), trials=200)
+        assert sorted(built_plans[3:]) == [0, 1, 2]
+        del built_plans[3:]
+    # a single round builds its own plan, on every call
+    for _ in range(2):
+        bvc.run_verified(pattern, rng=random.Random(3))
+    assert len(built_plans) == 5
 
 
-def test_exact_pfail_builds_one_plan_per_trap(monkeypatch):
-    built = []
-    init = bvc._Plan.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(bvc._Plan, "__init__", counted)
-    # the honest support and the enumeration share each trap's plan
+def test_exact_pfail_builds_one_plan_per_trap(built_plans):
+    # the pattern keeps each trap's plan, and with it the honest support,
+    # so every audit of it shares them
+    pattern = line_pattern(3, (0, 1, 0))
     for dev in (bvc.Deviation(), bvc.pauli_deviation({0: "X"}),
                 bvc.extremal_deviation(1)):
-        built.clear()
-        bvc.exact_pfail(PAT3, dev)
-        assert [args[1] for args in built] == [0, 1, 2]
+        bvc.exact_pfail(pattern, dev)
+    assert built_plans == [0, 1, 2]
+
+
+def test_a_second_audit_builds_no_plan(built_plans):
+    pattern = line_pattern(4, (0, 1, 0, 2))
+    bvc.exact_pfail(pattern, bvc.flip_all_deviation())
+    bvc.server_view_distribution(pattern)
+    assert built_plans == [0, 1, 2, 3, None]
+    built_plans.clear()
+    rng = random.Random(5)
+    bvc.exact_pfail(pattern, bvc.extremal_deviation(2))
+    bvc.estimate_pfail(pattern, None, rng=rng, trials=100)
+    list(islice(bvc.verified_rounds(pattern, rng=rng), 100))
+    for trap in (None, *pattern.graph.nodes):
+        bvc.honest_output_support(pattern, trap)
+    bvc.server_view_distribution(pattern)
+    assert built_plans == []
+
+
+@pytest.mark.parametrize("trap", [True, 1.0, [1]])
+def test_a_planned_vertex_does_not_admit_a_trap_equal_to_it(trap):
+    # True and 1.0 are the dict key of vertex 1, and [1] is no key
+    pattern = line_pattern(3, (0, 1, 0))
+    # vertex 1 traps the line, and its neighbours, the output included,
+    # are dummies
+    assert bvc.honest_output_support(pattern, 1) == {()}
+    assert 1 in vars(pattern)["_plans"]
+    for call in (lambda: bvc.honest_output_support(pattern, trap),
+                 lambda: bvc.run_verified(pattern, rng=random.Random(0),
+                                          trap=trap)):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            call()
+
+
+def test_copies_of_a_pattern_carry_no_plans():
+    pattern = line_pattern(3, (0, 1, 0))
+    p_fail = bvc.exact_pfail(pattern, bvc.extremal_deviation(0))
+    assert set(vars(pattern)["_plans"]) == {0, 1, 2}
+    for copied in (copy.copy(pattern), copy.deepcopy(pattern),
+                   pickle.loads(pickle.dumps(pattern))):
+        assert "_plans" not in vars(copied)
+        assert copied == pattern
+        assert bvc.exact_pfail(copied, bvc.extremal_deviation(0)) == p_fail
+
+
+_NONE_LINE = Pattern(OpenGraph((None, 1, 2), ((None, 1), (1, 2)),
+                               outputs=(2,)), {None: 0, 1: 1, 2: 0})
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: bvc.run_delegated(p, rng=random.Random(0)),
+    lambda p: bvc.run_blind(p, rng=random.Random(0)),
+    lambda p: bvc.run_verified(p, rng=random.Random(0)),
+    lambda p: bvc.run_verified(p, rng=random.Random(0), trap=1),
+    lambda p: bvc.verified_rounds(p, rng=random.Random(0)),
+    lambda p: bvc.estimate_pfail(p, None, rng=random.Random(0), trials=5),
+    lambda p: bvc.exact_pfail(p, bvc.extremal_deviation(1)),
+    lambda p: bvc.honest_output_support(p),
+    lambda p: bvc.honest_output_support(p, 1),
+    lambda p: bvc.server_view_distribution(p),
+])
+def test_a_vertex_labelled_none_is_rejected(call):
+    # None stands for "no trap": on this line exact_pfail gave 1/2, where
+    # the same line labelled (0, 1, 2) gives 5/6, and a third or so of
+    # the verified rounds came back with accept None
+    with pytest.raises(ValueError, match="labelled None"):
+        call(_NONE_LINE)
 
 
 # -- integer weights against Fraction sums ------------------------------------

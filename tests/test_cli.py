@@ -664,22 +664,16 @@ def test_seeded_bvc_runs_are_byte_identical(capsys):
 
 
 @pytest.mark.parametrize("deviation", ["honest", "flip-all", "extremal:1"])
-def test_a_verified_run_builds_one_plan_per_trap(monkeypatch, capsys,
+def test_a_verified_run_builds_one_plan_per_trap(capsys, built_plans,
                                                  deviation):
-    # the exact audit and the sampled rounds share each trap's plan;
-    # built apart, they made up to 6 per call
-    built = []
-    init = bvc._Plan.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args[1])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(bvc._Plan, "__init__", counted)
-    assert main(["bvc", "simulate", "--line", "1,2,3", "--seed", "4",
-                 "--deviation", deviation, "--exact"]) == 0
-    capsys.readouterr()
-    assert sorted(built) == [0, 1, 2]
+    # the audit and the sampled rounds share each trap's plan, which the
+    # pattern keeps; built apart, they made up to 6 per call
+    for audit in (["--exact"], ["--trials", "50"]):
+        built_plans.clear()
+        assert main(["bvc", "simulate", "--line", "1,2,3", "--seed", "4",
+                     "--deviation", deviation, *audit]) == 0
+        capsys.readouterr()
+        assert sorted(built_plans) == [0, 1, 2], audit
 
 
 # -- seeded mbtc runs stay byte-identical --------------------------------------

@@ -89,6 +89,34 @@ def test_logical_support_rewrite():
         assert rewritten == encoded  # same group, new generator basis
 
 
+@pytest.mark.parametrize("avoid, message", [
+    ([7], "site 7 out of range for n=5"),
+    ([-1], "site -1 out of range for n=5"),
+    ([True], "site True is not an int"),
+    ([1.0], "site 1.0 is not an int"),
+    ([2, 2], "site 2 listed twice"),
+])
+def test_avoided_sites_that_are_not_sites_rejected(avoid, message):
+    # site 7 was ignored, and True read as site 1
+    encoded = FIVE.encode(_secret("+Z"))
+    with pytest.raises(ValueError, match=message):
+        FIVE.rewrite_logical_support(encoded, avoid)
+
+
+@pytest.mark.parametrize("error", [
+    # a 6-site X at site 6 was a silent no-op, with syndrome (0, 0, 0, 0)
+    Element.single(6, 5, "X"),
+    # a 3-site error landed on sites 1 to 3
+    Element.parse("+XZY"),
+])
+def test_an_error_of_another_size_is_rejected(error):
+    encoded = FIVE.encode(_secret("+Z"))
+    with pytest.raises(ValueError, match="does not fit the code's 5"):
+        FIVE.apply_error(encoded, error)
+    with pytest.raises(ValueError, match="does not fit the code's 5"):
+        FIVE.syndrome_of(error)
+
+
 # -- secret sharing ----------------------------------------------------------
 
 SCHEME = SharingScheme(FIVE)

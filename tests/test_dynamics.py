@@ -73,6 +73,13 @@ def test_factor_outside_the_register_raises(factor, element):
         Permutation(2, (factor,)).conj_element(Element.parse(element))
 
 
+@pytest.mark.parametrize("x, z", [(0b100, 0), (0, 0b1000), (-1, 0)])
+def test_pauli_rejects_bits_outside_the_register(x, z):
+    # the bits at or above n were dropped
+    with pytest.raises(ValueError, match="do not fit n=2 sites"):
+        Permutation.pauli(2, x, z)
+
+
 def test_inverse_round_trip(rng):
     for _ in range(20):
         n = rng.randrange(1, 4)

@@ -103,6 +103,21 @@ def test_engine_does_not_import_the_oracle():
     assert imports == []
 
 
+def test_cli_reads_no_private_bvc_name():
+    # the CLI audits through bvc's public calls, so the tracer's spans on
+    # them see every audit it runs
+    private = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "bvc"):
+            private.append(f"cli.py:{node.lineno} bvc.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "bvc":
+            private += [f"cli.py:{node.lineno} {alias.name}"
+                        for alias in node.names if _is_private(alias.name)]
+    assert private == []
+
+
 def test_every_tracer_target_resolves():
     # bench/run.py --trace 1 wraps these names in the imported package, so
     # a rename there would break it without failing any other test
