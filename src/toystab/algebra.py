@@ -285,19 +285,17 @@ class Group:
       marginal on the quantum outputs;
     * ``mbtc._entangled`` (``graph_state``): a valid product state after
       the cz rule;
-    * ``bvc.Deviation._entangled_rows``: the pads' entangled state,
-      built straight into rows with a plan's cz's, as a group only to
-      hand it to a deviation's ``after_entangle`` hook that acts on
-      groups;
+    * ``bvc._acted_rows``: Bob's rows in a round, only to hand them to
+      a caller's deviation hook written on groups, the one place such a
+      hook is given a group;
     * ``bvc._run_round``: the rows ``bvc.Deviation._entangled_rows``
       returns, for a single sampled round to measure through groups;
-    * ``bvc.Deviation._outcomes``: the rows of the exact walk
-      (``bvc._walk_rounds``) or of a batched round's one-child-per-step
-      descent (``bvc._descend``), only to hand them to a
-      ``before_measure`` hook;
-    * ``bvc._RowHook``, called on a group: the rows of a built-in
-      ``after_entangle`` hook's action (the extremal swap-in, a Pauli or
-      a factor-list deviation) on a valid state's rows.
+    * ``bvc.Deviation._measure``: the rows a ``before_measure`` hook left
+      in a single round, for ``measure_element``;
+    * ``bvc._RowHook``, called on a group: the rows of a built-in hook's
+      action (the extremal swap-in, a Pauli, factor-list,
+      instruction-conditioned or fuzzer deviation) on a valid state's
+      rows.
 
     Every other group is checked on its first :meth:`violations` or
     :meth:`require_valid`.

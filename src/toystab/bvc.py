@@ -38,29 +38,35 @@ keeps its frontier schedule.  The audits and batches (``exact_pfail``,
 ``estimate_pfail``, ``verified_rounds``, ``honest_output_support`` and
 ``server_view_distribution``) read their plans there, so calls on one
 pattern, such as the CLI's audit and its sampled rounds, build each plan
-once, and a copy or pickle of the pattern carries none.  A full table
-grows with the square of the line: it held 25 KiB, 1.6 MiB and 32 MiB on
+once, and a copy or pickle of the pattern carries none.  The plans
+share the cz gains of the graph, kept beside them.  A full table grows
+with the square of the line: it held 18 KiB, 1.1 MiB and 20.5 MiB on
 lines of 8, 64 and 256 nodes (tracemalloc).  One ``estimate_pfail`` call
 that draws every trap of such a line holds as much while it runs; the
 table keeps it for as long as the pattern lives.
 
 Every round starts from the entangled state of its pads, built
 straight into the packed reduced rows ``{pivot: (bits, sign)}`` of Bob's
-whole state (:meth:`Deviation._entangled_rows`).  The built-in
-deviations that act after the entangling (the extremal swap-in, Pauli and
-factor-list deviations) act on those rows too: each is a trace and a row
-insert, or a permutation of the rows followed by one echelon, and both
-keep the state valid, so their result is walked on unchecked.  A group is
-built only to hand the state to any other hook.  Exact analysis
-(``exact_pfail``, ``server_view_distribution`` and
+whole state (:meth:`Deviation._entangled_rows`), and inside the round
+engine Bob's state stays in that form.  Every built-in hook acts on the
+rows (``_RowHook``): the extremal swap-in, Pauli and factor-list
+deviations after the entangling, each a trace and a row insert or a
+permutation of the rows followed by one echelon, and the
+instruction-conditioned and fuzzer deviations before each measurement,
+a local permutation of the rows at the measured site.  Each keeps the
+state valid, so its result is walked on unchecked.  A group appears only
+at the API edge: a caller's hook written on groups is handed the rows
+built as a group, and what it returns is checked, in one place
+(:func:`_acted_rows`); and a single round measures a group (see below).
+Exact analysis (``exact_pfail``, ``server_view_distribution`` and
 ``honest_output_support``) walks pad configurations and live outcome
 branches on the rows, one :func:`dynamics.measure_rows` step per branch
-(``_walk_rounds``), and again builds a group only for such a hook.  Every
-branch probability is 1 or 1/2 and every pad weight a power of two, so a
-weight is carried as an integer count of halvings, and a ``Fraction`` is
-built only for a result.  Alice's record of a branch is a linked list of
-its measurements, shared by the branches that share the prefix, and is
-read into a ``RoundResult`` once per leaf.
+(``_walk_rounds``), so the exact walk of a built-in deviation builds no
+group.  Every branch probability is 1 or 1/2 and every pad weight a
+power of two, so a weight is carried as an integer count of halvings,
+and a ``Fraction`` is built only for a result.  Alice's record of a
+branch is a linked list of its measurements, shared by the branches that
+share the prefix, and is read into a ``RoundResult`` once per leaf.
 
 Sampled rounds come two ways.  A batch of verified rounds
 (:func:`verified_rounds`, behind ``estimate_pfail`` and the CLI's sampled
@@ -103,7 +109,8 @@ from itertools import islice, product
 from typing import Callable, Mapping
 
 from .algebra import Group, insert
-from .dynamics import Permutation, measure_element, measure_rows, trace_site
+from .dynamics import (PERMS, Permutation, measure_element, measure_rows,
+                       trace_site)
 from .mbtc import (_QUARTER_ROWS, OpenGraph, Pattern, _check_forced,
                    _cz_gains, _cz_rows, _latest_first, adapt_quarter,
                    angle_element, correction_masks, find_gflow, walk)
@@ -149,6 +156,8 @@ class Deviation:
       the instruction, so a flip that depends on the quarter is written
       as a ``before_measure`` hook.
 
+    Each hook is None or callable, checked when the deviation is built.
+
     ``assume_corrupted`` switches the failure event from "accepted and
     the decoded output left the honest support" to simply "accepted":
     the adversary is credited with having corrupted the computation
@@ -163,21 +172,21 @@ class Deviation:
     once per prefix and blinding bit (see ``_walk_rounds``), sharing the
     result between branches, so it assumes deterministic hooks.
 
-    The ``after_entangle`` hooks of ``extremal_deviation``,
-    ``pauli_deviation`` and ``deviation_from_factors`` act on Bob's
-    reduced rows: each is a ``_RowHook``, whose action traces a site out
-    and inserts a row that is independent of and compatible with the
-    rest, or conjugates every row by a permutation and echelons them
-    again.  Both map a valid state to a valid state on as many systems,
-    so Bob walks on from the rows they return, and no group is built.
-    Called on a group, such a hook checks that it is valid and returns
-    the group of its rows.  Every other ``after_entangle`` hook is handed
-    the entangled state of the pads, built from reduced rows as a valid
-    group, and the state it returns is checked to be valid and on as
-    many systems.  The exact walk holds Bob's state as reduced rows from
-    then on: it hands ``before_measure`` those rows built as a valid
-    group, and checks the group the hook returns the same way before it
-    walks on.
+    Bob's state inside a round is the reduced rows of his whole state,
+    and every built-in hook acts on them: each is a ``_RowHook``.  The
+    ``after_entangle`` hooks of ``extremal_deviation``,
+    ``pauli_deviation`` and ``deviation_from_factors`` trace a site out
+    and insert a row that is independent of and compatible with the
+    rest, or conjugate every row by a permutation and echelon them
+    again; the ``before_measure`` hooks of
+    ``instruction_conditioned_deviation`` and ``fuzzer_deviation``
+    conjugate the rows by a local permutation at the measured site, or
+    leave them as they are.  Each maps a valid state to a valid state on
+    as many systems, so Bob walks on from the rows it returns, unchecked,
+    and no group is built.  Any other hook is written on groups: it is
+    handed the rows built as a valid group, and the state it returns is
+    checked to be a valid group on as many systems (:func:`_acted_rows`,
+    the one place that does both).
 
     ``support`` declares the 0-based sites ``after_entangle`` acts on, as
     a frozenset, or is ``None`` for "anywhere".  The declaration is a
@@ -199,6 +208,11 @@ class Deviation:
     assume_corrupted: bool = False
     support: frozenset | None = None         # sites after_entangle acts on
 
+    def __post_init__(self):
+        for name in ("after_entangle", "before_measure", "flip_outcome"):
+            if getattr(self, name) is not None:
+                _require_callable(name, getattr(self, name))
+
     @property
     def reads_instruction(self) -> bool:
         """Whether a hook sees Bob's instructions, so that the blinding
@@ -209,17 +223,14 @@ class Deviation:
         """The reduced rows ``{pivot: (bits, sign)}`` of the state Bob
         holds after preparing one system per entry of ``states`` and
         applying the cz's given as their gains (:func:`mbtc._cz_gains`,
-        which a ``_Plan`` computes once), then the ``after_entangle``
-        hook.  The rows are built straight from the pads with one echelon
-        and no group.
+        which a pattern's plans share), then the ``after_entangle`` hook
+        (:func:`_acted_rows`).  The rows are built straight from the pads
+        with one echelon and no group.
 
         A system i with pad quarter q is the row of its angle element,
         ``x_i | (q & 1)·z_i`` with sign ``q >> 1``, and the cz rule
         (:func:`mbtc._cz_rows`) adds the z columns of i's neighbours to
-        it; a dummy is ``±z_i``, which the cz's leave alone.  The hook
-        acts on the rows when it is a ``_RowHook``; any other is handed
-        the rows built as a group, and the state it returns is checked as
-        :meth:`_outcomes` checks a ``before_measure`` hook's.
+        it; a dummy is ``±z_i``, which the cz's leave alone.
         """
         n = len(states)
         pads = []
@@ -230,11 +241,8 @@ class Deviation:
                 bits, neg = _QUARTER_ROWS[quarter_from_formula(spec["angle"])]
             pads.append((bits << 2 * i, neg))
         rows = _cz_rows(pads, gains)
-        hook = self.after_entangle
-        if isinstance(hook, _RowHook):
-            return hook.act(rows, n)
-        if hook:
-            return _held_rows(hook(Group._from_reduced(n, rows)), n)
+        if self.after_entangle:
+            return _acted_rows(self.after_entangle, (), rows, n)
         return rows
 
     def _report(self, site: int, out: int) -> int:
@@ -251,12 +259,15 @@ class Deviation:
     def _measure(self, state: Group, site: int, angle: int, *, rng=None,
                  force: int | None = None):
         """(reported outcome, post state, probability) of one outcome of
-        measuring ``site`` of the group ``state`` at the formula angle
-        ``angle``, after the ``before_measure`` hook, whose state must be
-        a group."""
+        measuring ``site`` of the valid group ``state`` at the formula
+        angle ``angle``, after the ``before_measure`` hook acts on its
+        rows (:func:`_acted_rows`).  A row the hook leaves as it is keeps
+        its element."""
         quarter = quarter_from_formula(angle)
         if self.before_measure:
-            state = _require_group(self.before_measure(site, quarter, state))
+            state = Group._from_reduced(state.n, _acted_rows(
+                self.before_measure, (site, quarter), state._pivots,
+                state.n), state)
         out, post, p = measure_element(
             state, angle_element(state.n, site, quarter), rng=rng,
             force=force)
@@ -266,19 +277,16 @@ class Deviation:
                   rng=None) -> list:
         """[(reported outcome, post rows, random)] of every outcome that
         can occur, on the reduced rows ``{pivot: (bits, sign)}`` of a valid
-        state on ``n`` systems; with an ``rng``, of the one outcome a
+        state on ``n`` systems, after the ``before_measure`` hook
+        (:func:`_acted_rows`); with an ``rng``, of the one outcome a
         measurement gets, a random one drawn with one ``rng.randrange(2)``.
         ``random`` tells a probability of 1/2 from one of 1.  The rows are
         left as they are, and the post rows of a deterministic outcome are
-        ``rows`` itself.
-
-        A ``before_measure`` hook is given the rows built as a group, and
-        the state it returns is checked before it is measured.
+        the rows measured.
         """
         quarter = quarter_from_formula(angle)
         if self.before_measure:
-            rows = _held_rows(self.before_measure(
-                site, quarter, Group._from_reduced(n, rows)), n)
+            rows = _acted_rows(self.before_measure, (site, quarter), rows, n)
         bits, neg = _QUARTER_ROWS[quarter]
         bits <<= 2 * site
         children = []
@@ -290,34 +298,46 @@ class Deviation:
         return children
 
 
-def _require_group(state) -> Group:
-    """``state``, which a deviation's hook returned, checked to be a
-    group."""
+def _acted_rows(hook: Callable, args: tuple, rows: dict, n: int) -> dict:
+    """The reduced rows of the state ``hook(*args, state)`` returns, for
+    the state of the reduced rows ``rows`` of a valid state on ``n``
+    systems, which are left as they are.
+
+    A ``_RowHook`` acts on the rows themselves.  Any other hook is written
+    on groups: this is the one place where such a hook is handed a group,
+    the rows built as a valid group, and where the state it returns is
+    checked (:func:`_held_rows`).
+    """
+    if isinstance(hook, _RowHook):
+        return hook.act(*args, rows, n)
+    return _held_rows(hook(*args, Group._from_reduced(n, rows)), n)
+
+
+def _held_rows(state, n: int) -> dict:
+    """The reduced rows of ``state``, which a hook written on groups
+    returned, checked to be a valid group on ``n`` systems."""
     if not isinstance(state, Group):
         raise ValueError(
             f"a deviation hook must return a Group, not {state!r}")
-    return state
-
-
-def _held_rows(state: Group, n: int) -> dict:
-    """The reduced rows of a state Bob holds, checked as the sampled
-    round's measurement checks it."""
-    _require_group(state).require_valid()
+    state.require_valid()
     if state.n != n:
         raise ValueError("size mismatch")
     return state._pivots
 
 
 class _RowHook:
-    """An ``after_entangle`` hook given by its action on reduced rows.
+    """A hook given by its action on reduced rows, the form of every
+    built-in hook.
 
-    ``act(rows, n)`` maps the reduced rows ``{pivot: (bits, sign)}`` of a
-    valid state on ``n`` systems to new reduced rows of a valid state on
-    ``n`` systems, leaving ``rows`` as they are;
-    :meth:`Deviation._entangled_rows` walks on from them unchecked.
-    Called on a group, the hook checks that it is valid and returns the
-    group of the acted rows.  The action belongs to the hook, so a
-    deviation whose ``after_entangle`` is replaced never runs it.
+    ``act`` maps the reduced rows ``{pivot: (bits, sign)}`` of a valid
+    state on ``n`` systems to new reduced rows of a valid state on ``n``
+    systems, leaving ``rows`` as they are: ``act(rows, n)`` for an
+    ``after_entangle`` hook, and ``act(site, quarter, rows, n)`` for a
+    ``before_measure`` hook.  Bob walks on from the rows it returns
+    unchecked (:func:`_acted_rows`).  Called on a group, as the public
+    hook attributes are, the hook checks that it is a valid group and
+    returns the group of the acted rows.  The action belongs to the hook,
+    so a deviation whose hook is replaced never runs it.
     """
 
     __slots__ = ("act",)
@@ -325,10 +345,17 @@ class _RowHook:
     def __init__(self, act: Callable):
         self.act = act
 
-    def __call__(self, state: Group) -> Group:
-        n = state.n
-        return Group._from_reduced(
-            n, self.act(state.require_valid()._pivots, n))
+    def __call__(self, *args) -> Group:
+        *head, state = args
+        if not isinstance(state, Group):
+            raise ValueError(f"a hook is called on a Group, not {state!r}")
+        return Group._from_reduced(state.n, self.act(
+            *head, state.require_valid()._pivots, state.n))
+
+
+def _require_callable(name: str, value) -> None:
+    if not callable(value):
+        raise ValueError(f"{name} must be callable, not {value!r}")
 
 
 def extremal_deviation(site: int) -> Deviation:
@@ -362,8 +389,11 @@ def flip_all_deviation() -> Deviation:
 
 def pauli_deviation(assignments: Mapping) -> Deviation:
     """Apply fixed local permutations (site -> name or local id) after
-    entangling.  Each site must be an int; its range and its permutation
-    are checked against each state."""
+    entangling.  ``assignments`` must be a mapping and each site an int;
+    its range and its permutation are checked against each state."""
+    if not isinstance(assignments, Mapping):
+        raise ValueError(f"assignments must map sites to permutations, "
+                         f"not {assignments!r}")
     for site in assignments:
         if type(site) is not int:
             raise ValueError(f"site {site!r} is not an int")
@@ -380,31 +410,38 @@ def pauli_deviation(assignments: Mapping) -> Deviation:
 
 def instruction_conditioned_deviation(rule: Callable) -> Deviation:
     """``rule(site, quarter)`` names a local permutation or returns None;
-    it is applied to the held state just before that measurement."""
+    it is applied to the held state just before that measurement, as a
+    conjugation of Bob's rows.  ``rule`` must be callable."""
+    _require_callable("rule", rule)
 
-    def warp(site, quarter, state: Group) -> Group:
+    def warp(site: int, quarter: int, rows: dict, n: int) -> dict:
         name = rule(site, quarter)
         if name is None:
-            return state
-        return Permutation.local(state.n, site, name).conjugate(state)
+            return rows
+        return Permutation.local(n, site, name)._conj_rows(rows)
 
-    return Deviation(before_measure=warp)
+    return Deviation(before_measure=_RowHook(warp))
 
 
 def fuzzer_deviation(rng, rate: float = 0.5) -> Deviation:
-    """Random single-site permutation at the measured site, sometimes.
+    """Random single-site permutation at the measured site, sometimes:
+    with probability ``rate``, an int or float in [0, 1], a local id drawn
+    from ``rng``, which must have ``random`` and ``randrange``.
 
     Its hook draws randomness, so it is for Monte Carlo estimates only.
     """
-    from .dynamics import PERMS
+    for name in ("random", "randrange"):
+        _require_callable(f"rng.{name}", getattr(rng, name, None))
+    if type(rate) not in (int, float) or not 0 <= rate <= 1:
+        raise ValueError(f"rate must be a number in [0, 1], not {rate!r}")
 
-    def warp(site, quarter, state: Group) -> Group:
+    def warp(site: int, quarter: int, rows: dict, n: int) -> dict:
         if rng.random() >= rate:
-            return state
+            return rows
         pid = rng.randrange(len(PERMS))
-        return Permutation(state.n, (("local", site, pid),)).conjugate(state)
+        return Permutation(n, (("local", site, pid),))._conj_rows(rows)
 
-    return Deviation(before_measure=warp)
+    return Deviation(before_measure=_RowHook(warp))
 
 
 def deviation_from_factors(spec: list, n: int) -> Deviation:
@@ -458,12 +495,14 @@ class _Plan:
     once: the trap's neighbours, the round's dummies, in node order
     (:func:`_trap_neighbors`); Alice's measurement order, and one step
     ``(u, site, bit, base, fix)`` per measured vertex in that order; the
-    cz's of the graph as their gains (:func:`mbtc._cz_gains`); the
-    output vertices in node order; and, on first read, the honest output
-    support.  A trap of None plans a trap-free round.  ``site`` is u's
-    site index and ``bit`` its bit in the correction masks, ``base`` u's
-    unadapted quarter, and ``fix`` the corrections an outcome 1 books,
-    ``(x mask, z mask, count of flips)``.
+    cz's of the graph as their gains (:func:`mbtc._cz_gains`), which
+    depend on the graph alone, so they are computed once per pattern,
+    kept in its instance dict beside its plans (:func:`_plan`), and
+    shared by every plan of it; the output vertices in node order; and,
+    on first read, the honest output support.  A trap of None plans a
+    trap-free round.  ``site`` is u's site index and ``bit`` its bit in
+    the correction masks, ``base`` u's unadapted quarter, and ``fix`` the
+    corrections an outcome 1 books, ``(x mask, z mask, count of flips)``.
 
     Every round is blind.  An unblinded round (``blinded`` False) is the
     blind round with every pad and blinding bit 0, which sends the
@@ -502,7 +541,10 @@ class _Plan:
                                (x, z, x.bit_count() + z.bit_count())))
         self.outputs = sorted(graph.outputs, key=idx.__getitem__)
         self.graph, self.trap, self.cost = graph, trap, 3 if blinded else 1
-        self.gains = _cz_gains((idx[a], idx[b]) for a, b in graph.edges)
+        self.gains = vars(pattern).get("_gains")
+        if self.gains is None:
+            self.gains = vars(pattern)["_gains"] = _cz_gains(
+                (idx[a], idx[b]) for a, b in graph.edges)
 
     @cached_property
     def honest_support(self) -> frozenset:
@@ -695,7 +737,7 @@ def run_delegated(pattern: Pattern, *, rng=None, forced=None,
     round is the blind round with every pad and blinding bit 0, counted
     at one operation per instruction."""
     deviation = _deviation(deviation)
-    nodes = pattern.graph.nodes
+    nodes = _graph(pattern).nodes
     prep = {v: {"angle": 0} for v in nodes}
     return _run_round(_Plan(pattern, blinded=False), prep,
                       dict.fromkeys(nodes, 0), deviation, rng, forced)
@@ -707,6 +749,7 @@ def run_blind(pattern: Pattern, *, rng=None, prep=None, rbits=None,
     A blind round has no dummies, so a pinned ``prep`` gives every vertex
     an int angle."""
     deviation = _deviation(deviation)
+    _graph(pattern)
     plan = _Plan(pattern)
     prep, rbits = plan.pads(rng, prep, rbits)
     return _run_round(plan, prep, rbits, deviation, rng, forced)
@@ -730,7 +773,7 @@ def run_verified(pattern: Pattern, *, rng=None, trap=None, prep=None,
     unless both are pinned (:meth:`_Plan.pads`), then one
     ``rng.randrange(2)`` per random outcome."""
     deviation = _deviation(deviation)
-    graph = pattern.graph
+    graph = _graph(pattern)
     _require_vertex(graph)
     if trap is None:
         _require_rng(rng)
@@ -752,7 +795,7 @@ def verified_rounds(pattern: Pattern, *, rng, deviation=None):
     (``_descend``), with the drawn pads and blinding bits.  The pattern,
     the rng and the deviation are checked on the call, before any round.
     """
-    graph = pattern.graph
+    graph = _graph(pattern)
     _require_vertex(graph)
     _require_delegable(graph, pattern.angles)
     _require_rng(rng)
@@ -788,21 +831,23 @@ def _walk_rounds(plan: _Plan, prep: Mapping, deviation: Deviation,
     ``{pivot: (bits, sign)}`` of Bob's whole state.  The walk starts from
     the entangled state of the pads, built straight into rows with the
     plan's cz's (:meth:`Deviation._entangled_rows`).  The deviation's
-    ``after_entangle`` hook, when there is one, acts once: a ``_RowHook``
-    on the rows, any other hook on the rows built as a group, with the
-    state it returns checked once.  Then at each measured vertex, in
-    Alice's order (``plan.steps``), the walk branches on the blinding bit r
-    and on the outcomes Bob can get (:meth:`Deviation._outcomes`).  A node
-    holds Bob's rows, the halvings, Alice's pending corrections and op
-    count, and the last link of her record (see ``_Plan``), which is read
-    into a result only at a leaf.  Each child's rows come from one
+    ``after_entangle`` hook, when there is one, acts once.  Then at each
+    measured vertex, in Alice's order (``plan.steps``), the walk branches
+    on the blinding bit r and on the outcomes Bob can get
+    (:meth:`Deviation._outcomes`), after the ``before_measure`` hook,
+    called once per prefix and r.  Either hook acts through
+    :func:`_acted_rows`: a ``_RowHook``, as every built-in hook is, on the
+    rows, and a hook written on groups on the rows built as a group, with
+    the state it returns checked; no other group is built.  A node holds
+    Bob's rows, the halvings, Alice's pending corrections and op count,
+    and the last link of her record (see ``_Plan``), which is read into a
+    result only at a leaf.  Each child's rows come from one
     :func:`dynamics.measure_rows` step, which leaves its parent's rows as
     they are, so branches share their prefix rows; a random outcome adds
-    one halving to the branch, and dead outcomes are never visited.  A
-    group is built only to hand the state to a ``before_measure`` hook,
-    called once per prefix and r.  Exact analysis thus assumes
-    deterministic hooks: a hook that draws randomness, such as
-    ``fuzzer_deviation``, is for Monte Carlo estimates only.
+    one halving to the branch, and dead outcomes are never visited.
+    Exact analysis thus assumes deterministic hooks: a hook that draws
+    randomness, such as ``fuzzer_deviation``, is for Monte Carlo
+    estimates only.
 
     Walking ``rvalues=(0,)`` alone loses nothing that Alice decodes when
     the deviation does not read the instruction.  Flipping r turns the
@@ -885,9 +930,17 @@ def honest_output_support(pattern: Pattern, trap=None) -> frozenset:
     checked to be a vertex before the lookup, since True and 1.0 are the
     same dict key as the vertex 1.
     """
+    graph = _graph(pattern)
     if trap is not None:
-        _trap_neighbors(pattern.graph, trap)
+        _trap_neighbors(graph, trap)
     return _plan(pattern, trap).honest_support
+
+
+def _graph(pattern) -> OpenGraph:
+    """The graph of ``pattern``, which must be a ``Pattern``."""
+    if not isinstance(pattern, Pattern):
+        raise ValueError(f"expected a Pattern, not {pattern!r}")
+    return pattern.graph
 
 
 def _require_vertex(graph: OpenGraph) -> None:
@@ -898,8 +951,9 @@ def _require_vertex(graph: OpenGraph) -> None:
 def trap_bound(pattern: Pattern) -> Fraction:
     """1 - 1/(2n), the bound on the failure probability of a verified
     round on n vertices against any deviation."""
-    _require_vertex(pattern.graph)
-    return 1 - Fraction(1, 2 * len(pattern.graph.nodes))
+    graph = _graph(pattern)
+    _require_vertex(graph)
+    return 1 - Fraction(1, 2 * len(graph.nodes))
 
 
 def _walked_support(deviation: Deviation, n: int) -> frozenset | None:
@@ -996,7 +1050,7 @@ def exact_pfail(pattern: Pattern, deviation: Deviation | None) -> Fraction:
     therefore summed as integer numerators over 2 ** 4n, with one
     ``Fraction`` per trap.
     """
-    graph = pattern.graph
+    graph = _graph(pattern)
     deviation = _deviation(deviation)
     _require_vertex(graph)
     support = _walked_support(deviation, len(graph.nodes))
@@ -1087,7 +1141,7 @@ def server_view_distribution(pattern: Pattern) -> dict:
     is expanded at the end from the first round seen in it, so the
     transcripts come in the order a round-by-round expansion gives.
     """
-    nodes = pattern.graph.nodes
+    nodes = _graph(pattern).nodes
     top = 1 << 4 * len(nodes)
     leaves = []   # (share, zero-pad round, its representative)
     for w, res in _plan_rounds(_plan(pattern), Deviation(), rvalues=(0,),
@@ -1122,7 +1176,12 @@ def _r_class(res: RoundResult):
                product(*((o, o ^ 1) for o in res.raw)))
 
 
-def view_distance(a: dict, b: dict) -> Fraction:
+def view_distance(a: Mapping, b: Mapping) -> Fraction:
+    """The total variation distance of two views, mappings from a
+    transcript to its probability."""
+    if not (isinstance(a, Mapping) and isinstance(b, Mapping)):
+        raise ValueError("views must be mappings, not "
+                         f"{type(a).__name__} and {type(b).__name__}")
     keys = set(a) | set(b)
     return sum((abs(a.get(k, Fraction(0)) - b.get(k, Fraction(0)))
                 for k in keys), Fraction(0)) / 2

@@ -173,19 +173,68 @@ def _result_or_error(call):
         return f"ValueError: {exc}"
 
 
+def reference_instruction_warp(rule):
+    """The group form of ``instruction_conditioned_deviation``'s hook."""
+
+    def warp(site, quarter, state):
+        name = rule(site, quarter)
+        if name is None:
+            return state
+        return Permutation.local(state.n, site, name).conjugate(state)
+
+    return warp
+
+
+def reference_fuzzer_warp(rng, rate):
+    """The group form of ``fuzzer_deviation``'s hook, with the same
+    draws."""
+
+    def warp(site, quarter, state):
+        if rng.random() >= rate:
+            return state
+        pid = rng.randrange(24)
+        return Permutation(state.n, (("local", site, pid),)).conjugate(state)
+
+    return warp
+
+
 @st.composite
 def _row_hook_cases(draw):
-    """Pads and edges on n <= 8 systems, with an extremal site, a Pauli
-    assignment or a factor list that may reach past the register, and
-    the deviation's action on a group computed without its rows."""
+    """Pads and edges on n <= 8 systems, a built-in deviation's hook twice
+    (the one to act on rows, the one to call on a group), the arguments
+    before the state, the hook's action on a group computed without its
+    rows, and the rngs the three draw from.  The after_entangle hooks are
+    an extremal site, a Pauli assignment or a factor list that may reach
+    past the register; the before_measure hooks are a rule table of
+    names and local ids, and a fuzzer, at a site that may lie outside
+    the register."""
     prep, edges = draw(_pads_and_edges(8))
     n = len(prep)
-    kind = draw(st.sampled_from(("extremal", "pauli", "factors")))
+    kind = draw(st.sampled_from(
+        ("extremal", "pauli", "factors", "instruction", "fuzzer")))
     site = st.integers(-1, n)
+    if kind in ("instruction", "fuzzer"):
+        args = (draw(site), draw(st.integers(0, 3)))
+        if kind == "instruction":
+            table = draw(st.dictionaries(
+                st.tuples(site, st.integers(0, 3)),
+                st.one_of(st.sampled_from(_PERM_NAMES), st.integers(0, 24))))
+            rule = lambda s, q: table.get((s, q))
+            dev = bvc.instruction_conditioned_deviation(rule)
+            return (prep, edges, (dev.before_measure,) * 2, args,
+                    reference_instruction_warp(rule), [])
+        seed = draw(st.integers(0, 1 << 16))
+        rate = draw(st.sampled_from((0, 0.3, 1.0)))
+        rngs = [random.Random(seed) for _ in range(3)]
+        hooks = tuple(bvc.fuzzer_deviation(rng, rate).before_measure
+                      for rng in rngs[:2])
+        return (prep, edges, hooks, args,
+                reference_fuzzer_warp(rngs[2], rate), rngs)
     if kind == "extremal":
         k = draw(site)
-        return prep, edges, bvc.extremal_deviation(k), \
-            lambda state: reference_swap_in(state, k)
+        dev = bvc.extremal_deviation(k)
+        return (prep, edges, (dev.after_entangle,) * 2, (),
+                lambda state: reference_swap_in(state, k), [])
     if kind == "pauli":
         assignments = draw(st.dictionaries(
             site, st.one_of(st.sampled_from(_PERM_NAMES), st.integers(0, 24)),
@@ -207,8 +256,8 @@ def _row_hook_cases(draw):
         spec = draw(st.lists(factor, min_size=1, max_size=4))
         perm = lambda m: Permutation.from_json(size, spec)
         dev = bvc.deviation_from_factors(spec, size)
-    return prep, edges, dev, lambda state: Group(state.n, [
-        perm(state.n).conj_element(e) for e in state.canonical])
+    return prep, edges, (dev.after_entangle,) * 2, (), lambda state: Group(
+        state.n, [perm(state.n).conj_element(e) for e in state.canonical]), []
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,17 +266,18 @@ def test_row_hooks_match_their_group_form(case):
     # Bob runs a built-in hook's row action; the hook called on the group
     # of the same rows, with its result checked, must give the same rows
     # or the same error, and so must the action computed element by
-    # element
-    prep, edges, dev, reference = case
+    # element, drawing alike from twin rngs
+    prep, edges, (on_rows, on_group), args, reference, rngs = case
     n = len(prep)
     rows = bvc.Deviation()._entangled_rows(prep, _cz_gains(edges))
     before = dict(rows)
     state = Group._from_reduced(n, rows)
-    got = _result_or_error(lambda: dev._entangled_rows(prep, _cz_gains(edges)))
+    got = _result_or_error(lambda: bvc._acted_rows(on_rows, args, rows, n))
     assert got == _result_or_error(
-        lambda: bvc._held_rows(dev.after_entangle(state), n))
-    assert got == _result_or_error(lambda: reference(state)._pivots)
+        lambda: bvc._held_rows(on_group(*args, state), n))
+    assert got == _result_or_error(lambda: reference(*args, state)._pivots)
     assert rows == before
+    assert len({repr(rng.getstate()) for rng in rngs}) <= 1
     if isinstance(got, dict):
         assert Group(n, [Element.from_interleaved(n, *row)
                          for row in got.values()]).violations() == []
@@ -265,11 +315,44 @@ def test_honest_and_flip_all_walks_build_no_group(monkeypatch):
     for dev in (bvc.Deviation(), bvc.flip_all_deviation()):
         assert list(bvc._walk_rounds(plan, prep, dev, (0, 1)))
     assert built == []
-    # the built-in after_entangle hooks act on the rows
+    # the built-in hooks act on the rows, the instruction-conditioned
+    # and the fuzzer's before each measurement
     for dev in (bvc.extremal_deviation(2), bvc.pauli_deviation({0: "Y"}),
-                bvc.deviation_from_factors([{"cx": [1, 3]}], 3)):
-        assert list(bvc._walk_rounds(plan, prep, dev, (0,)))
+                bvc.deviation_from_factors([{"cx": [1, 3]}], 3),
+                bvc.instruction_conditioned_deviation(
+                    lambda site, q: "H" if q % 2 else None)):
+        assert list(bvc._walk_rounds(plan, prep, dev, (0, 1)))
+    fuzzer = bvc.fuzzer_deviation(random.Random(3), 1.0)
+    rbits = dict.fromkeys(PAT3.graph.nodes, 1)
+    for _ in range(20):
+        bvc._descend(plan, prep, rbits, fuzzer, random.Random(4))
     assert built == []
+
+
+@pytest.mark.parametrize("state", [None, "+ZZ", Element.parse("+ZZ")])
+def test_a_row_hook_is_called_on_a_group(state):
+    # a public hook attribute called on anything else raised
+    # AttributeError
+    for call in (lambda: bvc.extremal_deviation(0).after_entangle(state),
+                 lambda: bvc.instruction_conditioned_deviation(
+                     lambda site, q: "H").before_measure(0, 1, state)):
+        with pytest.raises(ValueError, match="a hook is called on a Group"):
+            call()
+
+
+def test_every_built_in_hook_acts_on_rows():
+    devs = [bvc.extremal_deviation(0), bvc.flip_all_deviation(),
+            bvc.pauli_deviation({0: "X"}),
+            bvc.deviation_from_factors([{"cz": [1, 2]}], 2),
+            bvc.instruction_conditioned_deviation(lambda site, q: None),
+            bvc.fuzzer_deviation(random.Random(0))]
+    for dev in devs:
+        hooks = [dev.after_entangle, dev.before_measure]
+        assert all(hook is None or isinstance(hook, bvc._RowHook)
+                   for hook in hooks)
+    assert [sum(hook is not None for hook in (
+        dev.after_entangle, dev.before_measure)) for dev in devs] \
+        == [1, 0, 1, 1, 1, 1]
 
 
 # -- the extremal swap-in on rows against erase + extended --------------------
@@ -409,6 +492,40 @@ def test_deviation_family_respects_bound():
     bound = 1 - Fraction(1, 6)
     for dev in deviation_family():
         assert bvc.exact_pfail(PAT3, dev) <= bound
+
+
+@st.composite
+def _census_cases(draw):
+    """A 3- or 4-node line with drawn angles, and a deviation: a factor
+    list on a drawn pair of sites, or a full rule table from (site,
+    quarter) to a local id or None."""
+    n = draw(st.sampled_from((3, 4)))
+    pattern = line_pattern(n, draw(st.lists(st.integers(0, 3), min_size=n,
+                                            max_size=n)))
+    if draw(st.booleans()):
+        pair = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                             unique=True))
+        local = st.builds(lambda s, p: {"site": s, "perm": p},
+                          st.sampled_from(pair), st.integers(0, 23))
+        controlled = st.builds(lambda kind, sites: {kind: sites},
+                               st.sampled_from(("cz", "cx", "cy")),
+                               st.permutations(pair))
+        spec = draw(st.lists(st.one_of(local, controlled), min_size=1,
+                             max_size=4))
+        return pattern, bvc.deviation_from_factors(spec, n)
+    ids = draw(st.lists(st.one_of(st.none(), st.integers(0, 23)),
+                        min_size=4 * n, max_size=4 * n))
+    return pattern, bvc.instruction_conditioned_deviation(
+        lambda site, quarter: ids[4 * site + quarter])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_census_cases())
+def test_drawn_deviations_stay_under_the_trap_bound(case):
+    # a census of server deviations: the verified round's bound holds
+    # against each one, exactly
+    pattern, deviation = case
+    assert bvc.exact_pfail(pattern, deviation) <= bvc.trap_bound(pattern)
 
 
 PAT4 = line_pattern(4, (0, 1, 0, 2))
@@ -1121,8 +1238,20 @@ def test_copies_of_a_pattern_carry_no_plans():
     for copied in (copy.copy(pattern), copy.deepcopy(pattern),
                    pickle.loads(pickle.dumps(pattern))):
         assert "_plans" not in vars(copied)
+        assert "_gains" not in vars(copied)
         assert copied == pattern
         assert bvc.exact_pfail(copied, bvc.extremal_deviation(0)) == p_fail
+
+
+def test_plans_of_a_pattern_share_its_gains():
+    # the gains depend on the graph alone: one tuple per pattern, where
+    # each plan of the 256-node line held its own copy
+    pattern = line_pattern(4, (0, 1, 0, 2))
+    gains = bvc._plan(pattern, 0).gains
+    assert gains == _cz_gains([(0, 1), (1, 2), (2, 3)])
+    for plan in (bvc._plan(pattern, 3), bvc._plan(pattern),
+                 bvc._Plan(pattern, 1)):
+        assert plan.gains is gains
 
 
 _NONE_LINE = Pattern(OpenGraph((None, 1, 2), ((None, 1), (1, 2)),
@@ -1571,6 +1700,68 @@ def test_verified_rounds_check_pinned_pads(prep, rbits, message):
 def test_extremal_site_is_checked_when_built(site):
     with pytest.raises(ValueError, match=f"site {site!r} is not an int"):
         bvc.extremal_deviation(site)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: bvc.Deviation(after_entangle=5),
+     "after_entangle must be callable, not 5"),
+    (lambda: bvc.Deviation(before_measure=5),
+     "before_measure must be callable, not 5"),
+    (lambda: bvc.Deviation(flip_outcome=5),
+     "flip_outcome must be callable, not 5"),
+    (lambda: bvc.pauli_deviation([1]),
+     r"assignments must map sites to permutations, not \[1\]"),
+    (lambda: bvc.instruction_conditioned_deviation(None),
+     "rule must be callable, not None"),
+    (lambda: bvc.fuzzer_deviation(None), "rng.random must be callable"),
+    (lambda: bvc.fuzzer_deviation(random.Random(0), "x"),
+     r"rate must be a number in \[0, 1\], not 'x'"),
+    (lambda: bvc.fuzzer_deviation(random.Random(0), -0.25),
+     r"rate must be a number in \[0, 1\], not -0.25"),
+    (lambda: bvc.fuzzer_deviation(random.Random(0), 1.5),
+     r"rate must be a number in \[0, 1\], not 1.5"),
+    (lambda: bvc.fuzzer_deviation(random.Random(0), float("nan")),
+     r"rate must be a number in \[0, 1\], not nan"),
+    (lambda: bvc.fuzzer_deviation(random.Random(0), True),
+     r"rate must be a number in \[0, 1\], not True"),
+], ids=["after-entangle", "before-measure", "flip-outcome", "pauli-list",
+        "rule-none", "rng-none", "rate-str", "rate-negative", "rate-above-1",
+        "rate-nan", "rate-bool"])
+def test_deviations_are_checked_when_built(make, message):
+    # unchecked, these failed at the first round with TypeError or
+    # AttributeError, or were accepted
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bvc.exact_pfail(None, None), "expected a Pattern, not None"),
+    (lambda: bvc.trap_bound(None), "expected a Pattern, not None"),
+    (lambda: bvc.estimate_pfail(None, None, rng=random.Random(0), trials=5),
+     "expected a Pattern, not None"),
+    (lambda: bvc.verified_rounds("line", rng=random.Random(0)),
+     "expected a Pattern, not 'line'"),
+    (lambda: bvc.run_delegated(None), "expected a Pattern, not None"),
+    (lambda: bvc.run_blind(None, rng=random.Random(0)),
+     "expected a Pattern, not None"),
+    (lambda: bvc.run_verified({}, rng=random.Random(0)),
+     r"expected a Pattern, not \{\}"),
+    (lambda: bvc.honest_output_support(None), "expected a Pattern, not None"),
+    (lambda: bvc.honest_output_support(None, 1),
+     "expected a Pattern, not None"),
+    (lambda: bvc.server_view_distribution(None),
+     "expected a Pattern, not None"),
+    (lambda: bvc.view_distance(None, {}),
+     "views must be mappings, not NoneType and dict"),
+    (lambda: bvc.view_distance({}, [(1, 2)]),
+     "views must be mappings, not dict and list"),
+], ids=["exact_pfail", "trap_bound", "estimate_pfail", "verified_rounds",
+        "run_delegated", "run_blind", "run_verified", "honest_support",
+        "honest_support-trap", "server_view", "view_distance-a",
+        "view_distance-b"])
+def test_non_patterns_and_non_views_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("k, n", [(-1, 5), (7, 5), (1, 0), (0, -1)])
